@@ -233,6 +233,9 @@ int main(int argc, char** argv) {
     // Log the resolved plan so a seeded drill is replayable from the log
     // alone (pass this spec back via --chaos-plan).
     std::printf("chaos plan: %s\n", chaos.plan.toSpec().c_str());
+    // Flushed now: in worker mode stdout is a file, and the log must hold
+    // the plan even if the process is killed before exit.
+    std::fflush(stdout);
   }
 
   if (!connectHost.empty()) {

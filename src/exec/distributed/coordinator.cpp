@@ -1,60 +1,30 @@
 #include "exec/distributed/coordinator.hpp"
 
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
-#include <chrono>
-#include <cstring>
-#include <map>
-#include <memory>
+#include <vector>
 
 #include "common/error.hpp"
-#include "exec/frame_transport.hpp"
-#include "exec/ipc.hpp"
+#include "exec/frame_reactor.hpp"
 
 namespace occm::exec::dist {
 
 namespace {
 
-std::uint64_t steadyNowNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// One connected peer, wrapped in its framed transport (the injection
-/// point for the chaos layer). Sends are small (the largest frame is one
-/// kAssign) and pushed through a bounded retry loop, so the loop never
-/// parks on a single slow peer for long.
-struct Connection {
-  int fd = -1;  ///< poll handle; owned by the transport
-  std::unique_ptr<FrameTransport> transport;
-  std::string workerId;       ///< empty until the handshake completes
+/// One worker session's protocol state, carried in the reactor's
+/// connection table. Sends are small (the largest frame is one kAssign)
+/// and pushed through a bounded retry loop, so the loop never parks on a
+/// single slow peer for long.
+struct Session {
+  std::string workerId;  ///< empty until the handshake completes
   bool handshaken = false;
-  std::uint64_t connectedAtMs = 0;
   std::uint64_t lastPingSentMs = 0;
   std::uint64_t pingId = 0;
   /// Tasks currently assigned on this connection (a worker runs one task
   /// at a time; duplicates via speculation go to *other* workers).
   std::vector<std::uint64_t> assigned;
-  bool dead = false;  ///< marked for teardown at the end of the iteration
 };
 
-bool sendMessage(Connection& conn, const WireMessage& message) {
-  if (conn.dead) {
-    return false;
-  }
-  if (!conn.transport->sendFrame(encodeMessage(message))) {
-    conn.dead = true;
-    return false;
-  }
-  return true;
-}
+using Reactor = FrameReactor<Session>;
+using Connection = Reactor::Connection;
 
 }  // namespace
 
@@ -63,34 +33,21 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
   OCCM_REQUIRE_MSG(static_cast<bool>(config.onResult),
                    "coordinator needs an onResult sink");
   CoordinatorReport report;
-  int boundPort = 0;
-  auto listened = listenTcp(config.host, config.port, &boundPort);
-  if (!listened) {
-    report.error = listened.error();
+  Reactor reactor(config.maxConnections, config.transportFactory);
+  const auto bound = reactor.listen(config.host, config.port);
+  if (!bound) {
+    report.error = bound.error();
     report.degradedToLocal = true;
     return report;
   }
-  const int listenFd = *listened;
-  // Non-blocking accepts: the drain loop below must stop at EAGAIN, not
-  // park the whole event loop inside accept(2).
-  const int listenFlags = ::fcntl(listenFd, F_GETFL, 0);
-  ::fcntl(listenFd, F_SETFL, listenFlags | O_NONBLOCK);
   if (config.onListening) {
-    config.onListening(boundPort);
+    config.onListening(*bound);
   }
-
-  const auto start = std::chrono::steady_clock::now();
-  auto nowMs = [&start]() -> std::uint64_t {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-  };
+  const auto nowMs = [&reactor] { return reactor.nowMs(); };
+  auto& conns = reactor.connections();
 
   LeaseTable leases(config.lease, jobs.size());
-  std::map<int, std::unique_ptr<Connection>> conns;  // by fd
   std::vector<bool> settled(jobs.size(), false);
-  std::uint64_t nextConnectionId = 0;
 
   obs::TimeSeries* aliveGauge = nullptr;
   obs::TimeSeries* expiredGauge = nullptr;
@@ -115,24 +72,17 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
   auto loseWorker = [&](Connection& conn, const std::string& detail,
                         WorkerIncident::Kind kind) {
     conn.dead = true;
-    const std::string name = conn.handshaken
-                                 ? conn.workerId
+    const std::string name = conn.state.handshaken
+                                 ? conn.state.workerId
                                  : "peer fd " + std::to_string(conn.fd);
-    if (conn.handshaken) {
-      const std::vector<std::uint64_t> torn =
-          leases.workerLeft(conn.workerId, nowMs());
-      for (std::uint64_t taskId : torn) {
-        WorkerIncident incident;
-        incident.kind = kind;
-        incident.worker = name;
-        incident.detail = detail;
-        incident.taskId = taskId;
-        report.incidents.push_back(std::move(incident));
-      }
-      if (torn.empty()) {
-        report.incidents.push_back({kind, name, detail, std::nullopt});
-      }
-    } else {
+    const std::vector<std::uint64_t> torn =
+        conn.state.handshaken
+            ? leases.workerLeft(conn.state.workerId, nowMs())
+            : std::vector<std::uint64_t>{};
+    for (std::uint64_t taskId : torn) {
+      report.incidents.push_back({kind, name, detail, taskId});
+    }
+    if (torn.empty()) {
       report.incidents.push_back({kind, name, detail, std::nullopt});
     }
   };
@@ -140,19 +90,19 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
   auto tryAssign = [&](Connection& conn) {
     // One outstanding task per worker: the worker runs tasks serially and
     // keeping its queue empty is what makes lease re-dispatch meaningful.
-    if (conn.dead || !conn.handshaken || !conn.assigned.empty()) {
+    if (conn.dead || !conn.state.handshaken || !conn.state.assigned.empty()) {
       return;
     }
     const std::optional<std::uint64_t> taskId =
-        leases.nextAssignment(conn.workerId, nowMs());
+        leases.nextAssignment(conn.state.workerId, nowMs());
     if (!taskId.has_value()) {
       return;
     }
     WireMessage assign;
     assign.kind = WireMessage::Kind::kAssign;
     assign.job = jobs[*taskId];
-    if (sendMessage(conn, assign)) {
-      conn.assigned.push_back(*taskId);
+    if (conn.send(encodeMessage(assign))) {
+      conn.state.assigned.push_back(*taskId);
     } else {
       loseWorker(conn, "send failed: " + std::string("assign"),
                  WorkerIncident::Kind::kWorkerLost);
@@ -160,7 +110,7 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
   };
 
   auto handleMessage = [&](Connection& conn, const WireMessage& message) {
-    if (!conn.handshaken) {
+    if (!conn.state.handshaken) {
       if (message.kind != WireMessage::Kind::kHello ||
           message.protocolVersion != kProtocolVersion ||
           message.workerId.empty()) {
@@ -174,24 +124,24 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
                        : "protocol version " +
                              std::to_string(message.protocolVersion) +
                              " != " + std::to_string(kProtocolVersion));
-        sendMessage(conn, reject);
+        conn.send(encodeMessage(reject));
         loseWorker(conn, reject.reason, WorkerIncident::Kind::kHandshake);
         return;
       }
       // A reconnecting worker supersedes its old connection: the stale fd
       // (if any) will EOF on its own; membership is keyed by worker id.
-      conn.workerId = message.workerId;
-      conn.handshaken = true;
+      conn.state.workerId = message.workerId;
+      conn.state.handshaken = true;
       ++report.workersSeen;
-      leases.workerJoined(conn.workerId, nowMs());
+      leases.workerJoined(conn.state.workerId, nowMs());
       recordGauges(nowMs());
       WireMessage welcome;
       welcome.kind = WireMessage::Kind::kWelcome;
-      sendMessage(conn, welcome);
+      conn.send(encodeMessage(welcome));
       tryAssign(conn);
       return;
     }
-    leases.heartbeat(conn.workerId, nowMs());
+    leases.heartbeat(conn.state.workerId, nowMs());
     switch (message.kind) {
       case WireMessage::Kind::kResult: {
         const std::uint64_t taskId = message.result.taskId;
@@ -201,10 +151,8 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
                      WorkerIncident::Kind::kFrameCorrupt);
           return;
         }
-        conn.assigned.erase(
-            std::remove(conn.assigned.begin(), conn.assigned.end(), taskId),
-            conn.assigned.end());
-        if (leases.completeTask(taskId, conn.workerId, nowMs())) {
+        std::erase(conn.state.assigned, taskId);
+        if (leases.completeTask(taskId, conn.state.workerId, nowMs())) {
           settled[taskId] = true;
           config.onResult(message.result);
         }
@@ -213,7 +161,7 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
       }
       case WireMessage::Kind::kPong: {
         const std::uint64_t sentNs = message.pingSentNs;
-        const std::uint64_t now = steadyNowNs();
+        const std::uint64_t now = reactor.nowNs();
         if (now >= sentNs) {
           const double rtt =
               static_cast<double>(now - sentNs) / 1'000'000.0;
@@ -236,7 +184,28 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
     }
   };
 
-  bool anyWorkerEver = false;
+  auto onEvent = [&](Connection& conn, ReactorEvent event,
+                     std::string& payload) {
+    if (event == ReactorEvent::kClosed) {
+      loseWorker(conn, "connection closed", WorkerIncident::Kind::kWorkerLost);
+      return;
+    }
+    if (event != ReactorEvent::kFrame) {
+      loseWorker(conn, conn.transport->lastError(),
+                 event == ReactorEvent::kCorrupt
+                     ? WorkerIncident::Kind::kFrameCorrupt
+                     : WorkerIncident::Kind::kWorkerLost);
+      return;
+    }
+    auto decoded = decodeMessage(payload);
+    if (!decoded) {
+      loseWorker(conn, decoded.error().message(),
+                 WorkerIncident::Kind::kFrameCorrupt);
+      return;
+    }
+    handleMessage(conn, *decoded);
+  };
+
   std::uint64_t lastWorkerPresenceMs = 0;
   for (;;) {
     const std::uint64_t now = nowMs();
@@ -253,6 +222,7 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
     // Degrade to local execution when no worker has shown up within the
     // grace window — or when the whole fleet died and stayed gone for a
     // full window (otherwise unfinished leases would spin forever).
+    const bool anyWorkerEver = reactor.accepted() > 0;
     if ((!anyWorkerEver && now >= config.graceWindowMs) ||
         (anyWorkerEver && conns.empty() &&
          now >= lastWorkerPresenceMs + config.graceWindowMs)) {
@@ -276,17 +246,14 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
       // the fleet wedges with pending work it will never finish. The
       // worker itself stays: if a stale result does arrive later,
       // completeTask de-duplicates it.
-      for (auto& [fd, conn] : conns) {
-        conn->assigned.erase(
-            std::remove(conn->assigned.begin(), conn->assigned.end(),
-                        taskId),
-            conn->assigned.end());
+      for (auto& [id, conn] : conns) {
+        std::erase(conn.state.assigned, taskId);
       }
     }
     for (const std::string& worker : events.evictedWorkers) {
-      for (auto& [fd, conn] : conns) {
-        if (conn->handshaken && conn->workerId == worker) {
-          conn->dead = true;
+      for (auto& [id, conn] : conns) {
+        if (conn.state.handshaken && conn.state.workerId == worker) {
+          conn.dead = true;
         }
       }
       report.incidents.push_back({WorkerIncident::Kind::kWorkerLost, worker,
@@ -301,141 +268,47 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
     // completes the hello (half-open peer, partitioned worker, port
     // scanner) is torn down instead of occupying a slot forever.
     if (config.handshakeTimeoutMs != 0) {
-      for (auto& [fd, conn] : conns) {
-        if (!conn->dead && !conn->handshaken &&
-            now >= conn->connectedAtMs + config.handshakeTimeoutMs) {
-          loseWorker(*conn, "handshake timeout",
+      for (auto& [id, conn] : conns) {
+        if (!conn.dead && !conn.state.handshaken &&
+            now >= conn.acceptedAtMs + config.handshakeTimeoutMs) {
+          loseWorker(conn, "handshake timeout",
                      WorkerIncident::Kind::kHandshake);
         }
       }
     }
 
     // Heartbeats and (re-)assignment for idle workers.
-    for (auto& [fd, conn] : conns) {
-      if (conn->dead || !conn->handshaken) {
+    for (auto& [id, conn] : conns) {
+      if (conn.dead || !conn.state.handshaken) {
         continue;
       }
       if (config.heartbeatIntervalMs != 0 &&
-          now >= conn->lastPingSentMs + config.heartbeatIntervalMs) {
+          now >= conn.state.lastPingSentMs + config.heartbeatIntervalMs) {
         WireMessage ping;
         ping.kind = WireMessage::Kind::kPing;
-        ping.pingId = ++conn->pingId;
-        ping.pingSentNs = steadyNowNs();
-        if (sendMessage(*conn, ping)) {
-          conn->lastPingSentMs = now;
+        ping.pingId = ++conn.state.pingId;
+        ping.pingSentNs = reactor.nowNs();
+        if (conn.send(encodeMessage(ping))) {
+          conn.state.lastPingSentMs = now;
         } else {
-          loseWorker(*conn, "send failed: ping",
+          loseWorker(conn, "send failed: ping",
                      WorkerIncident::Kind::kWorkerLost);
         }
       }
-      tryAssign(*conn);
+      tryAssign(conn);
     }
 
-    // Reap connections marked dead above (the transport closes the fd).
-    for (auto it = conns.begin(); it != conns.end();) {
-      if (it->second->dead) {
-        it = conns.erase(it);
-        recordGauges(now);
-      } else {
-        ++it;
-      }
-    }
-
-    // Poll timeout: the nearest of heartbeat cadence, backoff expiry,
-    // grace window and a 50 ms liveness floor for cancellation.
-    std::uint64_t timeout = 50;
+    // The nearest caller deadline is the backoff expiry; the reactor caps
+    // the wait at its liveness floor for cancellation and the grace window.
+    std::optional<std::uint64_t> untilDeadline;
     if (const auto eligible = leases.nextEligibleMs();
         eligible.has_value() && *eligible > now) {
-      timeout = std::min(timeout, *eligible - now);
+      untilDeadline = *eligible - now;
     }
-    std::vector<struct pollfd> fds;
-    fds.reserve(conns.size() + 1);
-    fds.push_back({listenFd, POLLIN, 0});
-    for (auto& [fd, conn] : conns) {
-      fds.push_back({fd, POLLIN, 0});
-    }
-    const int rc =
-        ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-               static_cast<int>(std::min<std::uint64_t>(timeout, 1'000)));
-    if (rc < 0 && errno != EINTR) {
-      report.error = std::string("poll: ") + std::strerror(errno);
+    if (!reactor.turn(untilDeadline, onEvent,
+                      [&](Connection&) { recordGauges(now); })) {
+      report.error = reactor.lastError();
       break;
-    }
-    if (rc <= 0) {
-      continue;
-    }
-
-    if ((fds[0].revents & POLLIN) != 0) {
-      for (;;) {
-        const int fd = ::accept(listenFd, nullptr, nullptr);
-        if (fd < 0) {
-          break;
-        }
-        if (conns.size() >= config.maxConnections) {
-          // Admission control under a reconnect storm: refuse at the
-          // door so live sessions keep their poll budget. The peer sees
-          // an orderly close and backs off through its own policy.
-          ::close(fd);
-          ++report.connectionsRefused;
-          continue;
-        }
-        const int flags = ::fcntl(fd, F_GETFL, 0);
-        ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-        auto conn = std::make_unique<Connection>();
-        conn->fd = fd;
-        conn->transport = config.transportFactory
-                              ? config.transportFactory(fd, nextConnectionId++)
-                              : makeSocketTransport(fd);
-        conn->connectedAtMs = nowMs();
-        anyWorkerEver = true;  // someone is out there; keep waiting
-        conns.emplace(fd, std::move(conn));
-      }
-    }
-
-    for (std::size_t i = 1; i < fds.size(); ++i) {
-      if ((fds[i].revents & (POLLIN | POLLERR | POLLHUP)) == 0) {
-        continue;
-      }
-      auto it = conns.find(fds[i].fd);
-      if (it == conns.end()) {
-        continue;
-      }
-      Connection& conn = *it->second;
-      // Drain the transport without blocking: recvFrame with a zero
-      // timeout pops buffered frames, then reads until the socket would
-      // block, returning kTimeout once nothing more is ready.
-      for (;;) {
-        std::string payload;
-        const auto status = conn.transport->recvFrame(payload, 0);
-        if (status == FrameTransport::RecvStatus::kTimeout) {
-          break;
-        }
-        if (status == FrameTransport::RecvStatus::kClosed) {
-          loseWorker(conn, "connection closed",
-                     WorkerIncident::Kind::kWorkerLost);
-          break;
-        }
-        if (status == FrameTransport::RecvStatus::kCorrupt) {
-          loseWorker(conn, conn.transport->lastError(),
-                     WorkerIncident::Kind::kFrameCorrupt);
-          break;
-        }
-        if (status == FrameTransport::RecvStatus::kError) {
-          loseWorker(conn, conn.transport->lastError(),
-                     WorkerIncident::Kind::kWorkerLost);
-          break;
-        }
-        auto decoded = decodeMessage(payload);
-        if (!decoded) {
-          loseWorker(conn, decoded.error().message(),
-                     WorkerIncident::Kind::kFrameCorrupt);
-          break;
-        }
-        handleMessage(conn, *decoded);
-        if (conn.dead) {
-          break;
-        }
-      }
     }
   }
 
@@ -447,13 +320,11 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
   WireMessage shutdown;
   shutdown.kind = WireMessage::Kind::kShutdown;
   shutdown.reason = report.cancelled ? "cancelled" : "sweep complete";
-  for (auto& [fd, conn] : conns) {
-    if (conn->handshaken && !conn->dead) {
-      sendMessage(*conn, shutdown);
+  for (auto& [id, conn] : conns) {
+    if (conn.state.handshaken && !conn.dead) {
+      conn.send(encodeMessage(shutdown));
     }
   }
-  conns.clear();  // transports close their fds
-  ::close(listenFd);
 
   recordGauges(nowMs());
   for (std::uint64_t id = 0; id < settled.size(); ++id) {
@@ -461,6 +332,7 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
       report.settledTasks.push_back(id);
     }
   }
+  report.connectionsRefused = reactor.refused();
   report.stats = leases.stats();
   report.spans = leases.spans();
   return report;

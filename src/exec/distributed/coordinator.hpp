@@ -1,9 +1,10 @@
 #pragma once
 
-// The fleet's control plane: a single-threaded poll(2) event loop that
-// accepts worker connections, runs the versioned handshake, leases tasks
-// out of a LeaseTable, pings for liveness, collects results, and
-// re-dispatches work lost to dead, hung, or straggling workers.
+// The fleet's control plane: a single-threaded loop on exec::FrameReactor
+// (the advisor server's reactor too) that accepts worker connections,
+// runs the versioned handshake, leases tasks out of a LeaseTable, pings
+// for liveness, collects results, and re-dispatches work lost to dead,
+// hung, or straggling workers.
 //
 // Generic by design (exec sits below analysis): the coordinator moves
 // opaque JobSpecs and TaskResults; the analysis glue builds the jobs,

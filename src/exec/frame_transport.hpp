@@ -160,8 +160,8 @@ class FdFrameTransport final : public FrameTransport {
 /// count, and EAGAIN/EWOULDBLOCK (non-blocking fds, full socket buffers)
 /// waits on POLLOUT up to `unwritableTimeoutMs` per stall. Sockets send
 /// with MSG_NOSIGNAL so a vanished peer surfaces as false, never SIGPIPE.
-/// Shared by FdFrameTransport, the distributed coordinator, and the
-/// advisor server — one hardened write loop instead of three.
+/// Shared by FdFrameTransport and ChaosFrameTransport — one hardened
+/// write loop for every framed send.
 [[nodiscard]] bool sendAllBytes(int fd, std::string_view bytes, bool isSocket,
                                 int unwritableTimeoutMs = 5'000);
 
@@ -171,9 +171,9 @@ class FdFrameTransport final : public FrameTransport {
 /// Socket-based transport (one duplex fd).
 [[nodiscard]] std::unique_ptr<FrameTransport> makeSocketTransport(int fd);
 
-// TCP plumbing shared by the coordinator (listen/accept) and worker
-// (connect). Errors come back as strings — these are setup paths where
-// the caller logs and retries or gives up, not hot paths.
+// TCP plumbing shared by the reactor (listen) and the worker (connect).
+// Errors come back as strings — these are setup paths where the caller
+// logs and retries or gives up, not hot paths.
 
 /// Bound, listening TCP socket on host:port (port 0 = ephemeral).
 /// Returns the fd; *boundPort receives the actual port.

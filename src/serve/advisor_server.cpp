@@ -1,15 +1,8 @@
 #include "serve/advisor_server.hpp"
 
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -20,8 +13,7 @@
 #include "analysis/advisor.hpp"
 #include "analysis/experiment.hpp"
 #include "core/speedup.hpp"
-#include "exec/frame_transport.hpp"
-#include "exec/ipc.hpp"
+#include "exec/frame_reactor.hpp"
 #include "exec/thread_pool.hpp"
 #include "topology/presets.hpp"
 #include "workloads/problem.hpp"
@@ -30,36 +22,34 @@ namespace occm::serve {
 
 namespace {
 
-/// One connected client, wrapped in its framed transport (the chaos
-/// injection point). A corrupt stream drops the connection (a flipped
-/// length field poisons every later frame boundary — same contract as
-/// the fleet).
-struct Connection {
-  int fd = -1;  ///< poll handle; owned by the transport
-  std::unique_ptr<exec::FrameTransport> transport;
-  bool dead = false;
-  /// Peer sent FIN (shutdown(SHUT_WR)) but may still be reading: stop
-  /// polling its read side, keep delivering in-flight answers, reap once
-  /// nothing references it.
-  bool peerClosedWrite = false;
+/// One client session's protocol state, carried in the reactor's
+/// connection table.
+struct Session {
+  /// Zero marks a connection the read-progress guard treats as suspect.
   std::uint64_t decodedRequests = 0;
-  // Read-progress guard bookkeeping (see readProgressTimeoutMs).
-  std::uint64_t lastRxBytes = 0;
-  std::uint64_t lastProgressMs = 0;
 };
 
-/// A request's wire identity and admission evidence, everything needed to
-/// answer it once its background work (fit and/or tier-1 sweep) lands.
-struct PendingRequest {
-  std::uint64_t serverId = 0;
-  int connFd = -1;  ///< -1 once the client vanished (answer dropped)
-  AdvisorRequest request;
-  // Resolved request (validated at admission).
+using Reactor = exec::FrameReactor<Session>;
+using Connection = Reactor::Connection;
+
+/// A request resolved against the preset/workload catalogues.
+struct Resolved {
   topology::MachineSpec machine;
   model::MachineShape shape;
   workloads::WorkloadSpec workload;
   int coreMin = 1;
   int coreMax = 1;
+};
+
+/// A request's wire identity, its resolution (validated at admission) and
+/// admission evidence, everything needed to answer it once its background
+/// work (fit and/or tier-1 sweep) lands.
+struct PendingRequest : Resolved {
+  std::uint64_t serverId = 0;
+  /// Reactor connection id; ids are never reused, so once the client is
+  /// reaped the answer simply finds no address.
+  std::uint64_t connId = 0;
+  AdvisorRequest request;
   ModelKey key;
   Deadline deadline;  ///< unarmed when deadlineMs == 0
   bool wantTier1 = false;
@@ -78,7 +68,7 @@ struct PendingRequest {
   std::optional<model::ContentionModel> model;
 };
 
-/// What a pool job posts back to the loop through the self-pipe.
+/// What a pool job posts back to the loop (then wake()s the reactor).
 struct Completion {
   enum class Kind : std::uint8_t { kFit, kTier1 };
   Kind kind = Kind::kFit;
@@ -91,14 +81,6 @@ struct Completion {
   std::uint64_t serverId = 0;
   analysis::SweepResult sweep;
   double elapsedMs = 0.0;
-};
-
-struct Resolved {
-  topology::MachineSpec machine;
-  model::MachineShape shape;
-  workloads::WorkloadSpec workload;
-  int coreMin = 1;
-  int coreMax = 1;
 };
 
 /// Validates a request against the preset/workload catalogues. A failure
@@ -151,19 +133,16 @@ Expected<Resolved, std::string> resolveRequest(const AdvisorRequest& request,
   return out;
 }
 
-/// Tier-0 prediction rows straight from the fitted model.
-void fillTier0Rows(AdvisorResponse& response, const model::ContentionModel& m,
-                   int coreMin, int coreMax) {
-  for (int n = coreMin; n <= coreMax; ++n) {
-    AdvisorRow row;
-    row.cores = n;
-    row.cycles = m.predictCycles(n);
-    row.omega = m.predictOmega(n);
-    row.speedup = model::predictSpeedup(m, n);
-    row.efficiency = model::predictEfficiency(m, n);
-    row.measured = false;
-    response.rows.push_back(row);
-  }
+/// One tier-0 prediction row straight from the fitted model.
+AdvisorRow predictedRow(const model::ContentionModel& m, int n) {
+  AdvisorRow row;
+  row.cores = n;
+  row.cycles = m.predictCycles(n);
+  row.omega = m.predictOmega(n);
+  row.speedup = model::predictSpeedup(m, n);
+  row.efficiency = model::predictEfficiency(m, n);
+  row.measured = false;
+  return row;
 }
 
 void fillAdvice(AdvisorResponse& response, const model::ContentionModel& m,
@@ -180,39 +159,18 @@ void fillAdvice(AdvisorResponse& response, const model::ContentionModel& m,
 AdvisorServerStats runAdvisorServer(const AdvisorServerConfig& config) {
   AdvisorServerStats stats;
 
-  int boundPort = 0;
-  auto listened = exec::listenTcp(config.host, config.port, &boundPort);
-  if (!listened) {
-    stats.error = listened.error();
+  // Declared before the pool: pool threads wake() it until the pool
+  // is joined.
+  Reactor reactor(config.maxConnections, config.transportFactory);
+  const auto bound = reactor.listen(config.host, config.port);
+  if (!bound) {
+    stats.error = bound.error();
     return stats;
   }
-  int listenFd = *listened;
-  const int listenFlags = ::fcntl(listenFd, F_GETFL, 0);
-  ::fcntl(listenFd, F_SETFL, listenFlags | O_NONBLOCK);
-
-  // Self-pipe: pool completions wake the poll loop.
-  int wakePipe[2] = {-1, -1};
-  if (::pipe(wakePipe) != 0) {
-    stats.error = std::string("pipe: ") + std::strerror(errno);
-    ::close(listenFd);
-    return stats;
-  }
-  for (const int fd : {wakePipe[0], wakePipe[1]}) {
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  }
-
   if (config.onListening) {
-    config.onListening(boundPort);
+    config.onListening(*bound);
   }
-
-  const auto start = std::chrono::steady_clock::now();
-  auto nowMs = [&start]() -> std::uint64_t {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-  };
+  const auto nowMs = [&reactor] { return reactor.nowMs(); };
 
   // serve.* gauges (cumulative counts recorded against ms-since-start,
   // the registry convention the dist.* gauges set).
@@ -239,8 +197,6 @@ AdvisorServerStats runAdvisorServer(const AdvisorServerConfig& config) {
   ModelCache cache(config.cacheCapacity);
   LatencyEwma ewma(config.degrade.ewmaAlpha);
 
-  std::map<int, std::unique_ptr<Connection>> conns;  // by fd
-  std::uint64_t nextConnectionId = 0;
   std::unordered_map<std::uint64_t, PendingRequest> pending;  // by serverId
   /// Requests parked on an in-flight fit, by ModelKey::str().
   std::unordered_map<std::string, std::vector<std::uint64_t>> parked;
@@ -267,9 +223,7 @@ AdvisorServerStats runAdvisorServer(const AdvisorServerConfig& config) {
       std::lock_guard<std::mutex> lock(completionsMutex);
       completions.push_back(std::move(done));
     }
-    const char byte = 1;
-    // Best effort: a full pipe already guarantees a pending wakeup.
-    (void)!::write(wakePipe[1], &byte, 1);
+    reactor.wake();
   };
 
   auto recordGauges = [&](std::uint64_t atOverride = 0) {
@@ -295,23 +249,20 @@ AdvisorServerStats runAdvisorServer(const AdvisorServerConfig& config) {
                                        static_cast<double>(looks));
   };
 
-  auto sendResponse = [&](int connFd, const AdvisorResponse& response) {
-    const auto it = conns.find(connFd);
-    if (connFd < 0 || it == conns.end() || it->second->dead) {
-      return;  // client vanished; the answer has no address
-    }
+  auto sendResponse = [&](std::uint64_t connId,
+                          const AdvisorResponse& response) {
     ServeMessage message;
     message.kind = ServeMessage::Kind::kResponse;
     message.response = response;
-    if (!it->second->transport->sendFrame(encodeServeMessage(message))) {
-      it->second->dead = true;
-      return;
+    Connection* conn = reactor.find(connId);
+    if (conn == nullptr || !conn->send(encodeServeMessage(message))) {
+      return;  // client vanished or the send failed: no address left
     }
     ++stats.responsesSent;
   };
 
-  auto sendShed = [&](int connFd, std::uint64_t requestId, ShedReason reason,
-                      const std::string& detail) {
+  auto sendShed = [&](std::uint64_t connId, std::uint64_t requestId,
+                      ShedReason reason, const std::string& detail) {
     AdvisorResponse response;
     response.requestId = requestId;
     response.status = ResponseStatus::kShed;
@@ -327,7 +278,7 @@ AdvisorServerStats runAdvisorServer(const AdvisorServerConfig& config) {
       case ShedReason::kBadRequest: ++stats.shedBadRequest; break;
       case ShedReason::kNone: break;
     }
-    sendResponse(connFd, response);
+    sendResponse(connId, response);
     recordGauges();
   };
 
@@ -348,7 +299,7 @@ AdvisorServerStats runAdvisorServer(const AdvisorServerConfig& config) {
         ++stats.degraded;
       }
     }
-    sendResponse(p.connFd, response);
+    sendResponse(p.connId, response);
     if (heldSlot && queueDepth > 0) {
       --queueDepth;
     }
@@ -363,9 +314,28 @@ AdvisorServerStats runAdvisorServer(const AdvisorServerConfig& config) {
     response.tier = 0;
     response.degraded = degraded;
     response.degradeReason = reason;
-    fillTier0Rows(response, m, p.coreMin, p.coreMax);
+    for (int n = p.coreMin; n <= p.coreMax; ++n) {
+      response.rows.push_back(predictedRow(m, n));
+    }
     fillAdvice(response, m, p.request.efficiencyThreshold);
     return response;
+  };
+
+  /// The admission ladder (serve/degrade.hpp) over current conditions.
+  auto decide = [&](const PendingRequest& p, std::size_t depth,
+                    bool drainingNow, bool modelWarm) {
+    DegradeInputs inputs;
+    inputs.queueDepth = depth;
+    inputs.draining = drainingNow;
+    inputs.deadlineArmed = p.deadline.armed();
+    inputs.deadlineSlackMs = p.deadline.armed()
+                                 ? p.deadline.remainingSeconds() * 1'000.0
+                                 : 0.0;
+    inputs.ewmaSeeded = ewma.seeded();
+    inputs.tier1EwmaMs = ewma.value();
+    inputs.preference = p.request.tier;
+    inputs.modelWarm = modelWarm;
+    return decideAdmission(config.degrade, inputs);
   };
 
   auto submitFit = [&](const PendingRequest& p) {
@@ -423,22 +393,17 @@ AdvisorServerStats runAdvisorServer(const AdvisorServerConfig& config) {
   };
 
   auto handleRequest = [&](Connection& conn, const AdvisorRequest& request) {
-    ++stats.requestsDecoded;
     auto resolved = resolveRequest(request, config.workloadSeed);
     if (!resolved) {
-      sendShed(conn.fd, request.requestId, ShedReason::kBadRequest,
+      sendShed(conn.id, request.requestId, ShedReason::kBadRequest,
                resolved.error());
       return;
     }
     PendingRequest p;
     p.serverId = nextServerId++;
-    p.connFd = conn.fd;
+    p.connId = conn.id;
     p.request = request;
-    p.machine = std::move(resolved->machine);
-    p.shape = resolved->shape;
-    p.workload = resolved->workload;
-    p.coreMin = resolved->coreMin;
-    p.coreMax = resolved->coreMax;
+    static_cast<Resolved&>(p) = std::move(*resolved);
     p.key = ModelKey{request.program, request.problemClass, request.machine};
     if (request.deadlineMs != 0) {
       p.deadline =
@@ -449,21 +414,11 @@ AdvisorServerStats runAdvisorServer(const AdvisorServerConfig& config) {
     const auto cached = cache.lookup(p.key);
     p.cacheHit = cached.has_value();
 
-    DegradeInputs inputs;
-    inputs.queueDepth = queueDepth;
-    inputs.draining = draining;
-    inputs.deadlineArmed = p.deadline.armed();
-    inputs.deadlineSlackMs = p.deadline.armed()
-                                 ? p.deadline.remainingSeconds() * 1'000.0
-                                 : 0.0;
-    inputs.ewmaSeeded = ewma.seeded();
-    inputs.tier1EwmaMs = ewma.value();
-    inputs.preference = request.tier;
-    inputs.modelWarm = cached.has_value();
-    const AdmissionDecision decision = decideAdmission(config.degrade, inputs);
+    const AdmissionDecision decision =
+        decide(p, queueDepth, draining, cached.has_value());
 
     if (decision.action == AdmissionDecision::Action::kShed) {
-      sendShed(conn.fd, request.requestId, decision.shedReason,
+      sendShed(conn.id, request.requestId, decision.shedReason,
                std::string("shed: ") + toString(decision.shedReason));
       return;
     }
@@ -520,56 +475,34 @@ AdvisorServerStats runAdvisorServer(const AdvisorServerConfig& config) {
         continue;
       }
       PendingRequest& p = it->second;
+      const model::ContentionModel& m = done.fitted.model;
+      AdvisorResponse response;
       if (!done.fitOk) {
-        AdvisorResponse response;
         response.status = ResponseStatus::kError;
         response.error = "model fit failed: " + done.fitError;
-        finishRequest(p, std::move(response), /*heldSlot=*/true);
-        pending.erase(it);
-        continue;
-      }
-      const model::ContentionModel& m = done.fitted.model;
-      if (p.deadline.armed() && p.deadline.expired()) {
+      } else if (p.deadline.armed() && p.deadline.expired()) {
         // The deadline died while the fit ran: tier-0 fallback, flagged.
         ++stats.deadlineMisses;
-        AdvisorResponse response =
-            tier0Answer(p, m, true, DegradeReason::kDeadlineMiss);
-        finishRequest(p, std::move(response), /*heldSlot=*/true);
-        pending.erase(it);
-        continue;
+        response = tier0Answer(p, m, true, DegradeReason::kDeadlineMiss);
+      } else if (!p.wantTier1) {
+        response = tier0Answer(p, m, p.degraded, p.degradeReason);
+      } else {
+        // Re-run the degradation rungs with post-fit conditions (the EWMA
+        // or queue may have crossed a threshold while the fit ran): queue
+        // depth sans self, and not draining, since drain completes work
+        // that was already admitted.
+        const AdmissionDecision redecide =
+            decide(p, queueDepth > 0 ? queueDepth - 1 : 0, false, true);
+        if (redecide.action == AdmissionDecision::Action::kServeTier1) {
+          p.model = m;
+          submitTier1(p);
+          continue;
+        }
+        response =
+            tier0Answer(p, m, redecide.degraded, redecide.degradeReason);
       }
-      if (!p.wantTier1) {
-        AdvisorResponse response =
-            tier0Answer(p, m, p.degraded, p.degradeReason);
-        finishRequest(p, std::move(response), /*heldSlot=*/true);
-        pending.erase(it);
-        continue;
-      }
-      // Re-run the degradation rungs with post-fit conditions (the EWMA
-      // or queue may have crossed a threshold while the fit ran).
-      DegradeInputs inputs;
-      inputs.queueDepth = queueDepth > 0 ? queueDepth - 1 : 0;  // sans self
-      inputs.draining = false;  // already admitted; drain completes it
-      inputs.deadlineArmed = p.deadline.armed();
-      inputs.deadlineSlackMs = p.deadline.armed()
-                                   ? p.deadline.remainingSeconds() * 1'000.0
-                                   : 0.0;
-      inputs.ewmaSeeded = ewma.seeded();
-      inputs.tier1EwmaMs = ewma.value();
-      inputs.preference = p.request.tier;
-      inputs.modelWarm = true;
-      const AdmissionDecision redecide =
-          decideAdmission(config.degrade, inputs);
-      if (redecide.action == AdmissionDecision::Action::kServeTier0 ||
-          redecide.action == AdmissionDecision::Action::kShed) {
-        AdvisorResponse response = tier0Answer(
-            p, m, redecide.degraded, redecide.degradeReason);
-        finishRequest(p, std::move(response), /*heldSlot=*/true);
-        pending.erase(it);
-        continue;
-      }
-      p.model = m;
-      submitTier1(p);
+      finishRequest(p, std::move(response), /*heldSlot=*/true);
+      pending.erase(it);
     }
   };
 
@@ -582,54 +515,41 @@ AdvisorServerStats runAdvisorServer(const AdvisorServerConfig& config) {
     // The model was pinned on the request at submit time, so LRU eviction
     // mid-sweep cannot orphan the answer.
     const model::ContentionModel& m = *p.model;
+    AdvisorResponse response;
     if (done.sweep.stopped) {
       // Deadline fired mid-refinement; cooperative cancellation unwound
       // the run at the event-loop boundary. Tier-0 fallback, flagged.
       ++stats.deadlineMisses;
-      AdvisorResponse response =
-          tier0Answer(p, m, true, DegradeReason::kDeadlineMiss);
-      finishRequest(p, std::move(response), /*heldSlot=*/true);
-      pending.erase(it);
-      return;
-    }
-    ewma.sample(done.elapsedMs);
-    stats.tier1EwmaMs = ewma.value();
-
-    AdvisorResponse response;
-    response.status = ResponseStatus::kOk;
-    response.tier = 1;
-    response.degraded = false;
-    response.degradeReason = DegradeReason::kNone;
-    // Measured rows where the sweep completed the core count; model
-    // predictions fill the holes (a permanently failed run must not sink
-    // the whole answer).
-    std::map<int, double> measured;
-    for (const model::MeasuredPoint& point : done.sweep.points()) {
-      measured[point.cores] = point.totalCycles;
-    }
-    const double c1 = m.measuredC1();
-    for (int n = p.coreMin; n <= p.coreMax; ++n) {
-      AdvisorRow row;
-      row.cores = n;
-      const auto found = measured.find(n);
-      if (found != measured.end() && c1 > 0.0) {
+      response = tier0Answer(p, m, true, DegradeReason::kDeadlineMiss);
+    } else {
+      ewma.sample(done.elapsedMs);
+      stats.tier1EwmaMs = ewma.value();
+      response.tier = 1;
+      // Measured rows where the sweep completed the core count; model
+      // predictions fill the holes (a permanently failed run must not
+      // sink the whole answer).
+      std::map<int, double> measured;
+      for (const model::MeasuredPoint& point : done.sweep.points()) {
+        measured[point.cores] = point.totalCycles;
+      }
+      const double c1 = m.measuredC1();
+      for (int n = p.coreMin; n <= p.coreMax; ++n) {
+        const auto found = measured.find(n);
+        if (found == measured.end() || c1 <= 0.0) {
+          response.rows.push_back(predictedRow(m, n));
+          continue;
+        }
+        AdvisorRow row;
+        row.cores = n;
         row.cycles = found->second;
         row.omega = (found->second - c1) / c1;
         row.speedup = static_cast<double>(n) * c1 / found->second;
         row.efficiency = row.speedup / static_cast<double>(n);
         row.measured = true;
-      } else {
-        // A permanently failed run must not sink the whole answer: model
-        // predictions fill the holes.
-        row.cycles = m.predictCycles(n);
-        row.omega = m.predictOmega(n);
-        row.speedup = model::predictSpeedup(m, n);
-        row.efficiency = model::predictEfficiency(m, n);
-        row.measured = false;
+        response.rows.push_back(row);
       }
-      response.rows.push_back(row);
+      fillAdvice(response, m, p.request.efficiencyThreshold);
     }
-    fillAdvice(response, m, p.request.efficiencyThreshold);
     finishRequest(p, std::move(response), /*heldSlot=*/true);
     pending.erase(it);
   };
@@ -649,16 +569,38 @@ AdvisorServerStats runAdvisorServer(const AdvisorServerConfig& config) {
     }
   };
 
+  auto onEvent = [&](Connection& conn, exec::ReactorEvent event,
+                     std::string& payload) {
+    if (event != exec::ReactorEvent::kFrame) {
+      // EOF is a half-close: the peer may still be reading, so in-flight
+      // answers stay deliverable (see the reap rule in the loop). Corrupt
+      // streams and I/O errors were already dropped by the reactor.
+      return;
+    }
+    auto decoded = decodeServeMessage(payload);
+    if (!decoded || decoded->kind != ServeMessage::Kind::kRequest) {
+      // Undecodable, or a response flowing client -> server: a confused
+      // peer. Drop the connection.
+      conn.dead = true;
+      return;
+    }
+    ++conn.state.decodedRequests;
+    ++stats.requestsDecoded;
+    if (draining) {
+      sendShed(conn.id, decoded->request.requestId, ShedReason::kDraining,
+               "server draining");
+    } else {
+      handleRequest(conn, decoded->request);
+    }
+  };
+
   // --- Event loop ---------------------------------------------------------
   for (;;) {
     // Drain trigger: stop accepting, shed new work, finish what's in
     // flight, then leave.
     if (!draining && config.drain.valid() && config.drain.stopRequested()) {
       draining = true;
-      if (listenFd >= 0) {
-        ::close(listenFd);
-        listenFd = -1;
-      }
+      reactor.stopListening();
       if (config.onDraining) {
         config.onDraining();
       }
@@ -668,8 +610,7 @@ AdvisorServerStats runAdvisorServer(const AdvisorServerConfig& config) {
     // Deadline watchdog: fire the stop flag of every in-flight tier-1
     // request whose deadline passed; the simulator observes it at the
     // next event-loop boundary.
-    std::uint64_t nextDeadlineMs = 0;
-    bool haveDeadline = false;
+    std::optional<std::uint64_t> untilDeadline;
     for (auto& [serverId, p] : pending) {
       if (!p.deadline.armed() || p.stopRequested) {
         continue;
@@ -688,8 +629,7 @@ AdvisorServerStats runAdvisorServer(const AdvisorServerConfig& config) {
         continue;
       }
       const auto ms = static_cast<std::uint64_t>(remaining * 1'000.0) + 1;
-      nextDeadlineMs = haveDeadline ? std::min(nextDeadlineMs, ms) : ms;
-      haveDeadline = true;
+      untilDeadline = std::min(untilDeadline.value_or(ms), ms);
     }
 
     if (draining && queueDepth == 0 && pending.empty()) {
@@ -703,187 +643,41 @@ AdvisorServerStats runAdvisorServer(const AdvisorServerConfig& config) {
     // connected and went silent, is dropped here instead of holding its
     // slot forever. Idle established clients (no partial frame, at least
     // one decoded request) are exempt: keep-alive is legitimate.
-    if (config.readProgressTimeoutMs != 0) {
-      const std::uint64_t now = nowMs();
-      for (auto& [fd, conn] : conns) {
-        if (conn->dead || conn->peerClosedWrite) {
-          continue;
-        }
-        const std::uint64_t rx = conn->transport->bytesReceived();
-        if (rx != conn->lastRxBytes) {
-          conn->lastRxBytes = rx;
-          conn->lastProgressMs = now;
-          continue;
-        }
-        const bool suspicious =
-            conn->transport->partialBytes() > 0 || conn->decodedRequests == 0;
-        if (suspicious &&
-            now >= conn->lastProgressMs + config.readProgressTimeoutMs) {
-          conn->dead = true;
-          ++stats.connectionsStalled;
-        }
-      }
-    }
-
-    // Half-closed peers linger only while an in-flight answer still
-    // addresses them; after that there is nothing left to deliver.
-    for (auto& [fd, conn] : conns) {
-      if (!conn->peerClosedWrite || conn->dead) {
+    const std::uint64_t now = nowMs();
+    for (auto& [id, conn] : reactor.connections()) {
+      if (conn.dead) {
         continue;
       }
-      bool referenced = false;
-      for (auto& [serverId, p] : pending) {
-        if (p.connFd == fd) {
-          referenced = true;
-          break;
-        }
+      const bool suspicious = conn.transport->partialBytes() > 0 ||
+                              conn.state.decodedRequests == 0;
+      if (config.readProgressTimeoutMs != 0 && !conn.readEof && suspicious &&
+          now >= conn.lastProgressMs + config.readProgressTimeoutMs) {
+        conn.dead = true;
+        ++stats.connectionsStalled;
+        continue;
       }
-      if (!referenced) {
-        conn->dead = true;
-      }
-    }
-
-    // Reap dead connections (the transport closes the fd).
-    for (auto it = conns.begin(); it != conns.end();) {
-      if (it->second->dead) {
-        const int fd = it->second->fd;
-        for (auto& [serverId, p] : pending) {
-          if (p.connFd == fd) {
-            p.connFd = -1;  // in-flight answer has nowhere to go
-          }
-        }
-        it = conns.erase(it);
-      } else {
-        ++it;
+      // Half-closed peers linger only while an in-flight answer still
+      // addresses them; after that there is nothing left to deliver.
+      if (conn.readEof &&
+          std::none_of(pending.begin(), pending.end(), [&](const auto& entry) {
+            return entry.second.connId == id;
+          })) {
+        conn.dead = true;
       }
     }
 
-    std::vector<struct pollfd> fds;
-    fds.reserve(conns.size() + 2);
-    fds.push_back({wakePipe[0], POLLIN, 0});
-    if (listenFd >= 0) {
-      fds.push_back({listenFd, POLLIN, 0});
-    }
-    const std::size_t firstConn = fds.size();
-    for (auto& [fd, conn] : conns) {
-      // A half-closed peer's read side is permanent EOF; polling it
-      // would spin the loop at 100% CPU until its answers flush.
-      if (!conn->peerClosedWrite) {
-        fds.push_back({fd, POLLIN, 0});
-      }
-    }
-    std::uint64_t timeout = 50;  // liveness floor for the drain token
-    if (haveDeadline) {
-      timeout = std::min(timeout, nextDeadlineMs);
-    }
-    const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-                          static_cast<int>(timeout));
-    if (rc < 0 && errno != EINTR) {
-      stats.error = std::string("poll: ") + std::strerror(errno);
+    if (!reactor.turn(untilDeadline, onEvent)) {
+      stats.error = reactor.lastError();
       break;
-    }
-    if (rc <= 0) {
-      continue;
-    }
-
-    if ((fds[0].revents & POLLIN) != 0) {
-      char sink[256];
-      while (::read(wakePipe[0], sink, sizeof sink) > 0) {
-      }
-    }
-    if (listenFd >= 0 && (fds[firstConn - 1].revents & POLLIN) != 0) {
-      for (;;) {
-        const int fd = ::accept(listenFd, nullptr, nullptr);
-        if (fd < 0) {
-          break;
-        }
-        if (conns.size() >= config.maxConnections) {
-          // Admission control: refuse at the door so live sessions keep
-          // their poll budget (the fleet-coordinator policy, applied to
-          // clients).
-          ::close(fd);
-          ++stats.connectionsRefused;
-          continue;
-        }
-        const int flags = ::fcntl(fd, F_GETFL, 0);
-        ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-        auto conn = std::make_unique<Connection>();
-        conn->fd = fd;
-        conn->transport = config.transportFactory
-                              ? config.transportFactory(fd, nextConnectionId++)
-                              : exec::makeSocketTransport(fd);
-        conn->lastProgressMs = nowMs();
-        conns.emplace(fd, std::move(conn));
-        ++stats.connectionsAccepted;
-      }
-    }
-
-    for (std::size_t i = firstConn; i < fds.size(); ++i) {
-      if ((fds[i].revents & (POLLIN | POLLERR | POLLHUP)) == 0) {
-        continue;
-      }
-      const auto it = conns.find(fds[i].fd);
-      if (it == conns.end()) {
-        continue;
-      }
-      Connection& conn = *it->second;
-      // Drain without blocking: zero-timeout recvFrame pops buffered
-      // frames, then reads until the socket would block.
-      for (;;) {
-        std::string payload;
-        const auto status = conn.transport->recvFrame(payload, 0);
-        if (status == exec::FrameTransport::RecvStatus::kTimeout) {
-          break;
-        }
-        if (status == exec::FrameTransport::RecvStatus::kClosed) {
-          // Half-close grace: the peer is done sending but may still be
-          // reading; in-flight answers are still deliverable. The reap
-          // pass collects the connection once nothing references it.
-          conn.peerClosedWrite = true;
-          break;
-        }
-        if (status != exec::FrameTransport::RecvStatus::kFrame) {
-          // Corrupt stream or I/O error: the connection is
-          // untrustworthy; drop it.
-          conn.dead = true;
-          break;
-        }
-        auto decoded = decodeServeMessage(payload);
-        if (!decoded) {
-          conn.dead = true;
-          break;
-        }
-        if (decoded->kind != ServeMessage::Kind::kRequest) {
-          // Only requests flow client -> server; a response here is a
-          // confused peer. Drop the connection.
-          conn.dead = true;
-          break;
-        }
-        ++conn.decodedRequests;
-        if (draining) {
-          ++stats.requestsDecoded;
-          sendShed(conn.fd, decoded->request.requestId, ShedReason::kDraining,
-                   "server draining");
-        } else {
-          handleRequest(conn, decoded->request);
-        }
-        if (conn.dead) {
-          break;
-        }
-      }
     }
   }
 
   // Teardown: the pool destructor drains queued tasks and joins; any
   // stragglers post completions nobody reads (the queue outlives the
-  // pool by construction order).
+  // pool by construction order). The reactor closes every socket.
   pool.reset();
-  conns.clear();  // transports close their fds
-  if (listenFd >= 0) {
-    ::close(listenFd);
-  }
-  ::close(wakePipe[0]);
-  ::close(wakePipe[1]);
+  stats.connectionsAccepted = reactor.accepted();
+  stats.connectionsRefused = reactor.refused();
 
   stats.cache = cache.stats();
   if (ewma.seeded()) {

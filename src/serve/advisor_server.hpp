@@ -26,10 +26,10 @@
 //     the server stops accepting, sheds new requests with kDraining,
 //     completes in-flight work, flushes responses, and returns cleanly.
 //
-// Single-threaded control plane over poll(2) — same shape as the
-// distributed coordinator — plus a worker pool for fits and tier-1
-// sweeps; pool completions re-enter the loop through a self-pipe, so the
-// loop never blocks on simulator work.
+// Single-threaded control plane on exec::FrameReactor (the fleet
+// coordinator's reactor too), plus a worker pool for fits and tier-1
+// sweeps; pool completions re-enter the loop through the reactor's
+// wake(), so the loop never blocks on simulator work.
 
 #include <cstdint>
 #include <functional>

@@ -1,10 +1,12 @@
 // Regression drills for the network-hardening fixes the chaos layer
-// exposed: the coordinator's handshake deadline and admission cap, the
-// worker's asymmetric-partition idle timeout, and the advisor server's
-// slowloris guard, half-close grace, abrupt-close containment and
-// connection cap. Each test manufactures the hostile peer by hand (raw
-// sockets or a chaos transport) and asserts the victim ends the session
-// typed — dropped, refused, or answered — never hung.
+// exposed: the coordinator's handshake deadline, admission cap and
+// protocol-violation incidents (wrong version, second hello, unknown task
+// id, bit-flipped frame), the worker's asymmetric-partition idle timeout,
+// and the advisor server's slowloris guard, half-close grace,
+// abrupt-close containment and connection cap. Each test manufactures
+// the hostile peer by hand (raw sockets or a chaos transport) and asserts
+// the victim ends the session typed — dropped, refused, or answered —
+// never hung.
 
 #include <gtest/gtest.h>
 
@@ -177,6 +179,168 @@ TEST(NetHardening, CoordinatorAdmissionCapDegradesTheStormNotTheFleet) {
   coordinator.join();
   EXPECT_EQ(report.settledTasks.size(), 1u);
   EXPECT_GE(report.connectionsRefused, 1u);
+}
+
+// ---------------------------------------------------------------------
+// Coordinator protocol-violation drills: a hand-rolled peer breaks the
+// handshake or the framing, the coordinator records the typed incident
+// and drops only that peer, and a real worker still settles the task.
+
+struct CoordinatorHarness {
+  exec::dist::CoordinatorConfig config;
+  exec::dist::CoordinatorReport report;
+  std::thread thread;
+  int port = 0;
+
+  void start() {
+    std::promise<int> portPromise;
+    auto portFuture = portPromise.get_future();
+    config.graceWindowMs = 30'000;
+    config.heartbeatIntervalMs = 50;
+    config.onListening = [&](int p) { portPromise.set_value(p); };
+    config.onResult = [](const exec::dist::TaskResult&) {};
+    thread = std::thread([this] {
+      report = exec::dist::runCoordinator(config, {trivialJob(0)});
+    });
+    if (portFuture.wait_for(30s) == std::future_status::ready) {
+      port = portFuture.get();
+    }
+  }
+
+  /// Lets a well-behaved worker finish the sweep, then joins.
+  void settleWithRealWorker() {
+    exec::dist::WorkerOptions worker;
+    worker.port = port;
+    worker.workerId = "legit";
+    const exec::dist::WorkerReport workerReport =
+        exec::dist::runWorker(worker, trivialRunner());
+    EXPECT_TRUE(workerReport.ok) << workerReport.stopReason;
+    thread.join();
+    EXPECT_EQ(report.settledTasks.size(), 1u);
+  }
+
+  [[nodiscard]] bool sawIncident(exec::dist::WorkerIncident::Kind kind,
+                                 const std::string& detail) const {
+    for (const exec::dist::WorkerIncident& incident : report.incidents) {
+      if (incident.kind == kind &&
+          incident.detail.find(detail) != std::string::npos) {
+        return true;
+      }
+    }
+    return false;
+  }
+};
+
+exec::dist::WireMessage hello(const std::string& workerId) {
+  exec::dist::WireMessage message;
+  message.kind = exec::dist::WireMessage::Kind::kHello;
+  message.workerId = workerId;
+  return message;
+}
+
+std::optional<exec::dist::WireMessage> recvWire(
+    exec::FrameTransport& transport, int timeoutMs = 10'000) {
+  std::string payload;
+  if (transport.recvFrame(payload, timeoutMs) != RecvStatus::kFrame) {
+    return std::nullopt;
+  }
+  auto decoded = exec::dist::decodeMessage(payload);
+  if (!decoded) {
+    return std::nullopt;
+  }
+  return *decoded;
+}
+
+TEST(NetHardening, CoordinatorRejectsWrongProtocolVersionOnTheWire) {
+  CoordinatorHarness coord;
+  coord.start();
+  ASSERT_GT(coord.port, 0);
+
+  auto fd = exec::connectTcp("127.0.0.1", coord.port, 5'000);
+  ASSERT_TRUE(fd) << fd.error();
+  const int rawFd = *fd;
+  auto peer = exec::makeSocketTransport(rawFd);
+  exec::dist::WireMessage stale = hello("stale");
+  stale.protocolVersion = exec::dist::kProtocolVersion + 1;
+  ASSERT_TRUE(peer->sendFrame(exec::dist::encodeMessage(stale)));
+  const auto reply = recvWire(*peer);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->kind, exec::dist::WireMessage::Kind::kReject);
+  EXPECT_NE(reply->reason.find("protocol version"), std::string::npos)
+      << reply->reason;
+  EXPECT_TRUE(awaitPeerClose(rawFd, 10'000));
+  peer.reset();
+
+  coord.settleWithRealWorker();
+  EXPECT_TRUE(coord.sawIncident(exec::dist::WorkerIncident::Kind::kHandshake,
+                                "protocol version"));
+}
+
+TEST(NetHardening, CoordinatorDropsSecondHelloOnALiveSession) {
+  CoordinatorHarness coord;
+  coord.start();
+  ASSERT_GT(coord.port, 0);
+
+  auto fd = exec::connectTcp("127.0.0.1", coord.port, 5'000);
+  ASSERT_TRUE(fd) << fd.error();
+  const int rawFd = *fd;
+  auto peer = exec::makeSocketTransport(rawFd);
+  ASSERT_TRUE(peer->sendFrame(exec::dist::encodeMessage(hello("twice"))));
+  const auto welcome = recvWire(*peer);
+  ASSERT_TRUE(welcome.has_value());
+  EXPECT_EQ(welcome->kind, exec::dist::WireMessage::Kind::kWelcome);
+  ASSERT_TRUE(peer->sendFrame(exec::dist::encodeMessage(hello("twice"))));
+  EXPECT_TRUE(awaitPeerClose(rawFd, 10'000));
+  peer.reset();
+
+  coord.settleWithRealWorker();
+  EXPECT_TRUE(coord.sawIncident(exec::dist::WorkerIncident::Kind::kHandshake,
+                                "unexpected hello"));
+}
+
+TEST(NetHardening, CoordinatorFlagsResultForUnknownTaskAsCorrupt) {
+  CoordinatorHarness coord;
+  coord.start();
+  ASSERT_GT(coord.port, 0);
+
+  auto fd = exec::connectTcp("127.0.0.1", coord.port, 5'000);
+  ASSERT_TRUE(fd) << fd.error();
+  const int rawFd = *fd;
+  auto peer = exec::makeSocketTransport(rawFd);
+  ASSERT_TRUE(peer->sendFrame(exec::dist::encodeMessage(hello("liar"))));
+  const auto welcome = recvWire(*peer);
+  ASSERT_TRUE(welcome.has_value());
+  EXPECT_EQ(welcome->kind, exec::dist::WireMessage::Kind::kWelcome);
+  exec::dist::WireMessage bogus;
+  bogus.kind = exec::dist::WireMessage::Kind::kResult;
+  bogus.result.taskId = 99;  // the sweep has one job
+  ASSERT_TRUE(peer->sendFrame(exec::dist::encodeMessage(bogus)));
+  EXPECT_TRUE(awaitPeerClose(rawFd, 10'000));
+  peer.reset();
+
+  coord.settleWithRealWorker();
+  EXPECT_TRUE(coord.sawIncident(
+      exec::dist::WorkerIncident::Kind::kFrameCorrupt, "unknown task id 99"));
+}
+
+TEST(NetHardening, CoordinatorDropsBitFlippedFrame) {
+  CoordinatorHarness coord;
+  coord.start();
+  ASSERT_GT(coord.port, 0);
+
+  auto fd = exec::connectTcp("127.0.0.1", coord.port, 5'000);
+  ASSERT_TRUE(fd) << fd.error();
+  std::string frame =
+      exec::encodeFrame(exec::dist::encodeMessage(hello("flipper")));
+  frame[exec::kFrameHeaderSize] ^= 0x01;  // payload bit: CRC must catch it
+  ASSERT_EQ(::send(*fd, frame.data(), frame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size()));
+  EXPECT_TRUE(awaitPeerClose(*fd, 10'000));
+  ::close(*fd);
+
+  coord.settleWithRealWorker();
+  EXPECT_TRUE(coord.sawIncident(
+      exec::dist::WorkerIncident::Kind::kFrameCorrupt, "crc"));
 }
 
 TEST(NetHardening, WorkerIdleTimeoutEscapesAsymmetricPartition) {

@@ -1,0 +1,245 @@
+// FrameReactor over loopback sockets: the accept drain and its cap, the
+// cross-thread wake, the half-close rule that keeps the loop from
+// spinning, corrupt-stream teardown, and connection ids that are never
+// reused.
+
+#include "exec/frame_reactor.hpp"
+
+#include <fcntl.h>
+#include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <chrono>
+#include <set>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "exec/ipc.hpp"
+
+namespace occm::exec {
+namespace {
+
+using namespace std::chrono_literals;
+
+struct Tag {
+  int frames = 0;
+};
+using Reactor = FrameReactor<Tag>;
+
+struct Observed {
+  int frames = 0;
+  int closed = 0;
+  int corrupt = 0;
+  int errors = 0;
+};
+
+Reactor::EventHandler record(Observed& seen) {
+  return [&seen](Reactor::Connection& conn, ReactorEvent event,
+                 std::string&) {
+    switch (event) {
+      case ReactorEvent::kFrame: ++seen.frames; ++conn.state.frames; break;
+      case ReactorEvent::kClosed: ++seen.closed; break;
+      case ReactorEvent::kCorrupt: ++seen.corrupt; break;
+      case ReactorEvent::kError: ++seen.errors; break;
+      case ReactorEvent::kTimeout:
+        ADD_FAILURE() << "timeouts are never handed out";
+        break;
+    }
+  };
+}
+
+int listenOn(Reactor& reactor) {
+  const auto port = reactor.listen("127.0.0.1", 0);
+  EXPECT_TRUE(port) << port.error();
+  return port ? *port : 0;
+}
+
+int dial(int port) {
+  auto fd = connectTcp("127.0.0.1", port, 5'000);
+  EXPECT_TRUE(fd) << fd.error();
+  return fd ? *fd : -1;
+}
+
+/// Turns until `done` holds or two seconds pass.
+template <typename Done>
+bool turnUntil(Reactor& reactor, const Reactor::EventHandler& onEvent,
+               Done done, const Reactor::ReapHandler& onReap = {}) {
+  const auto deadline = std::chrono::steady_clock::now() + 2s;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    if (!reactor.turn(std::nullopt, onEvent, onReap)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// True once the peer closed on us (EOF or reset) within `timeoutMs`.
+bool peerClosed(int fd, int timeoutMs) {
+  struct pollfd p = {fd, POLLIN, 0};
+  if (::poll(&p, 1, timeoutMs) <= 0) {
+    return false;
+  }
+  char byte = 0;
+  const ssize_t n = ::read(fd, &byte, 1);
+  return n == 0 || (n < 0 && errno != EAGAIN);
+}
+
+double msSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+TEST(FrameReactor, AcceptDrainsToEagainAndCountsRefusals) {
+  Reactor reactor(/*maxConnections=*/2, nullptr);
+  const int port = listenOn(reactor);
+  std::vector<int> clients;
+  for (int i = 0; i < 5; ++i) {
+    clients.push_back(dial(port));
+  }
+  // Every dial completed its kernel handshake before the turn, so one
+  // accept drain must see all five: two admitted, three refused.
+  Observed seen;
+  ASSERT_TRUE(turnUntil(reactor, record(seen), [&] {
+    return reactor.accepted() + reactor.refused() == 5;
+  }));
+  EXPECT_EQ(reactor.accepted(), 2u);
+  EXPECT_EQ(reactor.refused(), 3u);
+  EXPECT_EQ(reactor.connections().size(), 2u);
+  int closedAtDoor = 0;
+  for (const int fd : clients) {
+    closedAtDoor += peerClosed(fd, 200) ? 1 : 0;
+    ::close(fd);
+  }
+  EXPECT_EQ(closedAtDoor, 3);
+}
+
+TEST(FrameReactor, WakeFromAnotherThreadEndsThePollEarly) {
+  Reactor reactor(8, nullptr);
+  listenOn(reactor);
+  Observed seen;
+  // Without a wake, an idle turn sleeps out the full liveness floor.
+  auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(reactor.turn(std::nullopt, record(seen)));
+  EXPECT_GE(msSince(t0), 40.0);
+
+  // A wake posted from another thread mid-poll cuts it short. The best
+  // of three attempts tolerates one unlucky scheduling hiccup.
+  double best = 1e9;
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    std::thread waker([&reactor] {
+      std::this_thread::sleep_for(5ms);
+      reactor.wake();
+    });
+    t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(reactor.turn(std::nullopt, record(seen)));
+    best = std::min(best, msSince(t0));
+    waker.join();
+  }
+  EXPECT_LT(best, 40.0);
+}
+
+TEST(FrameReactor, HalfClosedIdlePeerDoesNotSpinThePoll) {
+  Reactor reactor(8, nullptr);
+  const int port = listenOn(reactor);
+  const int client = dial(port);
+  ASSERT_EQ(::shutdown(client, SHUT_WR), 0);
+
+  Observed seen;
+  ASSERT_TRUE(turnUntil(reactor, record(seen), [&] {
+    return seen.closed == 1;
+  }));
+  ASSERT_EQ(reactor.connections().size(), 1u);
+  const Reactor::Connection& conn = reactor.connections().begin()->second;
+  EXPECT_TRUE(conn.readEof);
+  EXPECT_FALSE(conn.dead);
+
+  // The EOF stays readable forever; were it still polled, every turn
+  // would return at once. It is not, so the turn sleeps its full floor.
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(reactor.turn(std::nullopt, record(seen)));
+  EXPECT_GE(msSince(t0), 40.0);
+  EXPECT_EQ(seen.closed, 1);
+
+  // The connection stays writable for answers still owed to the peer.
+  EXPECT_TRUE(reactor.connections().begin()->second.transport->sendFrame(
+      "late answer"));
+  ::close(client);
+}
+
+TEST(FrameReactor, CorruptStreamIsOneEventThenReapedAndClosed) {
+  Reactor reactor(8, nullptr);
+  const int port = listenOn(reactor);
+  const int client = dial(port);
+  const std::string good = encodeFrame("good");
+  ASSERT_EQ(::send(client, good.data(), good.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(good.size()));
+  Observed seen;
+  ASSERT_TRUE(turnUntil(reactor, record(seen), [&] {
+    return seen.frames == 1;
+  }));
+  EXPECT_EQ(reactor.connections().begin()->second.state.frames, 1);
+
+  std::string bad = encodeFrame("bad");
+  bad.back() ^= 0x01;  // CRC trailer
+  bad += encodeFrame("never delivered");
+  ASSERT_EQ(::send(client, bad.data(), bad.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bad.size()));
+  int reaped = 0;
+  int reapedFd = -1;
+  const Reactor::ReapHandler onReap = [&](Reactor::Connection& conn) {
+    ++reaped;
+    reapedFd = conn.fd;
+  };
+  ASSERT_TRUE(turnUntil(
+      reactor, record(seen), [&] { return reaped == 1; }, onReap));
+  EXPECT_EQ(seen.frames, 1);
+  EXPECT_EQ(seen.corrupt, 1);
+  EXPECT_EQ(seen.closed + seen.errors, 0);
+  EXPECT_TRUE(reactor.connections().empty());
+  // The transport closed the server side: the fd is gone and the peer
+  // sees the connection end.
+  EXPECT_EQ(::fcntl(reapedFd, F_GETFD), -1);
+  EXPECT_TRUE(peerClosed(client, 2'000));
+  ::close(client);
+}
+
+TEST(FrameReactor, ConnectionIdsAreNeverReused) {
+  std::vector<std::uint64_t> factoryIds;
+  Reactor reactor(8, [&](int fd, std::uint64_t id) {
+    factoryIds.push_back(id);
+    return makeSocketTransport(fd);
+  });
+  const int port = listenOn(reactor);
+  Observed seen;
+  std::set<std::uint64_t> tableIds;
+  for (int round = 0; round < 4; ++round) {
+    // One connection at a time: the kernel hands the same fd number back
+    // each round once the previous connection is reaped.
+    const int client = dial(port);
+    ASSERT_TRUE(turnUntil(reactor, record(seen), [&] {
+      return reactor.connections().size() == 1;
+    }));
+    auto& conn = reactor.connections().begin()->second;
+    EXPECT_EQ(conn.id, reactor.connections().begin()->first);
+    tableIds.insert(conn.id);
+    conn.dead = true;
+    ASSERT_TRUE(turnUntil(reactor, record(seen), [&] {
+      return reactor.connections().empty();
+    }));
+    ::close(client);
+  }
+  EXPECT_EQ(tableIds.size(), 4u);
+  EXPECT_EQ(factoryIds, (std::vector<std::uint64_t>{0, 1, 2, 3}));
+}
+
+}  // namespace
+}  // namespace occm::exec
