@@ -1,6 +1,8 @@
 #include "exec/frame_reactor.hpp"
 
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -15,6 +17,10 @@ namespace {
 
 void setNonBlocking(int fd) {
   ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
+}
+
+void setTcpOption(int fd, int option, int value) {
+  ::setsockopt(fd, IPPROTO_TCP, option, &value, sizeof value);
 }
 
 }  // namespace
@@ -121,6 +127,9 @@ bool FrameReactorBase::pollAcceptDrain(
       continue;
     }
     setNonBlocking(fd);
+    // Answers are small and latency-bound: with Nagle on, each one would
+    // wait behind the peer's delayed ACK.
+    setTcpOption(fd, TCP_NODELAY, 1);
     const std::uint64_t id = accepted_++;
     ReactorLink& link = admit(id);
     link.id = id;
@@ -138,6 +147,9 @@ bool FrameReactorBase::pollAcceptDrain(
     ReactorLink& link = *watched[i];
     const std::uint64_t rxBefore = link.transport->bytesReceived();
     std::string payload;
+    // Corked for the drain, so the replies it provokes share segments
+    // instead of leaving one per frame; uncorking pushes them out.
+    setTcpOption(link.fd, TCP_CORK, 1);
     for (;;) {
       const ReactorEvent event = link.transport->recvFrame(payload, 0);
       if (event == ReactorEvent::kTimeout) {
@@ -155,6 +167,7 @@ bool FrameReactorBase::pollAcceptDrain(
         break;
       }
     }
+    setTcpOption(link.fd, TCP_CORK, 0);
     if (link.transport->bytesReceived() != rxBefore) {
       link.lastProgressMs = nowMs();
     }

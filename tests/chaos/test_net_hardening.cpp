@@ -1,12 +1,12 @@
 // Regression drills for the network-hardening fixes the chaos layer
 // exposed: the coordinator's handshake deadline, admission cap and
 // protocol-violation incidents (wrong version, second hello, unknown task
-// id, bit-flipped frame), the worker's asymmetric-partition idle timeout,
-// and the advisor server's slowloris guard, half-close grace,
-// abrupt-close containment and connection cap. Each test manufactures
-// the hostile peer by hand (raw sockets or a chaos transport) and asserts
-// the victim ends the session typed — dropped, refused, or answered —
-// never hung.
+// id, bit-flipped frame), a worker reset counted once, the worker's
+// asymmetric-partition idle timeout, and the advisor server's slowloris
+// guard, half-close grace, abrupt-close containment, response count and
+// connection cap. Each test manufactures the hostile peer by hand (raw
+// sockets or a chaos transport) and asserts the victim ends the session
+// typed — dropped, refused, or answered — never hung.
 
 #include <gtest/gtest.h>
 
@@ -14,12 +14,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <future>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -343,6 +345,42 @@ TEST(NetHardening, CoordinatorDropsBitFlippedFrame) {
       exec::dist::WorkerIncident::Kind::kFrameCorrupt, "crc"));
 }
 
+TEST(NetHardening, CoordinatorCountsAWorkerResetOnce) {
+  CoordinatorHarness coord;
+  coord.start();
+  ASSERT_GT(coord.port, 0);
+
+  auto fd = exec::connectTcp("127.0.0.1", coord.port, 5'000);
+  ASSERT_TRUE(fd) << fd.error();
+  const int rawFd = *fd;
+  auto peer = exec::makeSocketTransport(rawFd);
+  ASSERT_TRUE(peer->sendFrame(exec::dist::encodeMessage(hello("resetter"))));
+  const auto welcome = recvWire(*peer);
+  ASSERT_TRUE(welcome.has_value());
+  EXPECT_EQ(welcome->kind, exec::dist::WireMessage::Kind::kWelcome);
+  // SO_LINGER 0: the close resets the connection instead of a FIN, with
+  // the task's assign possibly still unread.
+  const struct linger hard = {1, 0};
+  ASSERT_EQ(::setsockopt(rawFd, SOL_SOCKET, SO_LINGER, &hard, sizeof hard), 0);
+  peer.reset();
+
+  coord.settleWithRealWorker();
+  int lost = 0;
+  int other = 0;
+  for (const exec::dist::WorkerIncident& incident : coord.report.incidents) {
+    if (incident.worker != "resetter") {
+      continue;
+    }
+    if (incident.kind == exec::dist::WorkerIncident::Kind::kWorkerLost) {
+      ++lost;
+    } else {
+      ++other;
+    }
+  }
+  EXPECT_EQ(lost, 1);
+  EXPECT_EQ(other, 0);
+}
+
 TEST(NetHardening, WorkerIdleTimeoutEscapesAsymmetricPartition) {
   // A hand-rolled coordinator that completes the handshake and then goes
   // silent forever — the asymmetric partition as the worker experiences
@@ -520,6 +558,82 @@ TEST(NetHardening, ServerContainsAbruptCloseToThatConnection) {
   server.stop();
   EXPECT_TRUE(server.stats.drained);
   EXPECT_TRUE(server.stats.error.empty());
+}
+
+/// Socket transport that counts the frames it got into the kernel.
+class CountingWrites final : public exec::FrameTransport {
+ public:
+  CountingWrites(int fd, std::atomic<std::uint64_t>& written)
+      : inner_(exec::makeSocketTransport(fd)), written_(written) {}
+
+  bool sendFrame(std::string_view payload) override {
+    const bool ok = inner_->sendFrame(payload);
+    if (ok) {
+      ++written_;
+    }
+    return ok;
+  }
+  RecvStatus recvFrame(std::string& payload, int timeoutMs) override {
+    return inner_->recvFrame(payload, timeoutMs);
+  }
+  [[nodiscard]] std::string lastError() const override {
+    return inner_->lastError();
+  }
+  [[nodiscard]] int pollFd() const noexcept override {
+    return inner_->pollFd();
+  }
+  [[nodiscard]] std::uint64_t bytesReceived() const noexcept override {
+    return inner_->bytesReceived();
+  }
+
+ private:
+  std::unique_ptr<exec::FrameTransport> inner_;
+  std::atomic<std::uint64_t>& written_;
+};
+
+TEST(NetHardening, ServerCountsOnlyResponsesItWrote) {
+  std::atomic<std::uint64_t> written{0};
+  ServerHarness server;
+  server.config.transportFactory = [&](int fd, std::uint64_t) {
+    return std::make_unique<CountingWrites>(fd, written);
+  };
+  server.start();
+  ASSERT_GT(server.port, 0);
+
+  // Warms the model, so later tier-0 answers are computed inline.
+  auto fd = exec::connectTcp("127.0.0.1", server.port, 5'000);
+  ASSERT_TRUE(fd) << fd.error();
+  auto steady = exec::makeSocketTransport(*fd);
+  ASSERT_TRUE(steady->sendFrame(serve::encodeServeMessage(tier0Request(1))));
+  ASSERT_TRUE(recvResponse(*steady).has_value());
+
+  // The resetter pipelines inline answers and a pooled tier-1 one, then
+  // resets before reading any: some writes may land, some must fail.
+  {
+    auto resetFd = exec::connectTcp("127.0.0.1", server.port, 5'000);
+    ASSERT_TRUE(resetFd) << resetFd.error();
+    const int rawFd = *resetFd;
+    auto resetter = exec::makeSocketTransport(rawFd);
+    serve::ServeMessage tier1 = tier0Request(4);
+    tier1.request.tier = serve::TierPreference::kTier1;
+    for (const serve::ServeMessage& request :
+         {tier0Request(2), tier0Request(3), tier1}) {
+      ASSERT_TRUE(resetter->sendFrame(serve::encodeServeMessage(request)));
+    }
+    const struct linger hard = {1, 0};
+    ASSERT_EQ(
+        ::setsockopt(rawFd, SOL_SOCKET, SO_LINGER, &hard, sizeof hard), 0);
+  }
+
+  ASSERT_TRUE(steady->sendFrame(serve::encodeServeMessage(tier0Request(5))));
+  const auto last = recvResponse(*steady);
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->requestId, 5u);
+
+  server.stop();
+  EXPECT_TRUE(server.stats.drained);
+  EXPECT_GE(server.stats.responsesSent, 2u);
+  EXPECT_EQ(server.stats.responsesSent, written.load());
 }
 
 TEST(NetHardening, ServerConnectionCapRefusesTheExcess) {

@@ -1,17 +1,22 @@
 // FrameReactor over loopback sockets: the accept drain and its cap, the
 // cross-thread wake, the half-close rule that keeps the loop from
-// spinning, corrupt-stream teardown, and connection ids that are never
-// reused.
+// spinning, corrupt-stream teardown, connection ids that are never
+// reused, and the output path: TCP_NODELAY on accepted sockets, each
+// drain's replies corked into shared segments, and a peer that never
+// reads dropped after one unwritable window.
 
 #include "exec/frame_reactor.hpp"
 
 #include <fcntl.h>
 #include <gtest/gtest.h>
+#include <linux/tcp.h>  // struct tcp_info with tcpi_data_segs_out
+#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <set>
@@ -239,6 +244,188 @@ TEST(FrameReactor, ConnectionIdsAreNeverReused) {
   }
   EXPECT_EQ(tableIds.size(), 4u);
   EXPECT_EQ(factoryIds, (std::vector<std::uint64_t>{0, 1, 2, 3}));
+}
+
+TEST(FrameReactor, AcceptedSocketsHaveNagleOff) {
+  std::vector<int> nodelay;
+  Reactor reactor(8, [&](int fd, std::uint64_t) {
+    int on = 0;
+    socklen_t len = sizeof on;
+    EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, &len), 0);
+    nodelay.push_back(on);
+    return makeSocketTransport(fd);
+  });
+  const int port = listenOn(reactor);
+  const int first = dial(port);
+  const int second = dial(port);
+  Observed seen;
+  ASSERT_TRUE(turnUntil(reactor, record(seen), [&] {
+    return reactor.accepted() == 2;
+  }));
+  EXPECT_EQ(nodelay, (std::vector<int>{1, 1}));
+  ::close(first);
+  ::close(second);
+}
+
+/// Data segments the kernel has sent on `fd` so far.
+std::uint32_t dataSegmentsOut(int fd) {
+  struct tcp_info info = {};
+  socklen_t len = sizeof info;
+  EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_INFO, &info, &len), 0);
+  return info.tcpi_data_segs_out;
+}
+
+/// Writes `payloads` as frames in one send(2), so one drain sees them all.
+void sendInOneWrite(int fd, const std::vector<std::string>& payloads) {
+  std::string bytes;
+  for (const std::string& payload : payloads) {
+    bytes += encodeFrame(payload);
+  }
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+}
+
+/// Answers every frame with "re:" + payload on the same connection.
+Reactor::EventHandler echo(Observed& seen) {
+  return [&seen, recordIt = record(seen)](Reactor::Connection& conn,
+                                          ReactorEvent event,
+                                          std::string& payload) {
+    recordIt(conn, event, payload);
+    if (event == ReactorEvent::kFrame) {
+      EXPECT_TRUE(conn.send("re:" + payload));
+    }
+  };
+}
+
+TEST(FrameReactor, OneDrainsRepliesShareOneSegment) {
+  Reactor reactor(8, nullptr);
+  const int port = listenOn(reactor);
+  auto client = makeSocketTransport(dial(port));
+  Observed seen;
+  ASSERT_TRUE(turnUntil(reactor, echo(seen), [&] {
+    return reactor.connections().size() == 1;
+  }));
+  const int serverFd = reactor.connections().begin()->second.fd;
+  const std::uint32_t before = dataSegmentsOut(serverFd);
+
+  std::vector<std::string> requests;
+  for (int i = 0; i < 8; ++i) {
+    requests.push_back("q" + std::to_string(i));
+  }
+  sendInOneWrite(client->pollFd(), requests);
+  ASSERT_TRUE(turnUntil(reactor, echo(seen), [&] { return seen.frames == 8; }));
+  for (const std::string& request : requests) {
+    std::string got;
+    ASSERT_EQ(client->recvFrame(got, 2'000),
+              FrameTransport::RecvStatus::kFrame);
+    EXPECT_EQ(got, "re:" + request);
+  }
+  // Eight sends, one segment: with Nagle off and the socket uncorked,
+  // each send would have left as a segment of its own.
+  EXPECT_EQ(dataSegmentsOut(serverFd) - before, 1u);
+
+  // Outside a drain a send is not held back: it leaves at once.
+  ASSERT_TRUE(reactor.connections().begin()->second.send("unprompted"));
+  EXPECT_EQ(dataSegmentsOut(serverFd) - before, 2u);
+  std::string got;
+  ASSERT_EQ(client->recvFrame(got, 2'000), FrameTransport::RecvStatus::kFrame);
+  EXPECT_EQ(got, "unprompted");
+}
+
+TEST(FrameReactor, ReplySentBeforeTheLinkDiesStillReachesThePeer) {
+  Reactor reactor(8, nullptr);
+  const int port = listenOn(reactor);
+  auto client = makeSocketTransport(dial(port));
+  Observed seen;
+  const Reactor::EventHandler rejectAndDrop =
+      [&seen, recordIt = record(seen)](Reactor::Connection& conn,
+                                       ReactorEvent event,
+                                       std::string& payload) {
+        recordIt(conn, event, payload);
+        if (event == ReactorEvent::kFrame) {
+          EXPECT_TRUE(conn.send("rejected: " + payload));
+          conn.dead = true;
+          EXPECT_FALSE(conn.send("after the drop"));
+        }
+      };
+  ASSERT_TRUE(turnUntil(reactor, rejectAndDrop, [&] {
+    return reactor.connections().size() == 1;
+  }));
+  sendInOneWrite(client->pollFd(), {"hello"});
+  ASSERT_TRUE(turnUntil(reactor, rejectAndDrop, [&] {
+    return reactor.connections().empty();
+  }));
+  EXPECT_EQ(seen.frames, 1);
+
+  std::string got;
+  ASSERT_EQ(client->recvFrame(got, 2'000), FrameTransport::RecvStatus::kFrame);
+  EXPECT_EQ(got, "rejected: hello");
+  EXPECT_EQ(client->recvFrame(got, 2'000),
+            FrameTransport::RecvStatus::kClosed);
+}
+
+TEST(FrameReactor, PeerThatNeverReadsIsDroppedNotBuffered) {
+  // A small send buffer, so the server stalls after a few replies rather
+  // than after megabytes.
+  Reactor reactor(8, [](int fd, std::uint64_t) {
+    const int small = 4 * 1024;
+    EXPECT_EQ(::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &small, sizeof small),
+              0);
+    return makeSocketTransport(fd);
+  });
+  const int port = listenOn(reactor);
+  const int clientFd = dial(port);
+  Observed seen;
+  int sent = 0;
+  int failed = 0;
+  const Reactor::EventHandler echoBack =
+      [&, recordIt = record(seen)](Reactor::Connection& conn,
+                                   ReactorEvent event, std::string& payload) {
+        recordIt(conn, event, payload);
+        if (event == ReactorEvent::kFrame) {
+          ++(conn.send(payload) ? sent : failed);
+        }
+      };
+  ASSERT_TRUE(turnUntil(reactor, echoBack, [&] {
+    return reactor.connections().size() == 1;
+  }));
+
+  // Pipelined requests as fast as the socket takes them, and not one
+  // reply read.
+  std::atomic<bool> stop{false};
+  std::thread flood([&] {
+    const std::string frame = encodeFrame(std::string(16 * 1024, 'f'));
+    std::size_t offset = 0;
+    while (!stop) {
+      const ssize_t n = ::send(clientFd, frame.data() + offset,
+                               frame.size() - offset,
+                               MSG_DONTWAIT | MSG_NOSIGNAL);
+      if (n > 0) {
+        offset = (offset + static_cast<std::size_t>(n)) % frame.size();
+      } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        std::this_thread::sleep_for(1ms);
+      } else {
+        break;  // the server dropped us
+      }
+    }
+  });
+
+  // The reply that finds the socket full stalls for one unwritable
+  // window and then fails: the link dies, and no reply waits anywhere
+  // but in the kernel's bounded buffers.
+  int reaped = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  while (reaped == 0 && msSince(t0) < 30'000) {
+    ASSERT_TRUE(reactor.turn(std::nullopt, echoBack,
+                             [&](Reactor::Connection&) { ++reaped; }));
+  }
+  stop = true;
+  flood.join();
+  ::close(clientFd);
+  EXPECT_EQ(reaped, 1);
+  EXPECT_EQ(failed, 1);
+  EXPECT_GT(sent, 0);
+  EXPECT_EQ(seen.closed + seen.corrupt + seen.errors, 0);
 }
 
 }  // namespace
