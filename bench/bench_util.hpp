@@ -29,46 +29,24 @@ inline int& sweepWorkers() {
 /// need the pool size may ignore the returned struct — parseBenchArgs
 /// also stores workers into sweepWorkers().
 struct BenchArgs {
-  int workers = 0;       ///< sweep pool size; 0 resolves via env/hardware
-  int repeats = 0;       ///< measured repeats; 0 = driver default
-  int warmup = -1;       ///< warmup repeats; -1 = driver default
-  bool quick = false;    ///< reduced CI grid (perf_baseline)
-  std::string jsonPath;  ///< BENCH_*.json output path; empty = none
+  int workers = 0;  ///< sweep pool size; 0 resolves via env/hardware
 };
 
-/// Strict shared argument parser: accepts --workers=N, --repeats=N,
-/// --warmup=N, --json=PATH, --quick and --help, and *errors out* (usage
-/// on stderr, exit code 2) on anything unrecognized or malformed —
-/// replacing the old parseWorkers, which silently ignored every flag it
-/// did not know, typos included.
+/// Strict shared argument parser: accepts --workers=N and --help, and
+/// *errors out* (usage on stderr, exit code 2) on anything unrecognized
+/// or malformed, typos included.
 inline BenchArgs parseBenchArgs(int argc, char** argv) {
   const auto usage = [&](std::FILE* to) {
-    std::fprintf(
-        to,
-        "usage: %s [--workers=N] [--repeats=N] [--warmup=N] [--json=PATH] "
-        "[--quick]\n"
-        "  --workers=N  sweep pool size (default: OCCM_SWEEP_WORKERS or "
-        "hardware concurrency)\n"
-        "  --repeats=N  measured repeats per grid point (default: driver)\n"
-        "  --warmup=N   discarded warmup repeats (default: driver)\n"
-        "  --json=PATH  write a BENCH_*.json report to PATH\n"
-        "  --quick      reduced grid for CI smoke runs\n",
-        argc > 0 ? argv[0] : "bench");
+    std::fprintf(to,
+                 "usage: %s [--workers=N]\n"
+                 "  --workers=N  sweep pool size (default: "
+                 "OCCM_SWEEP_WORKERS or hardware concurrency)\n",
+                 argc > 0 ? argv[0] : "bench");
   };
   const auto die = [&](const std::string& why) {
     std::fprintf(stderr, "error: %s\n", why.c_str());
     usage(stderr);
     std::exit(2);
-  };
-  // Positive-integer flag value; dies on garbage, zero or trailing bytes.
-  const auto intValue = [&](const std::string& arg, std::size_t eq) {
-    const std::string digits = arg.substr(eq + 1);
-    char* end = nullptr;
-    const long value = std::strtol(digits.c_str(), &end, 10);
-    if (digits.empty() || *end != '\0' || value < 1 || value > 1 << 20) {
-      die("bad value in \"" + arg + "\" (want an integer >= 1)");
-    }
-    return static_cast<int>(value);
   };
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
@@ -78,28 +56,18 @@ inline BenchArgs parseBenchArgs(int argc, char** argv) {
     if (flag == "--help" || flag == "-h") {
       usage(stdout);
       std::exit(0);
-    } else if (flag == "--quick") {
-      if (eq != std::string::npos) {
-        die("--quick takes no value: \"" + arg + "\"");
-      }
-      args.quick = true;
-    } else if (flag == "--workers" || flag == "--repeats" ||
-               flag == "--warmup" || flag == "--json") {
+    } else if (flag == "--workers") {
       if (eq == std::string::npos) {
-        die("\"" + arg + "\" needs a value: " + flag + "=...");
+        die("\"" + arg + "\" needs a value: --workers=...");
       }
-      if (flag == "--json") {
-        args.jsonPath = arg.substr(eq + 1);
-        if (args.jsonPath.empty()) {
-          die("--json needs a non-empty path");
-        }
-      } else if (flag == "--workers") {
-        args.workers = intValue(arg, eq);
-      } else if (flag == "--repeats") {
-        args.repeats = intValue(arg, eq);
-      } else {
-        args.warmup = intValue(arg, eq);
+      // Positive integer; dies on garbage, zero or trailing bytes.
+      const std::string digits = arg.substr(eq + 1);
+      char* end = nullptr;
+      const long value = std::strtol(digits.c_str(), &end, 10);
+      if (digits.empty() || *end != '\0' || value < 1 || value > 1 << 20) {
+        die("bad value in \"" + arg + "\" (want an integer >= 1)");
       }
+      args.workers = static_cast<int>(value);
     } else {
       die("unrecognized argument \"" + arg + "\"");
     }

@@ -12,52 +12,22 @@
 
 #include "analysis/experiment.hpp"
 #include "core/occm.hpp"
-
-namespace {
-
-using namespace occm;
-
-workloads::Program parseProgram(const std::string& name) {
-  using workloads::Program;
-  if (name == "EP") return Program::kEP;
-  if (name == "IS") return Program::kIS;
-  if (name == "FT") return Program::kFT;
-  if (name == "CG") return Program::kCG;
-  if (name == "SP") return Program::kSP;
-  if (name == "x264") return Program::kX264;
-  std::fprintf(stderr, "unknown program '%s'\n", name.c_str());
-  std::exit(1);
-}
-
-workloads::ProblemClass parseClass(const std::string& name) {
-  using workloads::ProblemClass;
-  if (name == "S") return ProblemClass::kS;
-  if (name == "W") return ProblemClass::kW;
-  if (name == "A") return ProblemClass::kA;
-  if (name == "B") return ProblemClass::kB;
-  if (name == "C") return ProblemClass::kC;
-  if (name == "simsmall") return ProblemClass::kSimSmall;
-  if (name == "simmedium") return ProblemClass::kSimMedium;
-  if (name == "simlarge") return ProblemClass::kSimLarge;
-  if (name == "native") return ProblemClass::kNative;
-  std::fprintf(stderr, "unknown class '%s'\n", name.c_str());
-  std::exit(1);
-}
-
-}  // namespace
+#include "example_args.hpp"
 
 int main(int argc, char** argv) {
+  using namespace occm;
+
   workloads::Program program = workloads::Program::kCG;
   std::vector<workloads::ProblemClass> classes = {
       workloads::ProblemClass::kS, workloads::ProblemClass::kW,
       workloads::ProblemClass::kA, workloads::ProblemClass::kB,
       workloads::ProblemClass::kC};
   if (argc > 1) {
-    program = parseProgram(argv[1]);
+    program = examples::programArg(argv[1]);
     if (argc > 2) {
       classes.clear();
       for (int i = 2; i < argc; ++i) {
-        classes.push_back(parseClass(argv[i]));
+        classes.push_back(examples::classArg(program, argv[i]));
       }
     } else if (program == workloads::Program::kX264) {
       classes = {workloads::ProblemClass::kSimSmall,

@@ -54,6 +54,7 @@
 #include "analysis/experiment.hpp"
 #include "common/crc32.hpp"
 #include "core/occm.hpp"
+#include "example_args.hpp"
 
 namespace {
 
@@ -62,33 +63,6 @@ namespace {
 occm::CancellationSource gStop;
 
 extern "C" void onSigint(int /*signum*/) { gStop.requestStop(); }
-
-occm::workloads::Program parseProgram(const std::string& name) {
-  using occm::workloads::Program;
-  if (name == "EP") return Program::kEP;
-  if (name == "IS") return Program::kIS;
-  if (name == "FT") return Program::kFT;
-  if (name == "CG") return Program::kCG;
-  if (name == "SP") return Program::kSP;
-  if (name == "x264") return Program::kX264;
-  std::fprintf(stderr, "unknown program '%s'\n", name.c_str());
-  std::exit(1);
-}
-
-occm::workloads::ProblemClass parseClass(const std::string& name) {
-  using occm::workloads::ProblemClass;
-  if (name == "S") return ProblemClass::kS;
-  if (name == "W") return ProblemClass::kW;
-  if (name == "A") return ProblemClass::kA;
-  if (name == "B") return ProblemClass::kB;
-  if (name == "C") return ProblemClass::kC;
-  if (name == "simsmall") return ProblemClass::kSimSmall;
-  if (name == "simmedium") return ProblemClass::kSimMedium;
-  if (name == "simlarge") return ProblemClass::kSimLarge;
-  if (name == "native") return ProblemClass::kNative;
-  std::fprintf(stderr, "unknown problem class '%s'\n", name.c_str());
-  std::exit(1);
-}
 
 }  // namespace
 
@@ -220,8 +194,7 @@ int main(int argc, char** argv) {
                    argv[0]);
       return 1;
     }
-    workload.program = parseProgram(arg.substr(0, dot));
-    workload.problemClass = parseClass(arg.substr(dot + 1));
+    workload = examples::workloadArg(arg);
   }
 
   std::signal(SIGINT, onSigint);

@@ -37,6 +37,7 @@
 
 #include "analysis/experiment.hpp"
 #include "core/occm.hpp"
+#include "example_args.hpp"
 #include "fault/fault_plan.hpp"
 
 namespace {
@@ -98,29 +99,6 @@ std::vector<Scenario> makeScenarios(occm::Cycles makespan, bool withCrash) {
   return scenarios;
 }
 
-occm::workloads::Program parseProgram(const std::string& name) {
-  using occm::workloads::Program;
-  if (name == "EP") return Program::kEP;
-  if (name == "IS") return Program::kIS;
-  if (name == "FT") return Program::kFT;
-  if (name == "CG") return Program::kCG;
-  if (name == "SP") return Program::kSP;
-  if (name == "x264") return Program::kX264;
-  std::fprintf(stderr, "unknown program '%s'\n", name.c_str());
-  std::exit(1);
-}
-
-occm::workloads::ProblemClass parseClass(const std::string& name) {
-  using occm::workloads::ProblemClass;
-  if (name == "S") return ProblemClass::kS;
-  if (name == "W") return ProblemClass::kW;
-  if (name == "A") return ProblemClass::kA;
-  if (name == "B") return ProblemClass::kB;
-  if (name == "C") return ProblemClass::kC;
-  std::fprintf(stderr, "unknown problem class '%s'\n", name.c_str());
-  std::exit(1);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -159,8 +137,7 @@ int main(int argc, char** argv) {
                    argv[0]);
       return 1;
     }
-    workload.program = parseProgram(arg.substr(0, dot));
-    workload.problemClass = parseClass(arg.substr(dot + 1));
+    workload = examples::workloadArg(arg);
   }
 
   analysis::SweepConfig config;

@@ -5,7 +5,7 @@
 //
 // Usage: papiex_sim [program.class] [machine] [cores] [--csv file.csv]
 //   machine: uma8 | numa24 | amd48   (default numa24)
-//   cores:   active cores            (default all)
+//   cores:   active cores, 1..all    (default all)
 // Examples:
 //   papiex_sim SP.C numa24 12
 //   papiex_sim x264.native amd48 48 --csv x264.csv
@@ -17,55 +17,17 @@
 #include "analysis/csv.hpp"
 #include "analysis/experiment.hpp"
 #include "core/occm.hpp"
+#include "example_args.hpp"
 
 namespace {
 
 using namespace occm;
 
-workloads::WorkloadSpec parseWorkload(const std::string& arg) {
-  workloads::WorkloadSpec spec;
-  const auto dot = arg.find('.');
-  if (dot == std::string::npos) {
-    std::fprintf(stderr, "expected program.class, got '%s'\n", arg.c_str());
-    std::exit(1);
-  }
-  const std::string program = arg.substr(0, dot);
-  const std::string cls = arg.substr(dot + 1);
-  using workloads::ProblemClass;
-  using workloads::Program;
-  if (program == "EP") spec.program = Program::kEP;
-  else if (program == "IS") spec.program = Program::kIS;
-  else if (program == "FT") spec.program = Program::kFT;
-  else if (program == "CG") spec.program = Program::kCG;
-  else if (program == "SP") spec.program = Program::kSP;
-  else if (program == "x264") spec.program = Program::kX264;
-  else {
-    std::fprintf(stderr, "unknown program '%s'\n", program.c_str());
-    std::exit(1);
-  }
-  if (cls == "S") spec.problemClass = ProblemClass::kS;
-  else if (cls == "W") spec.problemClass = ProblemClass::kW;
-  else if (cls == "A") spec.problemClass = ProblemClass::kA;
-  else if (cls == "B") spec.problemClass = ProblemClass::kB;
-  else if (cls == "C") spec.problemClass = ProblemClass::kC;
-  else if (cls == "simsmall") spec.problemClass = ProblemClass::kSimSmall;
-  else if (cls == "simmedium") spec.problemClass = ProblemClass::kSimMedium;
-  else if (cls == "simlarge") spec.problemClass = ProblemClass::kSimLarge;
-  else if (cls == "native") spec.problemClass = ProblemClass::kNative;
-  else {
-    std::fprintf(stderr, "unknown class '%s'\n", cls.c_str());
-    std::exit(1);
-  }
-  return spec;
-}
-
 topology::MachineSpec parseMachine(const std::string& name) {
   if (name == "uma8") return topology::intelUma8();
   if (name == "numa24") return topology::intelNuma24();
   if (name == "amd48") return topology::amdNuma48();
-  std::fprintf(stderr, "unknown machine '%s' (uma8|numa24|amd48)\n",
-               name.c_str());
-  std::exit(1);
+  examples::rejectArg("unknown machine '" + name + "' (uma8|numa24|amd48)");
 }
 
 }  // namespace
@@ -84,20 +46,20 @@ int main(int argc, char** argv) {
     }
     switch (positional++) {
       case 0:
-        workload = parseWorkload(argv[i]);
+        workload = examples::workloadArg(argv[i]);
         break;
       case 1:
         machine = parseMachine(argv[i]);
         break;
       case 2:
-        cores = std::atoi(argv[i]);
+        cores = examples::coresArg(argv[i], machine);
         break;
       default:
-        std::fprintf(stderr, "too many arguments\n");
+        std::fprintf(stderr, "error: too many arguments\n");
         return 1;
     }
   }
-  if (cores <= 0) {
+  if (cores == 0) {
     cores = machine.logicalCores();
   }
 

@@ -23,51 +23,26 @@
 #include "analysis/experiment.hpp"
 #include "common/error.hpp"
 #include "core/occm.hpp"
+#include "example_args.hpp"
 #include "obs/chrome_trace.hpp"
 
 namespace {
 
-occm::workloads::Program parseProgram(const std::string& name) {
-  using occm::workloads::Program;
-  if (name == "EP") return Program::kEP;
-  if (name == "IS") return Program::kIS;
-  if (name == "FT") return Program::kFT;
-  if (name == "CG") return Program::kCG;
-  if (name == "SP") return Program::kSP;
-  if (name == "x264") return Program::kX264;
-  std::fprintf(stderr, "unknown program '%s'\n", name.c_str());
-  std::exit(1);
-}
-
-occm::workloads::ProblemClass parseClass(const std::string& name) {
-  using occm::workloads::ProblemClass;
-  if (name == "S") return ProblemClass::kS;
-  if (name == "W") return ProblemClass::kW;
-  if (name == "A") return ProblemClass::kA;
-  if (name == "B") return ProblemClass::kB;
-  if (name == "C") return ProblemClass::kC;
-  if (name == "simsmall") return ProblemClass::kSimSmall;
-  if (name == "simmedium") return ProblemClass::kSimMedium;
-  if (name == "simlarge") return ProblemClass::kSimLarge;
-  if (name == "native") return ProblemClass::kNative;
-  std::fprintf(stderr, "unknown problem class '%s'\n", name.c_str());
-  std::exit(1);
-}
-
-std::vector<int> parseCores(const std::string& list) {
+// Comma-separated active-core counts, each checked by coresArg (an
+// empty item, as in "1,,6" or "6,", is rejected too).
+std::vector<int> parseCores(const std::string& list,
+                            const occm::topology::MachineSpec& machine) {
   std::vector<int> cores;
   std::size_t pos = 0;
-  while (pos < list.size()) {
+  while (true) {
     const std::size_t comma = list.find(',', pos);
-    const std::string item = list.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    cores.push_back(std::stoi(item));
+    cores.push_back(
+        occm::examples::coresArg(list.substr(pos, comma - pos), machine));
     if (comma == std::string::npos) {
-      break;
+      return cores;
     }
     pos = comma + 1;
   }
-  return cores;
 }
 
 }  // namespace
@@ -75,29 +50,21 @@ std::vector<int> parseCores(const std::string& list) {
 int main(int argc, char** argv) {
   using namespace occm;
 
+  const topology::MachineSpec machine = topology::intelNuma24();
   workloads::WorkloadSpec workload;
   workload.problemClass = workloads::ProblemClass::kA;
   std::string outdir = ".";
   std::vector<int> coreCounts = {1, 6, 12, 18, 24};
   if (argc > 1) {
-    const std::string arg = argv[1];
-    const auto dot = arg.find('.');
-    if (dot == std::string::npos) {
-      std::fprintf(stderr, "usage: %s [program.class] [outdir] [cores,...]\n",
-                    argv[0]);
-      return 1;
-    }
-    workload.program = parseProgram(arg.substr(0, dot));
-    workload.problemClass = parseClass(arg.substr(dot + 1));
+    workload = examples::workloadArg(argv[1]);
   }
   if (argc > 2) {
     outdir = argv[2];
   }
   if (argc > 3) {
-    coreCounts = parseCores(argv[3]);
+    coreCounts = parseCores(argv[3], machine);
   }
 
-  const topology::MachineSpec machine = topology::intelNuma24();
   const std::string name =
       workloads::workloadName(workload.program, workload.problemClass);
   std::printf("Tracing %s on %s ...\n", name.c_str(), machine.name.c_str());

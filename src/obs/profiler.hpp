@@ -19,18 +19,21 @@
 //    consumers and chromeTrace() for a Perfetto-loadable timeline of the
 //    recorded phase spans (host nanoseconds on the trace clock).
 //
-// Zero-cost contract: instrument hot paths only through the
-// OCCM_PROF_SCOPE / OCCM_PROF_COUNT macros. With OCCM_ENABLE_OBS=OFF
-// (OCCM_OBS_ENABLED=0) they expand to unevaluated sizeof probes — no
-// clock reads, no increments, no code — while still "using" their
-// operands so -Wunused stays quiet. The classes themselves stay defined
-// in every build (cold-path registration and tests keep working); only
-// the recording sites vanish.
+// Zero-cost contract: every host-time recording site is compiled out
+// with the rest of the obs layer and, when it records into a Profiler,
+// checks for a null one first. MachineSim's "sim.run" scope and its
+// counter flush sit inside `#if OCCM_OBS_ENABLED` and test
+// `config.profiler != nullptr`; the sweep pool's clock reads sit inside
+// `if constexpr (obs::kCompiledIn)`. With OCCM_ENABLE_OBS=OFF the sites
+// vanish — no clock reads, no increments, no code — and with obs on but
+// no profiler attached a run pays one predicted branch. The classes
+// themselves stay defined in every build (cold-path registration and
+// tests keep working); only the recording sites vanish.
 //
 // Determinism: the profiler observes the run, never steers it. Nothing
 // in the simulator reads a profiler value back, so a profiled run's
 // output is bit-identical to an unprofiled one (pinned by
-// Profiler.FingerprintUnchangedByProfiling and the bench harness).
+// Profiler.FingerprintUnchangedByProfiling).
 
 #include <atomic>
 #include <cstdint>
@@ -241,31 +244,3 @@ class ScopedPhase {
 };
 
 }  // namespace occm::obs
-
-// Instrumentation macros — the only way hot paths should touch the
-// profiler. Compiled out entirely (unevaluated operands, no code) when
-// the observability layer is off.
-#define OCCM_PROF_CONCAT_INNER(a, b) a##b
-#define OCCM_PROF_CONCAT(a, b) OCCM_PROF_CONCAT_INNER(a, b)
-
-#if OCCM_OBS_ENABLED
-/// Times the enclosing scope into `phaseRef` (an obs::Phase&) of
-/// `profilerRef` (an obs::Profiler&).
-#define OCCM_PROF_SCOPE(profilerRef, phaseRef)                       \
-  const ::occm::obs::ScopedPhase OCCM_PROF_CONCAT(occmProfScope_,    \
-                                                  __LINE__) {        \
-    (profilerRef), (phaseRef)                                        \
-  }
-/// Adds `amount` to `counterRef` (an obs::Counter&).
-#define OCCM_PROF_COUNT(counterRef, amount) (counterRef).add(amount)
-#else
-// Obs-off: expand to unevaluated sizeof probes — zero code, zero clock
-// reads — that still reference the operands so they never trip -Wunused.
-// `amount` must therefore be side-effect free (it is discarded here).
-#define OCCM_PROF_SCOPE(profilerRef, phaseRef)            \
-  static_cast<void>(sizeof(&(profilerRef)));              \
-  static_cast<void>(sizeof(&(phaseRef)))
-#define OCCM_PROF_COUNT(counterRef, amount)               \
-  static_cast<void>(sizeof(&(counterRef)));               \
-  static_cast<void>(sizeof((amount)))
-#endif

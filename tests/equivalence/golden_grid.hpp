@@ -52,7 +52,7 @@ struct GoldenPoint {
 
 /// Deterministic summary of one replayed grid point. Every field is a
 /// pure function of the simulated schedule; the fingerprint is the
-/// CRC-32 of the sweep's CSV export (the same anchor BENCH_*.json pins).
+/// CRC-32 of the sweep's CSV export (the same anchor perfbench/config.json pins).
 struct GoldenRecord {
   std::uint32_t fingerprint = 0;
   std::uint64_t simCycles = 0;      ///< totalCycles summed over profiles

@@ -137,23 +137,6 @@ TEST(Profiler, ChromeTraceCarriesSpansAndCounters) {
 // contract break caught by the counter staying zero in the obs-off CI
 // leg — and by the `sideEffects` probe staying zero in *both* legs,
 // since the macro arguments below are intentionally side-effect free).
-TEST(Profiler, MacrosAreNoOpsWhenCompiledOut) {
-  Profiler profiler;
-  Phase& phase = profiler.phase("scoped");
-  Counter& counter = profiler.counter("counted");
-  {
-    OCCM_PROF_SCOPE(profiler, phase);
-    OCCM_PROF_COUNT(counter, 2);
-  }
-  if constexpr (kCompiledIn) {
-    EXPECT_EQ(profiler.phases()[0].calls, 1u);
-    EXPECT_EQ(counter.value(), 2u);
-  } else {
-    EXPECT_EQ(profiler.phases()[0].calls, 0u);
-    EXPECT_EQ(counter.value(), 0u);
-  }
-}
-
 TEST(Profiler, ConcurrentRecordingLosesNothing) {
   Profiler profiler;
   Counter& counter = profiler.counter("shared");
