@@ -12,22 +12,26 @@
 // behind the paper's EP observation: LLC misses grow from ~2e3 to ~3e7 as
 // active cores increase, driven by false sharing of result lines.
 //
-// Storage (DESIGN.md §14): a flat open-addressing table (linear probing,
-// backward-shift deletion, power-of-two capacity) instead of
-// std::unordered_map — the directory is probed on every shared access
-// and the node-per-entry map was a visible fraction of the whole
-// simulation. The sharer set is exposed as a bitmask so the hierarchy
-// can walk victims with countr_zero instead of allocating a vector; the
-// vector API remains as a thin wrapper. All counters and invalidation
-// orders are identical to the map-based implementation (pinned by the
-// golden corpus).
+// Storage (DESIGN.md §14): a table indexed directly by line number.
+// The shared area is allocated contiguously from address 0, so line n's
+// entry lives at slot n % 4096 of page n / 4096; a page (4096 entries of
+// 16 B) is zero-allocated the first time one of its lines is touched,
+// and an all-zero entry means "untracked". A streamed access stays on
+// the page of the previous one, which a one-entry cache answers with a
+// compare and an indexed load. The sharer set is exposed as a bitmask so
+// the hierarchy can walk victims with countr_zero instead of allocating
+// a vector; the vector API remains as a thin wrapper. All counters and
+// invalidation orders are identical to the original map-based
+// implementation (pinned by the golden corpus).
 
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/types.hpp"
+#include "trace/address_space.hpp"
 
 namespace occm::cache {
 
@@ -39,36 +43,41 @@ struct CoherenceStats {
 
 class CoherenceDirectory {
  public:
-  /// Up to 64 logical cores (a bitmask per line).
-  explicit CoherenceDirectory(int cores) : cores_(cores) {
+  /// Up to 64 logical cores (a bitmask per line); `lineSize` is the
+  /// hierarchy's line size, a power of two.
+  explicit CoherenceDirectory(int cores, Bytes lineSize = 64)
+      : cores_(cores), lineShift_(std::countr_zero(lineSize)) {
     OCCM_REQUIRE_MSG(cores >= 1 && cores <= 64,
                      "directory supports 1..64 cores");
-    slots_.resize(kInitialCapacity);
+    OCCM_REQUIRE_MSG(std::has_single_bit(lineSize),
+                     "line size must be a power of two");
   }
 
   /// Opaque handle to one shared line's directory state, valid until the
-  /// next beginAccess/onAccess/onEviction/clear call. Lets the hierarchy
-  /// pay ONE table probe per shared access: beginAccess answers the
-  /// pre-lookup invalidation question, the handle carries the entry to
-  /// commitAccess after the cache fills.
+  /// next beginAccess/onAccess/onEviction/dropLines/clear call. Lets the
+  /// hierarchy pay ONE table lookup per shared access: beginAccess answers
+  /// the pre-lookup invalidation question, the handle carries the entry
+  /// to commitAccess after the cache fills.
   struct AccessHandle {
     void* entry = nullptr;
     /// Owner whose remote write invalidated this core's copy, or -1 —
-    /// exactly invalidatingOwner(lineAddr, core), minus the extra probe.
+    /// exactly invalidatingOwner(lineAddr, core), minus the extra lookup.
     CoreId invalidatingOwner = -1;
   };
 
-  /// First half of an access: locates (or creates) the line's entry and
-  /// reports whether `core`'s copy was invalidated by a remote write.
+  /// First half of an access: locates the line's entry (allocating its
+  /// page on first touch) and reports whether `core`'s copy was
+  /// invalidated by a remote write.
   [[nodiscard]] AccessHandle beginAccess(Addr lineAddr, CoreId core) {
     OCCM_ASSERT(core >= 0 && core < cores_);
-    Slot& entry = findOrInsert(lineAddr);
+    const Addr line = lineAddr >> lineShift_;
+    if ((line >> kPageBits) != lastPageIndex_) [[unlikely]] {
+      touchPage(line >> kPageBits);
+    }
+    Entry& entry = lastPage_[line & (kPageEntries - 1)];
     AccessHandle handle;
     handle.entry = &entry;
-    if (entry.owner >= 0 && entry.owner != core &&
-        ((entry.sharers >> core) & 1) == 0) {
-      handle.invalidatingOwner = entry.owner;
-    }
+    handle.invalidatingOwner = invalidatingOwnerOf(entry, core);
     return handle;
   }
 
@@ -77,8 +86,11 @@ class CoherenceDirectory {
   /// (0 for reads and for writes with no other sharer).
   std::uint64_t commitAccess(const AccessHandle& handle, CoreId core,
                              bool write) {
-    Slot& entry = *static_cast<Slot*>(handle.entry);
+    Entry& entry = *static_cast<Entry*>(handle.entry);
     const std::uint64_t bit = std::uint64_t{1} << core;
+    // A committed entry always has a sharer, so an empty set means the
+    // line starts being tracked now.
+    size_ += entry.sharers == 0 ? 1 : 0;
     std::uint64_t toInvalidate = 0;
     if (write) {
       const std::uint64_t others = entry.sharers & ~bit;
@@ -90,9 +102,9 @@ class CoherenceDirectory {
       }
       entry.sharers = bit;
       entry.modified = true;
-      entry.owner = core;
+      entry.ownerPlusOne = core + 1;
     } else {
-      if (entry.modified && entry.owner != core) {
+      if (entry.modified && entry.ownerPlusOne != core + 1) {
         // Dirty data produced elsewhere: the read is a coherence miss.
         ++stats_.coherenceMisses;
         entry.modified = false;
@@ -102,7 +114,7 @@ class CoherenceDirectory {
     return toInvalidate;
   }
 
-  /// One-shot probe-and-update. Returns the bitmask of cores whose
+  /// One-shot lookup-and-update. Returns the bitmask of cores whose
   /// copies must be invalidated (0 for reads and for writes with no
   /// other sharer).
   std::uint64_t onAccessMask(Addr lineAddr, CoreId core, bool write) {
@@ -127,161 +139,112 @@ class CoherenceDirectory {
   /// within-socket false sharing is a cheap LLC hit while cross-socket
   /// false sharing goes off-chip.
   [[nodiscard]] bool isInvalidatedFor(Addr lineAddr, CoreId core) const {
-    const Slot* entry = find(lineAddr);
-    if (entry == nullptr) {
-      return false;
-    }
-    // Only a write creates invalid copies: read-shared lines (owner -1)
-    // coexist in any number of caches.
-    return entry->owner >= 0 && entry->owner != core &&
-           ((entry->sharers >> core) & 1) == 0;
+    return invalidatingOwner(lineAddr, core) >= 0;
   }
 
   /// Core that most recently wrote the line, or -1.
   [[nodiscard]] CoreId ownerOf(Addr lineAddr) const {
-    const Slot* entry = find(lineAddr);
-    return entry == nullptr ? -1 : entry->owner;
+    const Entry* entry = find(lineAddr);
+    return entry == nullptr ? -1 : entry->ownerPlusOne - 1;
   }
 
-  /// Single-probe combination of isInvalidatedFor + ownerOf for the
-  /// hierarchy's hot path: the owner whose remote write invalidated
-  /// `core`'s copy, or -1 when the copy is still good (or untracked).
+  /// Single-lookup combination of isInvalidatedFor + ownerOf: the owner
+  /// whose remote write invalidated `core`'s copy, or -1 when the copy is
+  /// still good (or untracked).
   [[nodiscard]] CoreId invalidatingOwner(Addr lineAddr,
                                          CoreId core) const {
-    const Slot* entry = find(lineAddr);
-    if (entry == nullptr || entry->owner < 0 || entry->owner == core ||
-        ((entry->sharers >> core) & 1) != 0) {
-      return -1;
-    }
-    return entry->owner;
+    const Entry* entry = find(lineAddr);
+    return entry == nullptr ? -1 : invalidatingOwnerOf(*entry, core);
   }
 
-  /// Removes a core's sharing bit (e.g. natural eviction).
+  /// Removes a core's sharing bit (e.g. natural eviction); the line is
+  /// untracked once no sharer is left.
   void onEviction(Addr lineAddr, CoreId core) {
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = hashOf(lineAddr) & mask;
-    while (true) {
-      Slot& slot = slots_[i];
-      if (slot.key == kEmptyKey) {
-        return;
-      }
-      if (slot.key == lineAddr) {
-        slot.sharers &= ~(std::uint64_t{1} << core);
-        if (slot.sharers == 0) {
-          eraseAt(i);
-        }
-        return;
-      }
-      i = (i + 1) & mask;
+    Entry* entry = find(lineAddr);
+    if (entry == nullptr || entry->sharers == 0) {
+      return;
+    }
+    entry->sharers &= ~(std::uint64_t{1} << core);
+    if (entry->sharers == 0) {
+      *entry = Entry{};
+      --size_;
     }
   }
 
   [[nodiscard]] const CoherenceStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t trackedLines() const noexcept { return size_; }
 
-  void clear() {
-    slots_.assign(slots_.size(), Slot{});
+  /// Untracks every line; the counters are kept.
+  void dropLines() {
+    pages_.clear();
+    lastPageIndex_ = kNoPage;
+    lastPage_ = nullptr;
     size_ = 0;
+  }
+
+  /// Untracks every line and zeroes the counters.
+  void clear() {
+    dropLines();
     stats_ = {};
   }
 
  private:
-  /// One open-addressing slot. No real line address is 2^64 - 1 (the
-  /// address space tops out near 2^41), so it doubles as the empty key.
-  static constexpr Addr kEmptyKey = ~Addr{0};
-  static constexpr std::size_t kInitialCapacity = 1024;
-
-  struct Slot {
-    Addr key = kEmptyKey;
+  /// One line's state; all-zero is "untracked", hence owner + 1.
+  struct Entry {
     std::uint64_t sharers = 0;
-    CoreId owner = -1;
+    CoreId ownerPlusOne = 0;  ///< last writer + 1, or 0
     bool modified = false;
   };
+  static_assert(sizeof(Entry) == 16);
 
-  static std::uint64_t hashOf(Addr key) noexcept {
-    // SplitMix64 finalizer: full-avalanche, two multiplies.
-    std::uint64_t x = key + 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
+  static constexpr int kPageBits = 12;
+  static constexpr Addr kPageEntries = Addr{1} << kPageBits;
+  static constexpr Addr kNoPage = ~Addr{0};
+
+  [[nodiscard]] static CoreId invalidatingOwnerOf(const Entry& entry,
+                                                  CoreId core) noexcept {
+    // Only a write creates invalid copies: read-shared lines (no owner)
+    // coexist in any number of caches.
+    if (entry.ownerPlusOne == 0 || entry.ownerPlusOne == core + 1 ||
+        ((entry.sharers >> core) & 1) != 0) {
+      return -1;
+    }
+    return entry.ownerPlusOne - 1;
   }
 
-  [[nodiscard]] const Slot* find(Addr key) const noexcept {
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = hashOf(key) & mask;
-    while (true) {
-      const Slot& slot = slots_[i];
-      if (slot.key == key) {
-        return &slot;
-      }
-      if (slot.key == kEmptyKey) {
-        return nullptr;
-      }
-      i = (i + 1) & mask;
+  /// The line's entry, or nullptr when its page was never touched.
+  [[nodiscard]] Entry* find(Addr lineAddr) const noexcept {
+    const Addr line = lineAddr >> lineShift_;
+    const Addr page = line >> kPageBits;
+    if (page >= pages_.size() || !pages_[page]) {
+      return nullptr;
     }
+    return &pages_[page][line & (kPageEntries - 1)];
   }
 
-  Slot& findOrInsert(Addr key) {
-    if ((size_ + 1) * 8 > slots_.size() * 7) {
-      grow();
+  /// Makes `page` the cached last page, allocating it on first touch.
+  /// Only shared-area lines reach the directory, and the shared area
+  /// lies below kPrivateBase, which bounds the page table.
+  void touchPage(Addr page) {
+    OCCM_REQUIRE_MSG(
+        page < ((trace::AddressSpace::kPrivateBase >> lineShift_) >>
+                kPageBits),
+        "directory tracks shared-area lines only");
+    if (page >= pages_.size()) {
+      pages_.resize(page + 1);
     }
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = hashOf(key) & mask;
-    while (true) {
-      Slot& slot = slots_[i];
-      if (slot.key == key) {
-        return slot;
-      }
-      if (slot.key == kEmptyKey) {
-        slot.key = key;
-        ++size_;
-        return slot;
-      }
-      i = (i + 1) & mask;
+    if (!pages_[page]) {
+      pages_[page] = std::make_unique<Entry[]>(kPageEntries);
     }
-  }
-
-  /// Backward-shift deletion: keeps probe chains gap-free without
-  /// tombstones, so probe lengths never degrade over a run.
-  void eraseAt(std::size_t hole) {
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = hole;
-    while (true) {
-      i = (i + 1) & mask;
-      const Slot& candidate = slots_[i];
-      if (candidate.key == kEmptyKey) {
-        break;
-      }
-      const std::size_t ideal = hashOf(candidate.key) & mask;
-      // Move the candidate into the hole only if its probe chain spans
-      // the hole (i.e. the hole lies between its ideal slot and it).
-      if (((i - ideal) & mask) >= ((i - hole) & mask)) {
-        slots_[hole] = candidate;
-        hole = i;
-      }
-    }
-    slots_[hole] = Slot{};
-    --size_;
-  }
-
-  void grow() {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.size() * 2, Slot{});
-    const std::size_t mask = slots_.size() - 1;
-    for (const Slot& slot : old) {
-      if (slot.key == kEmptyKey) {
-        continue;
-      }
-      std::size_t i = hashOf(slot.key) & mask;
-      while (slots_[i].key != kEmptyKey) {
-        i = (i + 1) & mask;
-      }
-      slots_[i] = slot;
-    }
+    lastPageIndex_ = page;
+    lastPage_ = pages_[page].get();
   }
 
   int cores_;
-  std::vector<Slot> slots_;
+  int lineShift_;
+  std::vector<std::unique_ptr<Entry[]>> pages_;
+  Addr lastPageIndex_ = kNoPage;
+  Entry* lastPage_ = nullptr;
   std::size_t size_ = 0;
   CoherenceStats stats_;
 };

@@ -5,9 +5,11 @@
 namespace occm::cache {
 
 CacheHierarchy::CacheHierarchy(const topology::TopologyMap& topo)
-    : topo_(topo), directory_(topo.spec().logicalCores()) {
+    : topo_(topo),
+      directory_(topo.spec().logicalCores(),
+                 topo.spec().caches.front().lineSize),
+      lineSize_(topo.spec().caches.front().lineSize) {
   const auto& spec = topo.spec();
-  lineSize_ = spec.caches.front().lineSize;
   levels_.reserve(spec.caches.size());
   for (const auto& levelSpec : spec.caches) {
     Level level;
@@ -57,7 +59,7 @@ void CacheHierarchy::flush() {
       inst.flush();
     }
   }
-  directory_.clear();
+  directory_.dropLines();
 }
 
 }  // namespace occm::cache

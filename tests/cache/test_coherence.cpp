@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <map>
+#include <random>
+#include <vector>
+
 #include "common/error.hpp"
+#include "trace/address_space.hpp"
 
 namespace occm::cache {
 namespace {
@@ -114,6 +121,177 @@ TEST(CoherenceDirectory, ClearResetsEverything) {
   EXPECT_EQ(dir.trackedLines(), 0u);
   EXPECT_EQ(dir.stats().upgrades, 0u);
   EXPECT_FALSE(dir.isInvalidatedFor(0, 0));
+}
+
+TEST(CoherenceDirectory, DropLinesKeepsCounters) {
+  CoherenceDirectory dir(2);
+  (void)dir.onAccess(0, 0, false);
+  (void)dir.onAccess(0, 1, true);
+  dir.dropLines();
+  EXPECT_EQ(dir.trackedLines(), 0u);
+  EXPECT_EQ(dir.ownerOf(0), -1);
+  EXPECT_EQ(dir.stats().upgrades, 1u);
+  EXPECT_EQ(dir.stats().invalidationsSent, 1u);
+}
+
+TEST(CoherenceDirectory, RejectsPrivateAreaLines) {
+  CoherenceDirectory dir(2);
+  EXPECT_THROW((void)dir.onAccess(trace::AddressSpace::kPrivateBase, 0, false),
+               ContractViolation);
+  EXPECT_THROW((void)CoherenceDirectory(2, 48), ContractViolation);
+}
+
+// Reference model: the header's MESI-lite rules over a std::map, one
+// entry per tracked line.
+struct RefLine {
+  std::uint64_t sharers = 0;
+  CoreId owner = -1;
+  bool modified = false;
+};
+
+class ReferenceDirectory {
+ public:
+  CoreId invalidatingOwner(Addr line, CoreId core) const {
+    const auto it = lines_.find(line);
+    if (it == lines_.end()) {
+      return -1;
+    }
+    const RefLine& ref = it->second;
+    const bool holds = ((ref.sharers >> core) & 1) != 0;
+    return ref.owner >= 0 && ref.owner != core && !holds ? ref.owner : -1;
+  }
+
+  CoreId ownerOf(Addr line) const {
+    const auto it = lines_.find(line);
+    return it == lines_.end() ? -1 : it->second.owner;
+  }
+
+  std::uint64_t access(Addr line, CoreId core, bool write) {
+    RefLine& ref = lines_[line];
+    const std::uint64_t bit = std::uint64_t{1} << core;
+    if (!write) {
+      if (ref.modified && ref.owner != core) {
+        ++stats.coherenceMisses;
+        ref.modified = false;
+      }
+      ref.sharers |= bit;
+      return 0;
+    }
+    const std::uint64_t others = ref.sharers & ~bit;
+    if (others != 0) {
+      ++stats.upgrades;
+      stats.invalidationsSent += static_cast<std::uint64_t>(
+          std::popcount(others));
+    }
+    ref = RefLine{bit, core, true};
+    return others;
+  }
+
+  void evict(Addr line, CoreId core) {
+    const auto it = lines_.find(line);
+    if (it == lines_.end()) {
+      return;
+    }
+    it->second.sharers &= ~(std::uint64_t{1} << core);
+    if (it->second.sharers == 0) {
+      lines_.erase(it);
+    }
+  }
+
+  void dropLines() { lines_.clear(); }
+
+  std::size_t size() const { return lines_.size(); }
+  const std::map<Addr, RefLine>& lines() const { return lines_; }
+
+  CoherenceStats stats;
+
+ private:
+  std::map<Addr, RefLine> lines_;
+};
+
+void expectSameStats(const CoherenceStats& got, const CoherenceStats& want) {
+  EXPECT_EQ(got.upgrades, want.upgrades);
+  EXPECT_EQ(got.invalidationsSent, want.invalidationsSent);
+  EXPECT_EQ(got.coherenceMisses, want.coherenceMisses);
+}
+
+TEST(CoherenceDirectory, MatchesReferenceModel) {
+  constexpr Addr kLine = 64;
+  constexpr Addr kPage = 4096;  // directory entries per page
+  // Three line pools: a hot set straddling the page-0/1 boundary (heavy
+  // sharing), a dense range over pages 0..3, and sparse lines past page
+  // 256 whose pages sit far beyond the dense ones.
+  std::vector<Addr> hot;
+  for (Addr n = kPage - 32; n < kPage + 32; ++n) {
+    hot.push_back(n * kLine);
+  }
+  std::vector<Addr> sparse;
+  for (Addr i = 0; i < 256; ++i) {
+    sparse.push_back((256 * kPage + i * 5003) * kLine);
+  }
+
+  for (const int cores : {1, 48, 64}) {
+    SCOPED_TRACE("cores=" + std::to_string(cores));
+    CoherenceDirectory dir(cores);
+    ReferenceDirectory ref;
+    std::mt19937_64 rng(0xC0FFEEu + static_cast<unsigned>(cores));
+    const auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+    Addr previous = 0;
+
+    for (int step = 0; step < 120'000; ++step) {
+      const std::uint64_t pool = pick(10);
+      Addr line = 0;
+      if (pool < 5) {
+        line = hot[pick(hot.size())];
+      } else if (pool < 8) {
+        line = pick(3 * kPage + 100) * kLine;
+      } else {
+        line = sparse[pick(sparse.size())];
+      }
+      const auto core = static_cast<CoreId>(pick(static_cast<unsigned>(cores)));
+      std::uint64_t op = pick(20);
+      if (step == 60'000) {
+        // Mid-run flush: every line is untracked, the counters carry on;
+        // then re-read the previous step's line, whose page was the last
+        // one touched.
+        dir.dropLines();
+        ref.dropLines();
+        line = previous;
+        op = 4;
+      }
+      previous = line;
+
+      if (op < 4) {
+        dir.onEviction(line, core);
+        ref.evict(line, core);
+      } else {
+        const bool write = op >= 11;
+        const CoreId wantOwner = ref.invalidatingOwner(line, core);
+        ASSERT_EQ(dir.invalidatingOwner(line, core), wantOwner)
+            << "step " << step;
+        const auto handle = dir.beginAccess(line, core);
+        ASSERT_EQ(handle.invalidatingOwner, wantOwner) << "step " << step;
+        ASSERT_EQ(dir.commitAccess(handle, core, write),
+                  ref.access(line, core, write))
+            << "step " << step;
+      }
+      ASSERT_EQ(dir.trackedLines(), ref.size()) << "step " << step;
+      ASSERT_EQ(dir.ownerOf(line), ref.ownerOf(line)) << "step " << step;
+    }
+
+    expectSameStats(dir.stats(), ref.stats);
+    if (cores > 1) {
+      // The mix must actually exercise invalidations and coherence misses.
+      EXPECT_GT(ref.stats.upgrades, 1000u);
+      EXPECT_GT(ref.stats.coherenceMisses, 1000u);
+    }
+    for (const auto& [line, state] : ref.lines()) {
+      for (CoreId core = 0; core < cores; ++core) {
+        ASSERT_EQ(dir.isInvalidatedFor(line, core),
+                  ref.invalidatingOwner(line, core) >= 0);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -106,6 +106,25 @@ TEST_F(HierarchyTest, FlushDropsContentKeepsNothingCached) {
   EXPECT_TRUE(res.offChip);
 }
 
+TEST_F(HierarchyTest, FlushKeepsCoherenceCounters) {
+  (void)hierarchy_.access(2, 0, false);
+  (void)hierarchy_.access(0, 0, true);   // upgrade: invalidates core 2
+  (void)hierarchy_.access(2, 0, false);  // coherence miss
+  const CoherenceStats before = hierarchy_.coherenceStats();
+  ASSERT_EQ(before.upgrades, 1u);
+  ASSERT_EQ(before.coherenceMisses, 1u);
+  hierarchy_.flush();
+  EXPECT_EQ(hierarchy_.coherenceStats().upgrades, before.upgrades);
+  EXPECT_EQ(hierarchy_.coherenceStats().invalidationsSent,
+            before.invalidationsSent);
+  EXPECT_EQ(hierarchy_.coherenceStats().coherenceMisses,
+            before.coherenceMisses);
+  // The directory state is gone: a remote write after the flush finds no
+  // sharer to invalidate.
+  (void)hierarchy_.access(0, 0, true);
+  EXPECT_EQ(hierarchy_.coherenceStats().upgrades, before.upgrades);
+}
+
 TEST_F(HierarchyTest, StatsPerInstanceAccessible) {
   (void)hierarchy_.access(0, 0, false);
   EXPECT_EQ(hierarchy_.stats(1, 0).accesses, 1u);

@@ -38,6 +38,9 @@ struct GoldenPoint {
   std::string topology;  ///< preset name, as recorded in the corpus
   bool faults = false;   ///< run under the standard fault plan
   int poolSize = 1;
+  /// Active-core counts swept. Not part of the label: every
+  /// (workload, topology, faults, pool) appears once in the grid.
+  std::vector<int> coreCounts = {1, 2, 4};
 
   [[nodiscard]] std::string workloadName() const {
     return workloads::workloadName(program, problemClass);
@@ -73,6 +76,15 @@ inline topology::MachineSpec goldenPreset(const std::string& name) {
   if (name == "testNuma4") {
     return topology::testNuma4();
   }
+  if (name == "intelUma8") {
+    return topology::intelUma8();
+  }
+  if (name == "intelNuma24") {
+    return topology::intelNuma24();
+  }
+  if (name == "amdNuma48") {
+    return topology::amdNuma48();
+  }
   throw ContractViolation("unknown golden topology preset: " + name);
 }
 
@@ -92,7 +104,11 @@ inline fault::FaultPlan goldenFaultPlan() {
 /// The grid: fast workloads crossed with both test machines, ±faults,
 /// serial and pool-of-2 execution. CG.S (the slowest cell by an order of
 /// magnitude) runs fault-free only, keeping the full corpus replayable
-/// in tier-1 and sanitizer legs.
+/// in tier-1 and sanitizer legs. Serial, fault-free points on the
+/// paper's three machines follow, at one, half and all of their cores:
+/// their shared areas and sharer sets are large enough to exercise the
+/// coherence directory the way perfbench's sweeps do (CG.W's spans more
+/// than one directory page).
 inline std::vector<GoldenPoint> goldenGrid() {
   std::vector<GoldenPoint> grid;
   const std::vector<std::pair<workloads::Program, workloads::ProblemClass>>
@@ -116,6 +132,22 @@ inline std::vector<GoldenPoint> goldenGrid() {
            /*faults=*/false, pool});
     }
   }
+  using workloads::Program;
+  using workloads::ProblemClass;
+  const std::vector<int> numa24Cores = {1, 12, 24};
+  const std::vector<int> amd48Cores = {1, 24, 48};
+  grid.push_back({Program::kCG, ProblemClass::kS, "intelNuma24", false, 1,
+                  numa24Cores});
+  grid.push_back({Program::kSP, ProblemClass::kS, "intelNuma24", false, 1,
+                  numa24Cores});
+  grid.push_back({Program::kCG, ProblemClass::kS, "amdNuma48", false, 1,
+                  amd48Cores});
+  grid.push_back({Program::kSP, ProblemClass::kS, "amdNuma48", false, 1,
+                  amd48Cores});
+  grid.push_back({Program::kCG, ProblemClass::kS, "intelUma8", false, 1,
+                  {1, 4, 8}});
+  grid.push_back({Program::kCG, ProblemClass::kW, "intelNuma24", false, 1,
+                  numa24Cores});
   return grid;
 }
 
@@ -126,7 +158,7 @@ inline GoldenRecord replayGoldenPoint(const GoldenPoint& point) {
   config.machine = goldenPreset(point.topology);
   config.workload.program = point.program;
   config.workload.problemClass = point.problemClass;
-  config.coreCounts = {1, 2, 4};
+  config.coreCounts = point.coreCounts;
   config.parallel.workers = point.poolSize;
   if (point.faults) {
     config.sim.faultPlan = goldenFaultPlan();
