@@ -1,9 +1,8 @@
-// Fuzzes the isolation-mode wire format end to end: decodeFrame on
-// arbitrary bytes (must yield a payload or a typed IpcError, never crash)
-// and decodeChildMessage on the same bytes. Successful decodes are pinned
-// to canonical form: a frame that decodes must be exactly what
-// encodeFrame(payload) produces, and a message that decodes must be a
-// re-encode fixed point.
+// Fuzzes the isolation-mode result message: decodeChildMessage on
+// arbitrary bytes must yield a message or a typed IpcError, never crash,
+// and a message that decodes must be a re-encode fixed point. The frame
+// around it is read by FrameReassembler, which fuzz_wire_message drives
+// with arbitrary chunking.
 
 #include <cstdint>
 #include <cstdlib>
@@ -16,17 +15,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   using namespace occm::exec;
   const std::string_view bytes(reinterpret_cast<const char*>(data), size);
-
-  const auto frame = decodeFrame(bytes);
-  if (frame.hasValue()) {
-    // decodeFrame rejects trailing bytes, so acceptance means the input
-    // is the one canonical encoding of its payload.
-    if (encodeFrame(frame.value()) != bytes) {
-      std::abort();
-    }
-  } else {
-    (void)frame.error().message();
-  }
 
   const auto message = decodeChildMessage(bytes);
   if (message.hasValue()) {

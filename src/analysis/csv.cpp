@@ -1,9 +1,6 @@
 #include "analysis/csv.hpp"
 
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 
 #include "common/error.hpp"
@@ -148,125 +145,6 @@ std::string poolStatsToCsv(const exec::ThreadPoolStats& stats) {
     out += csvRow({scope, "queue_wait_ns", std::to_string(w.queueWaitNs)});
   }
   return out;
-}
-
-namespace {
-
-/// Splits one CSV line on bare commas. sweepToCsv never quotes (every
-/// cell is numeric), so a quote here is a deviation the caller rejects.
-std::vector<std::string> splitCsvLine(const std::string& line) {
-  std::vector<std::string> cells;
-  std::string cell;
-  for (char c : line) {
-    if (c == ',') {
-      cells.push_back(cell);
-      cell.clear();
-    } else {
-      cell += c;
-    }
-  }
-  cells.push_back(cell);
-  return cells;
-}
-
-bool parseCsvDouble(const std::string& cell, double* out) {
-  if (cell.empty()) {
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(cell.c_str(), &end);
-  if (end != cell.c_str() + cell.size() || errno == ERANGE ||
-      !std::isfinite(value)) {
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
-Unexpected<CsvError> csvFail(std::size_t line, std::string detail) {
-  CsvError err;
-  err.line = line;
-  err.detail = std::move(detail);
-  return makeUnexpected(std::move(err));
-}
-
-}  // namespace
-
-std::string CsvError::message() const {
-  std::string out = "corrupt sweep csv at line ";
-  out += std::to_string(line);
-  if (!detail.empty()) {
-    out += ": ";
-    out += detail;
-  }
-  return out;
-}
-
-Expected<std::vector<SweepCsvRow>, CsvError> parseSweepCsv(
-    const std::string& text) {
-  static const std::string kHeader =
-      "cores,total_cycles,stall_cycles,work_cycles,llc_misses,"
-      "coherence_misses,writebacks,makespan,omega";
-  std::vector<SweepCsvRow> rows;
-  std::size_t lineNo = 0;
-  std::size_t pos = 0;
-  bool sawHeader = false;
-  while (pos <= text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    const std::string line = text.substr(
-        pos, eol == std::string::npos ? std::string::npos : eol - pos);
-    pos = eol == std::string::npos ? text.size() + 1 : eol + 1;
-    ++lineNo;
-    if (line.empty()) {
-      if (pos <= text.size()) {
-        // Interior blank line: the emitter never produces one.
-        return csvFail(lineNo, "blank line inside the table");
-      }
-      continue;  // trailing newline at end of file
-    }
-    if (!sawHeader) {
-      if (line != kHeader) {
-        return csvFail(lineNo, "header mismatch (expected \"" + kHeader +
-                                   "\", got \"" + line + "\")");
-      }
-      sawHeader = true;
-      continue;
-    }
-    const std::vector<std::string> cells = splitCsvLine(line);
-    if (cells.size() != 9) {
-      return csvFail(lineNo, "expected 9 fields, got " +
-                                 std::to_string(cells.size()));
-    }
-    SweepCsvRow row;
-    double cores = 0.0;
-    if (!parseCsvDouble(cells[0], &cores) || cores < 1.0 ||
-        cores != std::floor(cores) || cores > 1.0e6) {
-      return csvFail(lineNo, "cores is not a positive integer: \"" +
-                                 cells[0] + "\"");
-    }
-    row.cores = static_cast<int>(cores);
-    double* const fields[] = {&row.totalCycles, &row.stallCycles,
-                              &row.workCycles, &row.llcMisses,
-                              &row.coherenceMisses, &row.writebacks,
-                              &row.makespan, &row.omega};
-    static const char* const names[] = {"total_cycles", "stall_cycles",
-                                        "work_cycles", "llc_misses",
-                                        "coherence_misses", "writebacks",
-                                        "makespan", "omega"};
-    for (std::size_t i = 0; i < 8; ++i) {
-      if (!parseCsvDouble(cells[i + 1], fields[i]) || *fields[i] < 0.0) {
-        return csvFail(lineNo, std::string(names[i]) +
-                                   " is not a finite non-negative number: \"" +
-                                   cells[i + 1] + "\"");
-      }
-    }
-    rows.push_back(row);
-  }
-  if (!sawHeader) {
-    return csvFail(1, "missing header row");
-  }
-  return rows;
 }
 
 void writeFile(const std::string& path, const std::string& contents) {

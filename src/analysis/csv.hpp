@@ -2,14 +2,12 @@
 
 // CSV export of sweep results and figure data, so the bench harnesses'
 // tables can be re-plotted (gnuplot/matplotlib) without re-running the
-// experiments — plus a hardened loader for the sweep table, so exported
-// results can be re-ingested (diffed, re-fit) without trusting the bytes.
+// experiments.
 
 #include <string>
 #include <vector>
 
 #include "analysis/experiment.hpp"
-#include "common/expected.hpp"
 #include "core/burstiness.hpp"
 #include "core/contention_model.hpp"
 #include "obs/metric_registry.hpp"
@@ -49,35 +47,6 @@ namespace occm::analysis {
 /// sweep ran serially or the observability layer is compiled out. Values
 /// are host-time: do not fingerprint them.
 [[nodiscard]] std::string poolStatsToCsv(const exec::ThreadPoolStats& stats);
-
-/// Why a sweep CSV could not be re-ingested.
-struct CsvError {
-  std::size_t line = 0;  ///< 1-based line of the first deviation
-  std::string detail;
-
-  /// "corrupt sweep csv at line 3: expected 9 fields, got 7"
-  [[nodiscard]] std::string message() const;
-};
-
-/// One re-ingested sweepToCsv row.
-struct SweepCsvRow {
-  int cores = 0;
-  double totalCycles = 0.0;
-  double stallCycles = 0.0;
-  double workCycles = 0.0;
-  double llcMisses = 0.0;
-  double coherenceMisses = 0.0;
-  double writebacks = 0.0;
-  double makespan = 0.0;
-  double omega = 0.0;
-};
-
-/// Parses what sweepToCsv produced. Validates shape strictly — exact
-/// header, exact column count, numeric fields, cores >= 1, finite
-/// non-negative cycle counts — and returns a typed CsvError naming the
-/// first bad line; never throws or crashes on arbitrary bytes.
-[[nodiscard]] Expected<std::vector<SweepCsvRow>, CsvError> parseSweepCsv(
-    const std::string& text);
 
 /// Writes text to a file; throws ContractViolation on I/O failure.
 void writeFile(const std::string& path, const std::string& contents);

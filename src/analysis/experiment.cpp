@@ -18,7 +18,6 @@
 #include "analysis/distributed_sweep.hpp"
 #include "common/cancellation.hpp"
 #include "common/error.hpp"
-#include "exec/process_runner.hpp"
 #include "exec/thread_pool.hpp"
 
 namespace occm::analysis {
@@ -372,7 +371,7 @@ std::string SweepResult::diagnostics() const {
     out << "\n  distributed: " << dist.workersSeen << " worker(s), "
         << dist.fleetCompleted << " task(s) via fleet";
     if (dist.leases.leasesExpired > 0) {
-      out << ", " << dist.leases.leasesExpired << " lease expirie(s)";
+      out << ", " << dist.leases.leasesExpired << " lease(s) expired";
     }
     if (dist.leases.redispatches > 0) {
       out << ", " << dist.leases.redispatches << " re-dispatch(es)";
@@ -444,9 +443,6 @@ SweepResult runSweep(const SweepConfig& config) {
   OCCM_REQUIRE_MSG(
       workloads::classValidFor(spec.program, spec.problemClass),
       "problem class not valid for this program");
-  OCCM_REQUIRE_MSG(!config.isolation.enabled ||
-                       exec::processIsolationSupported(),
-                   "process isolation is not supported on this platform");
   // An injected crash executed in-process would take down the harness
   // itself — exactly what isolation exists to contain.
   OCCM_REQUIRE_MSG(!config.sim.faultPlan.hasCrash() ||

@@ -1,5 +1,8 @@
 #include "analysis/sweep_state.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -7,13 +10,9 @@
 #include <fstream>
 #include <sstream>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#endif
-
 #include "common/crc32.hpp"
 #include "common/json_reader.hpp"
+#include "exec/frame_transport.hpp"
 
 namespace occm::analysis {
 
@@ -465,7 +464,6 @@ std::optional<SweepCheckpoint> SweepCheckpoint::parse(
 bool SweepCheckpoint::save(const std::string& path) const {
   const std::string tmp = path + ".tmp";
   const std::string body = toJson();
-#if defined(__unix__) || defined(__APPLE__)
   // Durable variant of write-temp-then-rename: fsync the temp file before
   // the rename (so the rename can never expose a hole) and fsync the
   // containing directory after it (the rename itself lives in directory
@@ -475,19 +473,10 @@ bool SweepCheckpoint::save(const std::string& path) const {
   if (fd < 0) {
     return false;
   }
-  std::size_t written = 0;
-  while (written < body.size()) {
-    const ssize_t n =
-        ::write(fd, body.data() + written, body.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      ::close(fd);
-      std::remove(tmp.c_str());
-      return false;
-    }
-    written += static_cast<std::size_t>(n);
+  if (!exec::sendAllBytes(fd, body, /*isSocket=*/false)) {
+    ::close(fd);
+    std::remove(tmp.c_str());
+    return false;
   }
   if (::fsync(fd) != 0 || ::close(fd) != 0) {
     std::remove(tmp.c_str());
@@ -508,24 +497,6 @@ bool SweepCheckpoint::save(const std::string& path) const {
     ::close(dirFd);
   }
   return true;
-#else
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      return false;
-    }
-    out << body;
-    out.flush();
-    if (!out) {
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-#endif
 }
 
 Expected<SweepCheckpoint, CheckpointError> SweepCheckpoint::loadChecked(

@@ -171,6 +171,19 @@ WorkerReport runWorker(const WorkerOptions& options,
   std::uint64_t sessionIndex = 0;
   auto lastFrameAt = std::chrono::steady_clock::now();
 
+  // Drops the session and either backs off before reconnecting or, once
+  // the attempt budget is spent, gives up; true means give up.
+  auto loseSession = [&](const std::string& why) {
+    transport.reset();
+    if (++connectFailures >= options.maxConnectAttempts) {
+      report.stopReason =
+          "connection lost" + (why.empty() ? "" : ": " + why);
+      return true;
+    }
+    sleepMs(reconnect.delay(connectFailures - 1), options.cancel);
+    return false;
+  };
+
   for (;;) {
     if (options.cancel.valid() && options.cancel.stopRequested()) {
       report.stopReason = "cancelled";
@@ -230,7 +243,7 @@ WorkerReport runWorker(const WorkerOptions& options,
     const FrameTransport::RecvStatus status =
         transport->recvFrame(payload, 50);
     switch (status) {
-      case FrameTransport::RecvStatus::kTimeout: {
+      case FrameTransport::RecvStatus::kTimeout:
         // Idle guard: the coordinator pings every heartbeat interval, so
         // a session with *nothing* inbound for the whole idle window is
         // an asymmetric partition (our reads blocked, its view of us
@@ -238,29 +251,18 @@ WorkerReport runWorker(const WorkerOptions& options,
         // forever on a connection only we believe in.
         if (options.idleTimeoutMs != 0 &&
             std::chrono::steady_clock::now() - lastFrameAt >=
-                std::chrono::milliseconds(options.idleTimeoutMs)) {
-          transport.reset();
-          if (++connectFailures >= options.maxConnectAttempts) {
-            report.stopReason = "connection lost: idle timeout";
-            return report;
-          }
-          sleepMs(reconnect.delay(connectFailures - 1), options.cancel);
-        }
-        continue;  // poll cancellation / finished results again
-      }
-      case FrameTransport::RecvStatus::kClosed:
-      case FrameTransport::RecvStatus::kCorrupt:
-      case FrameTransport::RecvStatus::kError: {
-        const std::string why = transport->lastError();
-        transport.reset();
-        if (++connectFailures >= options.maxConnectAttempts) {
-          report.stopReason =
-              "connection lost" + (why.empty() ? "" : ": " + why);
+                std::chrono::milliseconds(options.idleTimeoutMs) &&
+            loseSession("idle timeout")) {
           return report;
         }
-        sleepMs(reconnect.delay(connectFailures - 1), options.cancel);
+        continue;  // poll cancellation / finished results again
+      case FrameTransport::RecvStatus::kClosed:
+      case FrameTransport::RecvStatus::kCorrupt:
+      case FrameTransport::RecvStatus::kError:
+        if (loseSession(transport->lastError())) {
+          return report;
+        }
         continue;
-      }
       case FrameTransport::RecvStatus::kFrame:
         lastFrameAt = std::chrono::steady_clock::now();
         break;
@@ -268,8 +270,11 @@ WorkerReport runWorker(const WorkerOptions& options,
 
     auto message = decodeMessage(payload);
     if (!message) {
-      // A coordinator speaking garbage is as gone as a dead one.
-      transport.reset();
+      // A coordinator speaking garbage is as gone as a dead one: the
+      // same backoff and attempt budget as a corrupt frame.
+      if (loseSession(message.error().message())) {
+        return report;
+      }
       continue;
     }
     switch (message->kind) {

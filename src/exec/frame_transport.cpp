@@ -287,11 +287,13 @@ Expected<int, std::string> connectTcp(const std::string& host, int port,
     }
     int soError = 0;
     socklen_t len = sizeof soError;
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &soError, &len) < 0 ||
-        soError != 0) {
+    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &soError, &len) < 0) {
+      soError = errno;
+    }
+    if (soError != 0) {
       ::close(fd);
-      return makeUnexpected("connect failed: " +
-                            std::string(std::strerror(soError)));
+      errno = soError;  // same "connect: <reason>" as a synchronous failure
+      return makeUnexpected(errnoString("connect"));
     }
   }
   ::fcntl(fd, F_SETFL, flags);

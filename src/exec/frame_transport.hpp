@@ -1,13 +1,13 @@
 #pragma once
 
-// Generalizes exec/ipc's length-prefixed CRC-32 frame codec from "one
-// frame, read to EOF on a pipe" to byte streams: a FrameReassembler that
-// accepts arbitrary chunks (sockets fragment and coalesce at will) and
-// yields complete validated payloads, plus a FrameTransport abstraction
-// with pipe and socket implementations for blocking framed message
-// exchange with deadlines.
+// The one reader and writer of exec/ipc's length-prefixed CRC-32 frames:
+// a FrameReassembler that accepts arbitrary chunks (sockets and pipes
+// fragment and coalesce at will) and yields complete validated payloads,
+// plus a FrameTransport abstraction with pipe and socket implementations
+// for blocking framed message exchange with deadlines. The fleet, the
+// advisor server and the isolation result pipe all frame through here.
 //
-// Robustness contract, same spirit as the pipe decoder:
+// Robustness contract:
 //  - Every header field is validated before its payload is buffered; a
 //    declared length above the max-frame guard is rejected immediately
 //    (no allocation proportional to attacker-controlled bytes).
@@ -165,7 +165,10 @@ class FdFrameTransport final : public FrameTransport {
 [[nodiscard]] bool sendAllBytes(int fd, std::string_view bytes, bool isSocket,
                                 int unwritableTimeoutMs = 5'000);
 
-/// Pipe-based transport (the isolation supervisor's shape).
+/// Pipe-based transport: exec::runInChild's child sends its one result
+/// frame through makePipeTransport(-1, resultFd) and the supervisor reads
+/// it through makePipeTransport(resultReadFd, -1). Pass -1 for an unused
+/// direction.
 [[nodiscard]] std::unique_ptr<FrameTransport> makePipeTransport(int readFd,
                                                                 int writeFd);
 /// Socket-based transport (one duplex fd).

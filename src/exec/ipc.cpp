@@ -1,7 +1,5 @@
 #include "exec/ipc.hpp"
 
-#include <cstring>
-
 #include "common/crc32.hpp"
 #include "exec/wire_codec.hpp"
 
@@ -90,44 +88,6 @@ std::string encodeFrame(std::string_view payload) {
   out.append(payload.data(), payload.size());
   putU32(out, crc32(payload));
   return out;
-}
-
-Expected<std::string, IpcError> decodeFrame(std::string_view bytes) {
-  auto fail = [](std::size_t offset, std::string detail, bool truncated) {
-    IpcError err;
-    err.byteOffset = offset;
-    err.detail = std::move(detail);
-    err.truncated = truncated;
-    return makeUnexpected(std::move(err));
-  };
-  if (bytes.size() < kFrameOverhead) {
-    return fail(bytes.size(),
-                "frame shorter than its fixed overhead (" +
-                    std::to_string(kFrameOverhead) + " bytes)",
-                true);
-  }
-  if (std::memcmp(bytes.data(), kFrameMagic, sizeof kFrameMagic) != 0) {
-    return fail(0, "bad frame magic", false);
-  }
-  Reader header(bytes.substr(4, 4));
-  const std::uint32_t length = header.u32();
-  if (bytes.size() != kFrameOverhead + length) {
-    const bool truncated = bytes.size() < kFrameOverhead + length;
-    return fail(4,
-                "frame length field says " + std::to_string(length) +
-                    " payload bytes but " +
-                    std::to_string(bytes.size() - kFrameOverhead) +
-                    " are present",
-                truncated);
-  }
-  const std::string_view payload = bytes.substr(8, length);
-  Reader trailer(bytes.substr(8 + length, 4));
-  const std::uint32_t storedCrc = trailer.u32();
-  const std::uint32_t computed = crc32(payload);
-  if (storedCrc != computed) {
-    return fail(8 + length, "payload crc mismatch", false);
-  }
-  return std::string(payload);
 }
 
 }  // namespace occm::exec

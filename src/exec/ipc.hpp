@@ -1,17 +1,22 @@
 #pragma once
 
-// Pipe IPC between an isolated sweep child and its supervisor: one
-// length-prefixed, CRC-checked binary frame carrying the attempt's result
-// (the full perf::RunProfile on success, or the typed failure the child
-// caught). The encoding is fixed-width little-endian, so a frame produced
-// by the forked child is decoded bit-exactly by the parent — the
-// foundation of the isolation mode's "successful runs are bit-identical
-// to in-process runs" guarantee (DESIGN.md §11).
+// The frame and the isolation message shared by every framed channel in
+// the repo. A frame is magic, u32 payload length, payload, u32 CRC-32 of
+// the payload; encodeFrame builds one, and the one reader of frames is
+// exec/frame_transport's FrameReassembler, which validates magic, length
+// cap and CRC for pipes and sockets alike. The fixed-width little-endian
+// encoding means bytes produced by a forked child or a remote worker
+// decode bit-exactly — the foundation of the isolation mode's
+// "successful runs are bit-identical to in-process runs" guarantee
+// (DESIGN.md §11).
 //
-// The decoder is hardened against arbitrary bytes: every read is
-// bounds-checked, counts and string lengths are capped, and any deviation
-// produces a typed IpcError naming the byte offset — never a throw, never
-// UB. fuzz/fuzz_ipc_frame.cpp drives it with libFuzzer.
+// ChildMessage is what an isolated sweep child reports to its supervisor
+// over the result pipe: the full perf::RunProfile on success, or the
+// typed failure the child caught. Its decoder is hardened against
+// arbitrary bytes: every read is bounds-checked, counts and string
+// lengths are capped, and any deviation produces a typed IpcError naming
+// the byte offset — never a throw, never UB. fuzz/fuzz_ipc_frame.cpp
+// drives it with libFuzzer.
 //
 // Not serialized: RunProfile::trace (the observability payload). A child
 // ships counters, per-core sets, controller stats, miss windows and fault
@@ -27,17 +32,18 @@
 
 namespace occm::exec {
 
-/// Wire-frame geometry, shared with the streaming reassembler in
-/// exec/frame_transport (sockets deliver frames in arbitrary chunks, so
+/// Wire-frame geometry, read by the streaming reassembler in
+/// exec/frame_transport (streams deliver frames in arbitrary chunks, so
 /// the header must be parseable before the payload arrives).
 inline constexpr char kFrameMagic[4] = {'O', 'C', 'F', '1'};
 inline constexpr std::size_t kFrameHeaderSize = 8;   ///< magic + u32 length
 inline constexpr std::size_t kFrameTrailerSize = 4;  ///< u32 payload CRC
 inline constexpr std::size_t kFrameOverhead =
     kFrameHeaderSize + kFrameTrailerSize;
-/// Max payload a peer may declare. Anything larger is rejected before a
-/// single payload byte is buffered — a corrupt or hostile length field
-/// must never drive a multi-gigabyte allocation.
+/// Max payload a peer may declare, on every channel: fleet messages,
+/// advisor messages and the isolation result pipe. Anything larger is
+/// rejected before a single payload byte is buffered — a corrupt or
+/// hostile length field must never drive a multi-gigabyte allocation.
 inline constexpr std::uint32_t kMaxFramePayload = 1U << 24;
 
 /// Typed diagnosis of bytes that are not a valid frame or message.
@@ -78,11 +84,5 @@ struct ChildMessage {
 /// Wraps a payload in the wire frame: magic, u32 length, payload bytes,
 /// u32 CRC-32 of the payload.
 [[nodiscard]] std::string encodeFrame(std::string_view payload);
-
-/// Validates and strips the frame around exactly one payload (the
-/// supervisor reads the pipe to EOF first, so trailing bytes are an
-/// error). Checks magic, length and CRC.
-[[nodiscard]] Expected<std::string, IpcError> decodeFrame(
-    std::string_view bytes);
 
 }  // namespace occm::exec

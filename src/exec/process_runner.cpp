@@ -1,42 +1,27 @@
 #include "exec/process_runner.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define OCCM_HAS_FORK 1
-#else
-#define OCCM_HAS_FORK 0
-#endif
-
-#if OCCM_HAS_FORK
 #include <poll.h>
 #include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <thread>
 
 #include "common/error.hpp"
+#include "exec/frame_transport.hpp"
 #include "exec/ipc.hpp"
 #include "fault/crash_injection.hpp"
 
 namespace occm::exec {
 
-bool processIsolationSupported() noexcept { return OCCM_HAS_FORK != 0; }
-
-#if OCCM_HAS_FORK
-
 namespace {
-
-/// Hard cap on the bytes the supervisor will buffer from the result pipe:
-/// a real profile is kilobytes; anything past this is a protocol
-/// violation, not a result.
-constexpr std::size_t kMaxResultBytes = std::size_t{64} << 20;
 
 /// Supervisor poll cadence while the child runs. Bounds how stale the
 /// cancellation token can get before the SIGKILL lands.
@@ -71,22 +56,6 @@ void applyLimit(int resource, std::uint64_t value) {
   ::setrlimit(resource, &limit);
 }
 
-bool writeAll(int fd, const std::string& bytes) {
-  std::size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n =
-        ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 /// Child side: apply limits, run the work, frame the outcome, _exit.
 /// Never returns to the caller's stack; _exit (not exit) skips atexit
 /// handlers and parent-inherited stdio flushes.
@@ -114,9 +83,9 @@ bool writeAll(int fd, const std::string& bytes) {
     message.kind = ChildMessage::Kind::kException;
     message.error = "unknown exception escaped the isolated run";
   }
-  const std::string frame = encodeFrame(encodeChildMessage(message));
-  writeAll(resultFd, frame);
-  ::close(resultFd);
+  // A failed send needs no handling here: the supervisor sees no frame
+  // and reports the clean exit as a crash. The transport closes resultFd.
+  makePipeTransport(-1, resultFd)->sendFrame(encodeChildMessage(message));
   ::_exit(0);
 }
 
@@ -192,12 +161,13 @@ ChildOutcome runInChild(const std::function<perf::RunProfile()>& work,
   ::close(resultPipe[1]);
   ::close(errPipe[1]);
 
-  std::string resultBytes;
+  std::unique_ptr<FrameTransport> result = makePipeTransport(resultPipe[0], -1);
+  std::string payload;
+  std::string frameError;  // first diagnosis; later ones are fallout
+  int frames = 0;
+  std::size_t partialAtEof = 0;
   std::string tail;
-  bool resultOverflow = false;
   bool killedByUs = false;
-  bool resultOpen = true;
-  bool errOpen = true;
 
   auto killChild = [&] {
     if (!killedByUs) {
@@ -206,68 +176,67 @@ ChildOutcome runInChild(const std::function<perf::RunProfile()>& work,
     }
   };
 
+  // Slot 0 is the result pipe, slot 1 stderr; poll(2) skips a slot whose
+  // fd is set to -1 once that pipe hits EOF.
+  struct pollfd fds[2] = {{resultPipe[0], POLLIN, 0}, {errPipe[0], POLLIN, 0}};
   char buffer[4096];
-  while (resultOpen || errOpen) {
+  while (fds[0].fd >= 0 || fds[1].fd >= 0) {
     if (config.cancel.stopRequested()) {
       killChild();
     }
-    struct pollfd fds[2];
-    nfds_t count = 0;
-    int resultIndex = -1;
-    int errIndex = -1;
-    if (resultOpen) {
-      fds[count].fd = resultPipe[0];
-      fds[count].events = POLLIN;
-      fds[count].revents = 0;
-      resultIndex = static_cast<int>(count++);
-    }
-    if (errOpen) {
-      fds[count].fd = errPipe[0];
-      fds[count].events = POLLIN;
-      fds[count].revents = 0;
-      errIndex = static_cast<int>(count++);
-    }
-    const int ready = ::poll(fds, count, kPollMillis);
+    const int ready = ::poll(fds, 2, kPollMillis);
     if (ready < 0) {
       if (errno == EINTR) {
         continue;
       }
       break;
     }
-    if (ready == 0) {
-      continue;
-    }
-    auto drain = [&](int index, bool* open, bool isResult) {
-      if (index < 0 ||
-          (fds[index].revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
-        return;
-      }
-      const int fd = fds[index].fd;
-      const ssize_t n = ::read(fd, buffer, sizeof buffer);
-      if (n > 0) {
-        const auto got = static_cast<std::size_t>(n);
-        if (isResult) {
-          if (resultBytes.size() + got > kMaxResultBytes) {
-            resultOverflow = true;
-          } else {
-            resultBytes.append(buffer, got);
-          }
-        } else {
-          tail.append(buffer, got);
-          if (tail.size() > config.stderrTailBytes) {
-            tail.erase(0, tail.size() - config.stderrTailBytes);
-          }
+    if (fds[0].revents != 0) {
+      // Drain everything readable. A corrupt stream is still read to EOF
+      // (the reassembler discards it), so a child blocked mid-write can
+      // always finish and exit.
+      for (;;) {
+        if (config.cancel.stopRequested()) {
+          killChild();  // a child flooding the pipe still gets killed
         }
-        return;
+        std::string frame;
+        const FrameTransport::RecvStatus status = result->recvFrame(frame, 0);
+        if (status == FrameTransport::RecvStatus::kTimeout) {
+          break;
+        }
+        if (status == FrameTransport::RecvStatus::kFrame) {
+          if (++frames == 1) {
+            payload = std::move(frame);
+          }
+          continue;
+        }
+        if (status == FrameTransport::RecvStatus::kClosed) {
+          partialAtEof = result->partialBytes();
+          fds[0].fd = -1;
+          break;
+        }
+        if (frameError.empty()) {
+          frameError = result->lastError();
+        }
+        if (status == FrameTransport::RecvStatus::kError) {
+          fds[0].fd = -1;
+          break;
+        }
       }
-      if (n == 0 || errno != EINTR) {
-        *open = false;
+    }
+    if (fds[1].revents != 0) {
+      const ssize_t n = ::read(fds[1].fd, buffer, sizeof buffer);
+      if (n > 0) {
+        tail.append(buffer, static_cast<std::size_t>(n));
+        if (tail.size() > config.stderrTailBytes) {
+          tail.erase(0, tail.size() - config.stderrTailBytes);
+        }
+      } else if (n == 0 || errno != EINTR) {
+        fds[1].fd = -1;
       }
-    };
-    drain(resultIndex, &resultOpen, /*isResult=*/true);
-    drain(errIndex, &errOpen, /*isResult=*/false);
+    }
   }
-  ::close(resultPipe[0]);
+  result.reset();
   ::close(errPipe[0]);
 
   // Both pipes are at EOF, so the child is exiting (or already dead);
@@ -295,17 +264,26 @@ ChildOutcome runInChild(const std::function<perf::RunProfile()>& work,
   const int exitCode = exited ? WEXITSTATUS(status) : -1;
   const int deathSignal = signalled ? WTERMSIG(status) : 0;
 
-  if (exited && exitCode == 0 && !resultOverflow) {
-    // Clean exit: the frame is authoritative.
-    auto payload = decodeFrame(resultBytes);
-    if (!payload) {
+  if (exited && exitCode == 0) {
+    // Clean exit: exactly one valid frame and nothing after it is
+    // authoritative; anything else is a child lying about success.
+    if (frameError.empty() && frames != 1) {
+      frameError = frames == 0 ? "no result frame before EOF"
+                               : std::to_string(frames) +
+                                     " result frames where one is expected";
+    }
+    if (frameError.empty() && partialAtEof != 0) {
+      frameError = std::to_string(partialAtEof) +
+                   " byte(s) after the result frame";
+    }
+    if (!frameError.empty()) {
       outcome.status = ChildStatus::kCrash;
       outcome.exitCode = exitCode;
       outcome.error = "child exited cleanly but its result frame is "
-                      "invalid: " + payload.error().message();
+                      "invalid: " + frameError;
       return outcome;
     }
-    auto message = decodeChildMessage(*payload);
+    auto message = decodeChildMessage(payload);
     if (!message) {
       outcome.status = ChildStatus::kCrash;
       outcome.exitCode = exitCode;
@@ -353,10 +331,7 @@ ChildOutcome runInChild(const std::function<perf::RunProfile()>& work,
              std::string::npos) {
     outcome.rlimit = "address-space";
   }
-  if (resultOverflow) {
-    outcome.error = "child flooded the result pipe past " +
-                    std::to_string(kMaxResultBytes) + " bytes";
-  } else if (signalled) {
+  if (signalled) {
     outcome.error = "child terminated by signal " +
                     std::to_string(deathSignal) + " (" +
                     signalName(deathSignal) + ")";
@@ -369,15 +344,5 @@ ChildOutcome runInChild(const std::function<perf::RunProfile()>& work,
   }
   return outcome;
 }
-
-#else  // !OCCM_HAS_FORK
-
-ChildOutcome runInChild(const std::function<perf::RunProfile()>& /*work*/,
-                        const ProcessRunnerConfig& /*config*/) {
-  throw ContractViolation(
-      "process isolation (fork) is not supported on this platform");
-}
-
-#endif
 
 }  // namespace occm::exec

@@ -1,11 +1,12 @@
 #pragma once
 
 // Process isolation for one unit of work: fork a child, run the work
-// function there under optional resource limits, stream the result back
-// over a length-prefixed pipe frame (exec/ipc), and decode whatever
-// happened — a clean result, a caught exception, a cooperative abort, or
-// a hard death (signal, rlimit, nonzero exit) — into a structured
-// ChildOutcome the caller can record without ever crashing itself.
+// function there under optional resource limits, send the result back
+// as one frame over a pipe (the FdFrameTransport every socket uses,
+// exec/frame_transport), and decode whatever happened — a clean result,
+// a caught exception, a cooperative abort, or a hard death (signal,
+// rlimit, nonzero exit) — into a structured ChildOutcome the caller can
+// record without ever crashing itself.
 //
 // Contract highlights (DESIGN.md §11):
 //  - The child runs the work exactly as the calling process would:
@@ -14,7 +15,9 @@
 //    results.
 //  - The supervisor never blocks on a dead pipe: it polls both the result
 //    and stderr pipes, keeps a bounded stderr tail, and reaps the child
-//    with waitpid after both hit EOF.
+//    with waitpid after both hit EOF. The result pipe is read through the
+//    shared FrameReassembler under its kMaxFramePayload cap; a clean exit
+//    counts only with exactly one valid frame and no bytes after it.
 //  - A cancellation token is parent-side: tokens do not propagate across
 //    fork, so the supervisor polls it and SIGKILLs the child (reported as
 //    kKilled, for the caller's timeout/cancel classification).
@@ -89,13 +92,10 @@ struct ChildOutcome {
   std::string stderrTail;
 };
 
-/// True when this platform supports fork-based isolation (POSIX).
-[[nodiscard]] bool processIsolationSupported() noexcept;
-
 /// Runs `work` in a forked child under `config` and returns the decoded
 /// outcome. Child-side failures of every shape come back as data; the
 /// only throws are parent-side setup contract violations (pipe/fork
-/// failure, unsupported platform).
+/// failure).
 ///
 /// The caller must treat `work` as running in a separate address space:
 /// side effects on parent memory do not happen, and the observability

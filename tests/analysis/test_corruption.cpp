@@ -1,6 +1,6 @@
 // Property-style corruption suite: seeded random mutations (truncation,
 // bit flips, chunk duplication, chunk deletion, byte insertion) over the
-// three persisted formats — sweep checkpoints, sweep CSV tables and
+// two persisted formats the program reads back — sweep checkpoints and
 // serialized fault plans. Every mutated input must produce a typed error
 // or a cleanly parsed value; never a crash, an assert, or an escaped
 // exception. A sample of mutants additionally goes through the on-disk
@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/csv.hpp"
 #include "analysis/sweep_state.hpp"
 #include "common/rng.hpp"
 #include "fault/fault_plan.hpp"
@@ -77,19 +76,6 @@ SweepCheckpoint sampleCheckpoint() {
   ckpt.failures.push_back({3, 2, "synthetic \"quoted\" crash\n", true, 4,
                            RunFailureKind::kException, 0, "", "", ""});
   return ckpt;
-}
-
-std::string sampleSweepCsv() {
-  SweepResult sweep;
-  for (int n : {1, 2, 4}) {
-    perf::RunProfile p;
-    p.activeCores = n;
-    p.counters.totalCycles = static_cast<Cycles>(1'000'000 * n);
-    p.counters.stallCycles = static_cast<Cycles>(300'000 * n);
-    p.makespan = static_cast<Cycles>(1'000'000 / n);
-    sweep.profiles.push_back(p);
-  }
-  return sweepToCsv(sweep);
 }
 
 std::string sampleFaultPlanJson() {
@@ -158,29 +144,6 @@ TEST(CorruptionSuite, CheckpointBitFlipsInValuesAreCaughtByCrc) {
   // fail the record's checksum (a changed "cores" key digit would change
   // the payload too). Nothing may parse as a silently different sweep.
   EXPECT_EQ(caught, attempts);
-}
-
-TEST(CorruptionSuite, SweepCsvMutationsYieldTypedErrorsOrValidRows) {
-  const std::string pristine = sampleSweepCsv();
-  ASSERT_TRUE(parseSweepCsv(pristine).hasValue());
-  Rng rng(0x5EED0003);
-  for (int i = 0; i < 100; ++i) {
-    const std::string mutant = mutate(pristine, rng);
-    try {
-      const auto result = parseSweepCsv(mutant);
-      if (!result.hasValue()) {
-        EXPECT_GT(result.error().line, 0u);
-        EXPECT_FALSE(result.error().message().empty());
-      } else {
-        for (const SweepCsvRow& row : *result) {
-          EXPECT_GE(row.cores, 1);  // validated shape, not garbage
-          EXPECT_GE(row.totalCycles, 0.0);
-        }
-      }
-    } catch (...) {
-      ADD_FAILURE() << "parseSweepCsv threw on mutation " << i;
-    }
-  }
 }
 
 TEST(CorruptionSuite, FaultPlanMutationsYieldTypedErrorsOrValidPlans) {

@@ -2,7 +2,8 @@
 // exposed: the coordinator's handshake deadline, admission cap and
 // protocol-violation incidents (wrong version, second hello, unknown task
 // id, bit-flipped frame), a worker reset counted once, the worker's
-// asymmetric-partition idle timeout, and the advisor server's slowloris
+// asymmetric-partition idle timeout and its budgeted give-up on an
+// undecodable message, and the advisor server's slowloris
 // guard, half-close grace, abrupt-close containment, response count and
 // connection cap. Each test manufactures the hostile peer by hand (raw
 // sockets or a chaos transport) and asserts the victim ends the session
@@ -417,6 +418,66 @@ TEST(NetHardening, WorkerIdleTimeoutEscapesAsymmetricPartition) {
   EXPECT_NE(report.stopReason.find("idle timeout"), std::string::npos)
       << report.stopReason;
   silentCoordinator.join();
+}
+
+TEST(NetHardening, WorkerTreatsUndecodableMessageAsALostSession) {
+  // A hand-rolled coordinator that welcomes the worker and then sends one
+  // frame whose CRC checks out but whose payload is no message. The
+  // worker must spend its attempt budget on that like on a corrupt frame.
+  // The fake serves at most five sessions and then stops listening, so a
+  // worker that reconnects without counting fails here instead of hanging.
+  const std::string garbage = "\xff not a wire message";
+  const auto decoded = exec::dist::decodeMessage(garbage);
+  ASSERT_FALSE(decoded.hasValue());
+  int port = 0;
+  auto listenFd = exec::listenTcp("127.0.0.1", 0, &port);
+  ASSERT_TRUE(listenFd) << listenFd.error();
+  std::atomic<int> sessions{0};
+  std::atomic<bool> workerDone{false};
+  std::thread garblingCoordinator([&, fd = *listenFd] {
+    while (sessions.load() < 5 && !workerDone.load()) {
+      struct pollfd p = {fd, POLLIN, 0};
+      if (::poll(&p, 1, 50) <= 0) {
+        continue;
+      }
+      const int conn = ::accept(fd, nullptr, nullptr);
+      if (conn < 0) {
+        continue;
+      }
+      ++sessions;
+      auto transport = exec::makeSocketTransport(conn);
+      std::string payload;
+      if (transport->recvFrame(payload, 10'000) != RecvStatus::kFrame) {
+        continue;
+      }
+      exec::dist::WireMessage welcome;
+      welcome.kind = exec::dist::WireMessage::Kind::kWelcome;
+      welcome.protocolVersion = exec::dist::kProtocolVersion;
+      if (!transport->sendFrame(exec::dist::encodeMessage(welcome)) ||
+          !transport->sendFrame(garbage)) {
+        continue;
+      }
+      // Hold the session until the worker hangs up.
+      while (transport->recvFrame(payload, 200) == RecvStatus::kTimeout &&
+             !workerDone.load()) {
+      }
+    }
+    ::close(fd);
+  });
+
+  exec::dist::WorkerOptions worker;
+  worker.port = port;
+  worker.workerId = "garbled";
+  worker.maxConnectAttempts = 1;  // first undecodable message = give-up
+  const exec::dist::WorkerReport report =
+      exec::dist::runWorker(worker, trivialRunner());
+  workerDone = true;
+  garblingCoordinator.join();
+  EXPECT_FALSE(report.ok);
+  EXPECT_EQ(sessions.load(), 1);
+  EXPECT_EQ(report.reconnects, 0u);
+  EXPECT_EQ(report.stopReason,
+            "connection lost: " + decoded.error().message());
 }
 
 // ---------------------------------------------------------------------

@@ -1,9 +1,10 @@
-// Crash-containment tests for the process isolation runner: the IPC frame
-// codec round-trips a fully populated RunProfile bit-exactly and rejects
-// corrupt bytes with typed errors, and runInChild decodes every way a
-// child can end — clean profile, exception, signal death (SIGKILL /
-// SIGSEGV / abort), RLIMIT_AS exhaustion, supervisor kill — into a
-// structured ChildOutcome without ever crashing the parent.
+// Crash-containment tests for the process isolation runner: the child
+// message codec round-trips a fully populated RunProfile bit-exactly and
+// rejects truncation with typed errors, and runInChild decodes every way
+// a child can end — clean profile, exception, signal death (SIGKILL /
+// SIGSEGV / abort), RLIMIT_AS exhaustion, supervisor kill, a clean exit
+// with a missing, trailing or oversized result frame — into a structured
+// ChildOutcome without ever crashing the parent.
 //
 // Sanitizers change crash signatures (asan intercepts SIGSEGV and turns
 // it into a nonzero exit; RLIMIT_AS fights the shadow mappings), so
@@ -11,16 +12,22 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/cancellation.hpp"
+#include "exec/frame_transport.hpp"
 #include "exec/ipc.hpp"
 #include "exec/process_runner.hpp"
 #include "fault/crash_injection.hpp"
@@ -140,38 +147,45 @@ void expectProfilesEq(const perf::RunProfile& a, const perf::RunProfile& b) {
   EXPECT_EQ(a.throttledCycles, b.throttledCycles);
 }
 
-TEST(IpcCodec, FrameRoundTripsArbitraryPayloads) {
-  for (const std::string& payload :
-       {std::string(), std::string("x"), std::string(1000, '\0'),
-        std::string("binary\x01\xff\n bytes")}) {
-    const std::string frame = encodeFrame(payload);
-    const auto back = decodeFrame(frame);
-    ASSERT_TRUE(back.hasValue()) << back.error().message();
-    EXPECT_EQ(*back, payload);
+/// The child's end of the result pipe: the only write-only FIFO at
+/// fd >= 3 (the standard streams sit below it, and the child closes the
+/// supervisor's read ends). -1 when there is none or more than one.
+int childResultFd() {
+  int found = -1;
+  for (int fd = 3; fd < 1024; ++fd) {
+    struct stat info;
+    if (::fstat(fd, &info) != 0 || !S_ISFIFO(info.st_mode)) {
+      continue;
+    }
+    const int flags = ::fcntl(fd, F_GETFL);
+    if (flags >= 0 && (flags & O_ACCMODE) == O_WRONLY) {
+      if (found >= 0) {
+        return -1;
+      }
+      found = fd;
+    }
   }
+  return found;
 }
 
-TEST(IpcCodec, FrameRejectsCorruptBytesWithTypedErrors) {
-  const std::string frame = encodeFrame("the payload");
+/// Work that bypasses the child's own framing: writes `bytes` raw to the
+/// result pipe and exits 0, like a child that claims success with a bad
+/// result. Exit status 3 means the pipe could not be found or written.
+std::function<perf::RunProfile()> exitCleanlyAfterWriting(std::string bytes) {
+  return [bytes = std::move(bytes)]() -> perf::RunProfile {
+    const int fd = childResultFd();
+    if (fd < 0 || !sendAllBytes(fd, bytes, /*isSocket=*/false)) {
+      ::_exit(3);
+    }
+    ::_exit(0);
+  };
+}
 
-  // Truncation at every prefix length fails without UB.
-  for (std::size_t len = 0; len < frame.size(); ++len) {
-    const auto r = decodeFrame(frame.substr(0, len));
-    EXPECT_FALSE(r.hasValue()) << "prefix of " << len << " bytes";
-  }
-  // Trailing garbage is an error: the pipe carries exactly one frame.
-  EXPECT_FALSE(decodeFrame(frame + "x").hasValue());
-  // Bad magic.
-  std::string bad = frame;
-  bad[0] = 'X';
-  EXPECT_FALSE(decodeFrame(bad).hasValue());
-  // Flipped payload bit -> CRC mismatch, and the message names the crc.
-  bad = frame;
-  bad[9] = static_cast<char>(bad[9] ^ 0x01);
-  const auto r = decodeFrame(bad);
-  ASSERT_FALSE(r.hasValue());
-  EXPECT_NE(r.error().message().find("crc"), std::string::npos)
-      << r.error().message();
+std::string profileFrame() {
+  ChildMessage message;
+  message.kind = ChildMessage::Kind::kProfile;
+  message.profile = sampleProfile();
+  return encodeFrame(encodeChildMessage(message));
 }
 
 TEST(IpcCodec, ChildMessageRoundTripsFullProfile) {
@@ -214,12 +228,6 @@ TEST(IpcCodec, ChildMessageRejectsTruncationEverywhere) {
     const auto r = decodeChildMessage(payload.substr(0, len));
     EXPECT_FALSE(r.hasValue()) << "prefix of " << len << " bytes";
   }
-}
-
-TEST(ProcessRunner, IsolationIsSupportedOnThisPlatform) {
-  // The whole suite targets POSIX; if this fails, every skip below is
-  // hiding a porting problem, so fail loudly instead.
-  EXPECT_TRUE(processIsolationSupported());
 }
 
 TEST(ProcessRunner, ShipsProfileBackBitExact) {
@@ -359,6 +367,58 @@ TEST(ProcessRunner, SupervisorKillsChildWhenTokenFires) {
   trigger.join();
   EXPECT_EQ(outcome.status, ChildStatus::kKilled) << outcome.error;
   EXPECT_EQ(outcome.signal, SIGKILL);
+}
+
+TEST(ProcessRunner, CleanExitWithoutAFrameIsACrash) {
+  const ChildOutcome outcome = runInChild(exitCleanlyAfterWriting(""));
+  EXPECT_EQ(outcome.status, ChildStatus::kCrash);
+  EXPECT_EQ(outcome.exitCode, 0) << outcome.error;
+  EXPECT_NE(outcome.error.find("child exited cleanly but its result frame "
+                               "is invalid: no result frame"),
+            std::string::npos)
+      << outcome.error;
+}
+
+TEST(ProcessRunner, TrailingBytesAfterTheFrameAreACrash) {
+  // Control: the same raw write of exactly one frame is accepted.
+  const ChildOutcome exact = runInChild(exitCleanlyAfterWriting(profileFrame()));
+  ASSERT_EQ(exact.status, ChildStatus::kOk) << exact.error;
+  expectProfilesEq(exact.profile, sampleProfile());
+
+  const ChildOutcome stray =
+      runInChild(exitCleanlyAfterWriting(profileFrame() + "x"));
+  EXPECT_EQ(stray.status, ChildStatus::kCrash);
+  EXPECT_EQ(stray.exitCode, 0) << stray.error;
+  EXPECT_NE(stray.error.find("result frame is invalid: 1 byte(s) after"),
+            std::string::npos)
+      << stray.error;
+
+  const ChildOutcome twice =
+      runInChild(exitCleanlyAfterWriting(profileFrame() + profileFrame()));
+  EXPECT_EQ(twice.status, ChildStatus::kCrash);
+  EXPECT_EQ(twice.exitCode, 0) << twice.error;
+  EXPECT_NE(twice.error.find("result frame is invalid: 2 result frames"),
+            std::string::npos)
+      << twice.error;
+}
+
+TEST(ProcessRunner, OversizedResultIsDrainedAndRejected) {
+  // A header declaring ~2 GiB, then 4 MiB — far more than a pipe buffer
+  // holds, so the child finishes only if the supervisor keeps draining
+  // after it has rejected the frame.
+  std::string bytes(kFrameMagic, sizeof kFrameMagic);
+  bytes += std::string("\x00\x00\x00\x80", 4);  // u32 LE 2^31
+  bytes += std::string(std::size_t{4} << 20, 'x');
+  const ChildOutcome outcome = runInChild(exitCleanlyAfterWriting(bytes));
+  EXPECT_EQ(outcome.status, ChildStatus::kCrash);
+  EXPECT_EQ(outcome.exitCode, 0) << outcome.error;
+  EXPECT_NE(outcome.error.find("result frame is invalid"), std::string::npos)
+      << outcome.error;
+  EXPECT_NE(outcome.error.find("exceeds the " +
+                               std::to_string(kMaxFramePayload) +
+                               "-byte cap"),
+            std::string::npos)
+      << outcome.error;
 }
 
 }  // namespace
