@@ -16,8 +16,7 @@ obs::RunTracePtr lifecycleTrace(const SweepResult& sweep) {
     end = std::max(end, static_cast<Cycles>(span.endMs));
   }
   auto trace = std::make_shared<obs::RunTrace>(
-      end, sweep.failures.size() + sweep.dist.leaseSpans.size() + 16,
-      obs::OverflowPolicy::kDropOldest, 1.0);
+      end, sweep.failures.size() + sweep.dist.leaseSpans.size() + 16, 1.0);
   double exceptions = 0.0;
   double timeouts = 0.0;
   double cancelled = 0.0;

@@ -13,34 +13,11 @@
 #include "common/crc32.hpp"
 #include "common/json_reader.hpp"
 #include "exec/frame_transport.hpp"
+#include "obs/chrome_trace.hpp"
 
 namespace occm::analysis {
 
 namespace {
-
-std::string jsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Canonical double formatting shared by the JSON emitter and the CRC
 /// payloads: %.17g round-trips every double, and computing both the JSON
@@ -190,8 +167,8 @@ std::string SweepCheckpoint::toJson() const {
   std::ostringstream out;
   out << "{\n";
   out << "  \"version\": " << kFormatVersion << ",\n";
-  out << "  \"program\": \"" << jsonEscape(program) << "\",\n";
-  out << "  \"machine\": \"" << jsonEscape(machine) << "\",\n";
+  out << "  \"program\": \"" << obs::jsonEscape(program) << "\",\n";
+  out << "  \"machine\": \"" << obs::jsonEscape(machine) << "\",\n";
   // The seed is a string: a 64-bit value does not survive a double.
   out << "  \"seed\": \"" << seed << "\",\n";
   out << "  \"threads\": " << threads << ",\n";
@@ -223,10 +200,10 @@ std::string SweepCheckpoint::toJson() const {
         << ", \"kind\": \"" << toString(f.kind) << "\"";
     if (f.kind == RunFailureKind::kCrash) {
       out << ", \"signal\": " << f.signal
-          << ", \"rlimit\": \"" << jsonEscape(f.rlimit) << "\""
-          << ", \"stderrTail\": \"" << jsonEscape(f.stderrTail) << "\"";
+          << ", \"rlimit\": \"" << obs::jsonEscape(f.rlimit) << "\""
+          << ", \"stderrTail\": \"" << obs::jsonEscape(f.stderrTail) << "\"";
     }
-    out << ", \"error\": \"" << jsonEscape(f.error) << "\""
+    out << ", \"error\": \"" << obs::jsonEscape(f.error) << "\""
         << ", \"crc\": \"" << crcHex(crc32(failurePayload(f))) << "\"}";
   }
   out << (failures.empty() ? "]\n" : "\n  ]\n");
@@ -257,7 +234,7 @@ Expected<SweepCheckpoint, CheckpointError> SweepCheckpoint::parseChecked(
     if (key == "version") {
       reader.skipWs();
       const std::size_t versionOffset = reader.offset();
-      version = static_cast<int>(reader.parseNumber());
+      version = reader.parseInt("version");
       if (reader.ok() && (version < 1 || version > kFormatVersion)) {
         CheckpointError err;
         err.kind = CheckpointErrorKind::kVersionSkew;
@@ -280,7 +257,7 @@ Expected<SweepCheckpoint, CheckpointError> SweepCheckpoint::parseChecked(
         reader.fail("seed is not a decimal 64-bit integer");
       }
     } else if (key == "threads") {
-      state.threads = static_cast<int>(reader.parseNumber());
+      state.threads = reader.parseInt("threads");
     } else if (key == "runs") {
       if (!reader.consume('[')) {
         return makeUnexpected(readerError(reader));
@@ -308,7 +285,7 @@ Expected<SweepCheckpoint, CheckpointError> SweepCheckpoint::parseChecked(
             return makeUnexpected(readerError(reader));
           }
           if (field == "cores") {
-            record.cores = static_cast<int>(reader.parseNumber());
+            record.cores = reader.parseInt("cores");
           } else if (field == "totalCycles") {
             record.totalCycles = reader.parseNumber();
           } else if (field == "stallCycles") {
@@ -385,14 +362,14 @@ Expected<SweepCheckpoint, CheckpointError> SweepCheckpoint::parseChecked(
             return makeUnexpected(readerError(reader));
           }
           if (field == "cores") {
-            failure.cores = static_cast<int>(reader.parseNumber());
+            failure.cores = reader.parseInt("cores");
           } else if (field == "attempts") {
-            failure.attempts = static_cast<int>(reader.parseNumber());
+            failure.attempts = reader.parseInt("attempts");
           } else if (field == "recovered") {
             failure.recovered = reader.parseBool();
           } else if (field == "poolSize") {
             // Absent in pre-parallel checkpoints; RunFailure defaults to 1.
-            failure.poolSize = static_cast<int>(reader.parseNumber());
+            failure.poolSize = reader.parseInt("poolSize");
           } else if (field == "kind") {
             // Absent in v1 checkpoints; RunFailure defaults to kException.
             const std::string kindText = reader.parseString();
@@ -402,7 +379,7 @@ Expected<SweepCheckpoint, CheckpointError> SweepCheckpoint::parseChecked(
           } else if (field == "signal") {
             // Present only on crash records (format v2, crash-capable
             // builds); absent fields keep their zero defaults.
-            failure.signal = static_cast<int>(reader.parseNumber());
+            failure.signal = reader.parseInt("signal");
           } else if (field == "rlimit") {
             failure.rlimit = reader.parseString();
           } else if (field == "stderrTail") {

@@ -14,7 +14,9 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <string_view>
 
@@ -151,6 +153,23 @@ class JsonReader {
     }
     pos_ += static_cast<std::size_t>(stop - token.c_str());
     return value;
+  }
+
+  /// Reads a number that must be an integer within int's range; a
+  /// fraction or an out-of-range value fails the reader naming `field`
+  /// (converting such a double to int is undefined behaviour).
+  int parseInt(std::string_view field) {
+    const double value = parseNumber();
+    if (!ok_) {
+      return 0;
+    }
+    if (!(value >= std::numeric_limits<int>::min() &&
+          value <= std::numeric_limits<int>::max()) ||
+        value != std::trunc(value)) {
+      fail(std::string(field) + " is not an integer in int's range");
+      return 0;
+    }
+    return static_cast<int>(value);
   }
 
   bool parseBool() {

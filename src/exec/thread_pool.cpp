@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "obs/profiler.hpp"
+#include "obs/run_trace.hpp"
 
 namespace occm::exec {
 
@@ -24,17 +25,11 @@ int resolveWorkerCount(int requested) {
   return hardware == 0 ? 1 : static_cast<int>(hardware);
 }
 
-ThreadPool::ThreadPool(ThreadPoolConfig config)
-    : queueOccupancy_(
-          std::max<Cycles>(1, static_cast<Cycles>(config.occupancyWindowNs)),
-          obs::MetricKind::kGauge) {
+ThreadPool::ThreadPool(ThreadPoolConfig config) {
   const int workerCount = resolveWorkerCount(config.workers);
   capacity_ = config.queueCapacity != 0
                   ? config.queueCapacity
                   : static_cast<std::size_t>(workerCount) * 2;
-  if constexpr (obs::kCompiledIn) {
-    epochNs_ = obs::steadyNowNs();
-  }
   // Slots must exist before the first worker can touch them.
   for (int i = 0; i < workerCount; ++i) {
     slots_.emplace_back();
@@ -55,14 +50,6 @@ ThreadPool::~ThreadPool() {
   notFull_.notify_all();
   for (std::thread& worker : workers_) {
     worker.join();
-  }
-}
-
-void ThreadPool::recordOccupancyLocked() {
-  if constexpr (obs::kCompiledIn) {
-    queueOccupancy_.record(
-        static_cast<Cycles>(obs::steadyNowNs() - epochNs_),
-        static_cast<double>(queue_.size()));
   }
 }
 
@@ -107,7 +94,6 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
     queue_.push_back(std::move(entry));
     if constexpr (obs::kCompiledIn) {
       maxQueueDepth_ = std::max<std::uint64_t>(maxQueueDepth_, queue_.size());
-      recordOccupancyLocked();
     }
   }
   notEmpty_.notify_one();
@@ -134,7 +120,6 @@ bool ThreadPool::trySubmit(std::function<void()> task,
     queue_.push_back(std::move(entry));
     if constexpr (obs::kCompiledIn) {
       maxQueueDepth_ = std::max<std::uint64_t>(maxQueueDepth_, queue_.size());
-      recordOccupancyLocked();
     }
   }
   notEmpty_.notify_one();
@@ -151,7 +136,6 @@ void ThreadPool::cancel() {
     stopping_ = true;
     cancelled_ = true;
     discarded.swap(queue_);
-    recordOccupancyLocked();
     notEmpty_.notify_all();
     notFull_.notify_all();
     // Hold the door until every submitter blocked on backpressure has
@@ -187,7 +171,6 @@ ThreadPoolStats ThreadPool::stats() const {
   out.submitted = submitted_;
   out.submitBlockNs = submitBlockNs_;
   out.maxQueueDepth = maxQueueDepth_;
-  out.queueOccupancy = queueOccupancy_;
   return out;
 }
 
@@ -202,7 +185,6 @@ void ThreadPool::workerLoop(std::size_t slot) {
       }
       entry = std::move(queue_.front());
       queue_.pop_front();
-      recordOccupancyLocked();
     }
     notFull_.notify_one();
     if constexpr (obs::kCompiledIn) {

@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "common/aligned.hpp"
-#include "obs/time_series.hpp"
 
 namespace occm::exec {
 
@@ -54,11 +53,6 @@ struct ThreadPoolConfig {
   /// Bounded queue capacity (tasks waiting, excluding ones already
   /// running); 0 means 2x the worker count.
   std::size_t queueCapacity = 0;
-  /// Bucket width (host ns) of the queue-occupancy time series in
-  /// ThreadPoolStats. The series grows one bucket per window of pool
-  /// lifetime that sees a queue transition, so the default 1 ms suits
-  /// pools that live for seconds to minutes (a sweep), not daemons.
-  std::uint64_t occupancyWindowNs = 1'000'000;
 };
 
 /// Telemetry of one worker thread (host nanoseconds). All zeros when the
@@ -72,17 +66,14 @@ struct WorkerStats {
 /// End-of-life (or live) telemetry snapshot of a ThreadPool — the
 /// parallel-efficiency picture: who did the work (per-worker task counts
 /// and busy time), how long tasks sat queued, how often producers hit
-/// backpressure, and how full the queue ran over time. Host-time only;
-/// never feeds back into simulated results. Empty/zero with
+/// backpressure, and the deepest the queue got. Host-time only; never
+/// feeds back into simulated results. Empty/zero with
 /// OCCM_ENABLE_OBS=OFF (the pool then takes no clock reads at all).
 struct ThreadPoolStats {
   std::vector<WorkerStats> workers;
   std::uint64_t submitted = 0;      ///< tasks accepted (submit + trySubmit)
   std::uint64_t submitBlockNs = 0;  ///< total backpressure wait in submit()
   std::uint64_t maxQueueDepth = 0;  ///< peak tasks waiting in the queue
-  /// Queue depth over host time since pool construction (gauge, sampled
-  /// at every enqueue/dequeue; 1 "cycle" = 1 ns).
-  obs::TimeSeries queueOccupancy{1, obs::MetricKind::kGauge};
 
   /// Sum of tasks over workers (== tasks completed + tasks running).
   [[nodiscard]] std::uint64_t totalTasks() const noexcept {
@@ -162,8 +153,6 @@ class ThreadPool {
                 "slot must fill its cache line");
 
   void workerLoop(std::size_t slot);
-  /// Records a queue-depth sample; callers hold mutex_.
-  void recordOccupancyLocked();
 
   mutable std::mutex mutex_;
   std::condition_variable notEmpty_;
@@ -177,12 +166,10 @@ class ThreadPool {
   bool cancelled_ = false;
 
   // Telemetry (all behind obs::kCompiledIn at the recording sites).
-  std::uint64_t epochNs_ = 0;  ///< pool construction time (host ns)
   std::deque<WorkerSlot> slots_;  ///< deque: stable refs, immovable atomics
   std::uint64_t submitted_ = 0;       ///< guarded by mutex_
   std::uint64_t submitBlockNs_ = 0;   ///< guarded by mutex_
   std::uint64_t maxQueueDepth_ = 0;   ///< guarded by mutex_
-  obs::TimeSeries queueOccupancy_;    ///< guarded by mutex_
 };
 
 }  // namespace occm::exec

@@ -142,7 +142,7 @@ Expected<FaultPlan, PlanParseError> planFromJson(const std::string& json) {
       return makeUnexpected(readerError(reader));
     }
     if (key == "version") {
-      const int version = static_cast<int>(reader.parseNumber());
+      const int version = reader.parseInt("version");
       if (reader.ok() && version != kPlanFormatVersion) {
         PlanParseError err;
         err.byteOffset = reader.offset();
@@ -183,13 +183,7 @@ Expected<FaultPlan, PlanParseError> planFromJson(const std::string& json) {
               reader.fail("unknown fault kind \"" + kindText + "\"");
             }
           } else if (field == "target") {
-            const double value = reader.parseNumber();
-            if (reader.ok() &&
-                (!std::isfinite(value) || value < -2.0e9 || value > 2.0e9)) {
-              reader.fail("target out of range");
-            } else {
-              event.target = static_cast<std::int32_t>(value);
-            }
+            event.target = reader.parseInt("target");
           } else if (field == "start") {
             if (!toCycles(reader.parseNumber(), &event.start)) {
               reader.fail("start is not a valid cycle count");

@@ -1,16 +1,6 @@
 #include "obs/profiler.hpp"
 
-#include <algorithm>
 #include <chrono>
-
-#include "obs/chrome_trace.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <ctime>
-#define OCCM_HAS_THREAD_CPU_CLOCK 1
-#else
-#define OCCM_HAS_THREAD_CPU_CLOCK 0
-#endif
 
 namespace occm::obs {
 
@@ -21,137 +11,14 @@ std::uint64_t steadyNowNs() noexcept {
           .count());
 }
 
-std::uint64_t threadCpuNowNs() noexcept {
-#if OCCM_HAS_THREAD_CPU_CLOCK
-  timespec ts{};
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) {
-    return 0;
-  }
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ULL +
-         static_cast<std::uint64_t>(ts.tv_nsec);
-#else
-  return 0;
-#endif
-}
-
-Profiler::Profiler(ProfilerConfig config)
-    : config_(config), epochNs_(steadyNowNs()),
-      spans_(config.spanCapacity, OverflowPolicy::kDropOldest) {}
-
 Phase& Profiler::phase(std::string_view name) {
-  const std::lock_guard<std::mutex> lock(registerMutex_);
-  std::string key(name);
-  const auto it = phaseIndex_.find(key);
-  if (it != phaseIndex_.end()) {
-    return phases_[it->second];
-  }
-  phaseIndex_.emplace(key, phases_.size());
-  phases_.emplace_back(std::move(key));
-  return phases_.back();
-}
-
-Counter& Profiler::counter(std::string_view name, std::string_view unit) {
-  const std::lock_guard<std::mutex> lock(registerMutex_);
-  std::string key(name);
-  const auto it = counterIndex_.find(key);
-  if (it != counterIndex_.end()) {
-    return counters_[it->second];
-  }
-  counterIndex_.emplace(key, counters_.size());
-  counters_.emplace_back(std::move(key), std::string(unit));
-  return counters_.back();
-}
-
-std::uint64_t Profiler::elapsedNs() const noexcept {
-  return steadyNowNs() - epochNs_;
-}
-
-std::vector<PhaseSnapshot> Profiler::phases() const {
-  const std::lock_guard<std::mutex> lock(registerMutex_);
-  std::vector<PhaseSnapshot> out;
-  out.reserve(phases_.size());
-  for (const Phase& p : phases_) {
-    out.push_back(p.snapshot());
-  }
-  return out;
-}
-
-std::vector<CounterSnapshot> Profiler::counters() const {
-  const std::lock_guard<std::mutex> lock(registerMutex_);
-  std::vector<CounterSnapshot> out;
-  out.reserve(counters_.size());
-  for (const Counter& c : counters_) {
-    out.push_back(c.snapshot());
-  }
-  return out;
-}
-
-void Profiler::reset() {
-  const std::lock_guard<std::mutex> lock(registerMutex_);
+  const std::lock_guard<std::mutex> lock(mutex_);
   for (Phase& p : phases_) {
-    p.calls_.store(0, std::memory_order_relaxed);
-    p.wallNs_.store(0, std::memory_order_relaxed);
-    p.cpuNs_.store(0, std::memory_order_relaxed);
-    p.maxWallNs_.store(0, std::memory_order_relaxed);
-  }
-  for (Counter& c : counters_) {
-    c.value_.store(0, std::memory_order_relaxed);
-  }
-}
-
-void Profiler::exportTo(MetricRegistry& registry, Cycles atCycle) const {
-  for (const PhaseSnapshot& p : phases()) {
-    const std::string prefix = "prof.phase." + p.name + ".";
-    registry.gauge(prefix + "wall_ns", "ns")
-        .record(atCycle, static_cast<double>(p.wallNs));
-    registry.gauge(prefix + "cpu_ns", "ns")
-        .record(atCycle, static_cast<double>(p.cpuNs));
-    registry.gauge(prefix + "calls", "calls")
-        .record(atCycle, static_cast<double>(p.calls));
-    registry.gauge(prefix + "max_wall_ns", "ns")
-        .record(atCycle, static_cast<double>(p.maxWallNs));
-  }
-  for (const CounterSnapshot& c : counters()) {
-    registry.gauge("prof.counter." + c.name, c.unit)
-        .record(atCycle, static_cast<double>(c.value));
-  }
-}
-
-std::string Profiler::chromeTrace() const {
-  // Host timeline: 1 "cycle" = 1 ns, clock 1.0 GHz, so the exporter's
-  // cycles-to-microseconds conversion lands spans at the right scale.
-  const Cycles window = static_cast<Cycles>(config_.exportWindowNs);
-  RunTrace trace(std::max<Cycles>(1, window), config_.spanCapacity,
-                 OverflowPolicy::kDropOldest, /*ghz=*/1.0);
-  std::uint64_t endNs = elapsedNs();
-  {
-    const std::lock_guard<std::mutex> lock(spanMutex_);
-    for (std::size_t i = 0; i < spans_.size(); ++i) {
-      const TraceEvent& e = spans_[i];
-      trace.events.span(e.name, e.category, e.track, e.start, e.duration,
-                        e.argName, e.arg);
-      endNs = std::max(endNs, e.start + e.duration);
-    }
-    for (const auto& [track, name] : spans_.trackNames()) {
-      trace.events.setTrackName(track, name);
+    if (p.name() == name) {
+      return p;
     }
   }
-  exportTo(trace.metrics, endNs == 0 ? 0 : endNs - 1);
-  trace.metrics.finalize(endNs);
-  return toChromeTraceJson(trace);
-}
-
-void Profiler::recordSpan(const Phase& phase, std::uint64_t startNs,
-                          std::uint64_t durationNs) {
-  const std::lock_guard<std::mutex> lock(spanMutex_);
-  const auto id = std::this_thread::get_id();
-  auto it = trackByThread_.find(id);
-  if (it == trackByThread_.end()) {
-    const auto track = static_cast<std::int32_t>(trackByThread_.size());
-    it = trackByThread_.emplace(id, track).first;
-    spans_.setTrackName(track, "thread " + std::to_string(track));
-  }
-  spans_.span(phase.name(), "prof", it->second, startNs, durationNs);
+  return phases_.emplace_back(std::string(name));
 }
 
 }  // namespace occm::obs

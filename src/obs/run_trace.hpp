@@ -42,9 +42,8 @@ struct ObsConfig {
   bool trace = false;
   /// Metric window width in simulated nanoseconds (paper's sampler: 5 us).
   double windowNs = 5000.0;
-  /// Event-ring capacity and overflow policy (see TraceSink).
+  /// Event-ring capacity (see TraceSink: overflow drops the oldest).
   std::size_t traceCapacity = 1 << 16;
-  OverflowPolicy overflow = OverflowPolicy::kDropOldest;
 
   [[nodiscard]] bool enabled() const noexcept {
     return kCompiledIn && (metrics || trace);
@@ -52,10 +51,8 @@ struct ObsConfig {
 };
 
 struct RunTrace {
-  RunTrace(Cycles windowCycles, std::size_t traceCapacity,
-           OverflowPolicy overflow, double ghz)
-      : metrics(windowCycles), events(traceCapacity, overflow),
-        clockGhz(ghz) {}
+  RunTrace(Cycles windowCycles, std::size_t traceCapacity, double ghz)
+      : metrics(windowCycles), events(traceCapacity), clockGhz(ghz) {}
 
   MetricRegistry metrics;
   TraceSink events;

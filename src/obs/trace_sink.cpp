@@ -4,16 +4,12 @@
 
 namespace occm::obs {
 
-TraceSink::TraceSink(std::size_t capacity, OverflowPolicy policy)
-    : events_(capacity), policy_(policy) {}
+TraceSink::TraceSink(std::size_t capacity) : events_(capacity) {}
 
 void TraceSink::push(TraceEvent event) {
   ++recorded_;
   if (events_.full()) {
     ++dropped_;
-    if (policy_ == OverflowPolicy::kDropNewest) {
-      return;
-    }
   }
   events_.push(std::move(event));
 }

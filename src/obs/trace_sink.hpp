@@ -4,9 +4,9 @@
 // interval on a track — a controller busy period, a core's memory stall)
 // and instant events (a context switch, a thread pinning). Events are
 // buffered in a fixed-capacity ring (common/ring_buffer) so tracing has
-// bounded memory regardless of run length; on overflow the sink either
-// overwrites the oldest events (keep the end of the run) or drops the
-// newest (keep the beginning), and counts what it lost either way.
+// bounded memory regardless of run length; on overflow the sink
+// overwrites the oldest events (keeping the end of the run) and counts
+// what it lost.
 //
 // Tracks are integer lanes in the exported timeline — core ids for core
 // events, kControllerTrackBase + node for controller events. Track names
@@ -41,15 +41,9 @@ struct TraceEvent {
   double arg = 0.0;
 };
 
-enum class OverflowPolicy : std::uint8_t {
-  kDropOldest,  ///< overwrite oldest events; trace keeps the run's tail
-  kDropNewest,  ///< refuse new events once full; trace keeps the head
-};
-
 class TraceSink {
  public:
-  explicit TraceSink(std::size_t capacity,
-                     OverflowPolicy policy = OverflowPolicy::kDropOldest);
+  explicit TraceSink(std::size_t capacity);
 
   void span(std::string name, std::string category, std::int32_t track,
             Cycles start, Cycles duration, std::string argName = {},
@@ -73,17 +67,15 @@ class TraceSink {
   [[nodiscard]] std::size_t capacity() const noexcept {
     return events_.capacity();
   }
-  [[nodiscard]] OverflowPolicy policy() const noexcept { return policy_; }
   /// Events pushed over the sink's lifetime (retained + lost).
   [[nodiscard]] std::uint64_t recorded() const noexcept { return recorded_; }
-  /// Events lost to overflow (overwritten or refused).
+  /// Events lost to overflow (overwritten).
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
 
  private:
   void push(TraceEvent event);
 
   RingBuffer<TraceEvent> events_;
-  OverflowPolicy policy_;
   std::uint64_t recorded_ = 0;
   std::uint64_t dropped_ = 0;
   std::map<std::int32_t, std::string> trackNames_;

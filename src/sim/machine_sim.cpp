@@ -212,8 +212,7 @@ perf::RunProfile MachineSim::run(std::span<const trace::RefStreamPtr> streams,
     const Cycles obsWindow = std::max<Cycles>(
         1, nsToCycles(config_.observability.windowNs, spec.clockGhz));
     runTrace = std::make_shared<obs::RunTrace>(
-        obsWindow, config_.observability.traceCapacity,
-        config_.observability.overflow, spec.clockGhz);
+        obsWindow, config_.observability.traceCapacity, spec.clockGhz);
     hooks.emplace(*runTrace, config_.observability, memory.controllers(),
                   totalCores);
     memory.setObserver(&*hooks);
@@ -256,8 +255,8 @@ perf::RunProfile MachineSim::run(std::span<const trace::RefStreamPtr> streams,
 
   // Hot-path counters: plain locals (not atomics, not clock reads), always
   // accumulated — they are schedule-derived profile data like llcMisses,
-  // deterministic across hosts and pool sizes. Only the *flush* into the
-  // host-time profiler below is an observability feature.
+  // deterministic across hosts and pool sizes, published only as
+  // RunProfile::hotPath.
   perf::HotPathStats hot;
 
   // Self-profiling: time the whole run under "sim.run" when a profiler is
@@ -265,7 +264,7 @@ perf::RunProfile MachineSim::run(std::span<const trace::RefStreamPtr> streams,
 #if OCCM_OBS_ENABLED
   std::optional<obs::ScopedPhase> runScope;
   if (config_.profiler != nullptr) {
-    runScope.emplace(*config_.profiler, config_.profiler->phase("sim.run"));
+    runScope.emplace(config_.profiler->phase("sim.run"));
   }
 #endif
 
@@ -532,17 +531,6 @@ perf::RunProfile MachineSim::run(std::span<const trace::RefStreamPtr> streams,
   }
   hot.controllerTicks = memory.reservationOps();
   profile.hotPath = hot;
-#if OCCM_OBS_ENABLED
-  if (config_.profiler != nullptr) {
-    obs::Profiler& prof = *config_.profiler;
-    prof.counter("sim.events_popped").add(hot.eventsPopped);
-    prof.counter("sim.events_pushed").add(hot.eventsPushed);
-    prof.counter("sim.advance_turns").add(hot.advanceTurns);
-    prof.counter("sim.issue_turns").add(hot.issueTurns);
-    prof.counter("sim.controller_ticks", "reservations")
-        .add(hot.controllerTicks);
-  }
-#endif
   profile.channelsPerController = spec.channelsPerController;
   if (config_.enableSampler) {
     sampler.finalize(profile.makespan);

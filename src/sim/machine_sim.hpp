@@ -82,11 +82,11 @@ struct SimConfig {
   CancellationToken cancel;
   std::uint64_t seed = 7;
   /// Host-time self-profiler (obs::Profiler): when set, run() times itself
-  /// under the "sim.run" phase and flushes the run's hot-path counters
-  /// ("sim.events_popped", "sim.controller_ticks", ...) into it. Purely
-  /// observational — the simulated result is bit-identical with or without
-  /// it (pinned by Profiler.FingerprintUnchangedByProfiling). Not owned;
-  /// must outlive the run. Ignored when OCCM_OBS_ENABLED=0.
+  /// under the "sim.run" phase (the run's event counts are in
+  /// RunProfile::hotPath). Purely observational — the simulated result is
+  /// bit-identical with or without it (pinned by
+  /// Profiler.FingerprintUnchangedByProfiling). Not owned; must outlive
+  /// the run. Ignored when OCCM_OBS_ENABLED=0.
   obs::Profiler* profiler = nullptr;
 };
 

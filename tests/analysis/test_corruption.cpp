@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/sweep_state.hpp"
@@ -241,6 +242,51 @@ TEST(CorruptionSuite, CheckpointTypedErrorsNameKindAndOffset) {
   EXPECT_EQ(crc.error().kind, CheckpointErrorKind::kCrcMismatch);
   EXPECT_GT(crc.error().byteOffset, 0u);
   EXPECT_NE(crc.error().detail.find("crc mismatch"), std::string::npos);
+
+  // Integer fields must hold integers that fit an int: a fraction or an
+  // out-of-range value is a syntax error naming the field, never a
+  // truncated (or undefined) conversion.
+  const auto expectSyntax = [](const std::string& json,
+                               const std::string& field) {
+    const auto result = SweepCheckpoint::parseChecked(json);
+    ASSERT_FALSE(result.hasValue()) << json;
+    EXPECT_EQ(result.error().kind, CheckpointErrorKind::kSyntax) << json;
+    EXPECT_NE(result.error().detail.find(field), std::string::npos)
+        << result.error().detail;
+  };
+  expectSyntax(
+      "{\"runs\": [{\"cores\": 1e10, \"totalCycles\": 100, "
+      "\"stallCycles\": 25, \"makespan\": 100}]}",
+      "cores");
+  for (const char* version : {"1.5", "1e300"}) {
+    std::string bad = pristine;
+    bad.replace(vAt, 12, std::string("\"version\": ") + version);
+    expectSyntax(bad, "version");
+  }
+  std::string fractional = pristine;
+  const std::size_t attemptsAt = fractional.find("\"attempts\": 2,");
+  ASSERT_NE(attemptsAt, std::string::npos);
+  fractional.replace(attemptsAt, 14, "\"attempts\": 2.5,");
+  expectSyntax(fractional, "attempts");
+}
+
+TEST(CorruptionSuite, FaultPlanVersionMustBeAnInteger) {
+  // The plan's other int field, an event's target, goes through the same
+  // checked read.
+  const std::string pristine = sampleFaultPlanJson();
+  for (const auto& [field, from, to] :
+       {std::tuple<std::string, std::string, std::string>{
+            "version", "\"version\": 1,", "\"version\": 1.9,"},
+        {"target", "\"target\": 1,", "\"target\": 1.5,"}}) {
+    std::string json = pristine;
+    const std::size_t at = json.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    json.replace(at, from.size(), to);
+    const auto result = fault::planFromJson(json);
+    ASSERT_FALSE(result.hasValue()) << json;
+    EXPECT_NE(result.error().detail.find(field), std::string::npos)
+        << result.error().detail;
+  }
 }
 
 TEST(CorruptionSuite, LegacyV1CheckpointStillLoads) {

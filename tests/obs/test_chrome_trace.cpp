@@ -236,7 +236,7 @@ TEST(ChromeTrace, JsonEscapeHandlesSpecials) {
 }
 
 TEST(ChromeTrace, EmptyTraceIsValidJson) {
-  RunTrace trace(100, 16, OverflowPolicy::kDropOldest, 1.0);
+  RunTrace trace(100, 16, 1.0);
   const std::string json = toChromeTraceJson(trace);
   JsonParser parser(json);
   EXPECT_TRUE(parser.parse()) << json;

@@ -110,8 +110,7 @@ TEST(RunProfile, ReportMentionsAttachedObsTrace) {
   const std::string without = formatReport(profile);
   EXPECT_EQ(without.find("obs trace"), std::string::npos);
 
-  profile.trace = std::make_shared<obs::RunTrace>(
-      100, 16, obs::OverflowPolicy::kDropOldest, 1.0);
+  profile.trace = std::make_shared<obs::RunTrace>(100, 16, 1.0);
   profile.trace->metrics.counter("sim.llc_misses").record(0);
   profile.trace->events.instant("ctx-switch", "sched", 0, 10);
   const std::string report = formatReport(profile);
