@@ -1,11 +1,13 @@
 #pragma once
 
-// Positional-argument checks shared by the example CLIs. A bad workload
-// or core count is rejected here with one "error:" line on stderr and
+// Argument checks shared by the example CLIs. A bad workload, core
+// count or duration is rejected here with one "error:" line on stderr and
 // exit status 1, before any simulation starts — the library would
-// otherwise abort on the contract violation.
+// otherwise abort on the contract violation, and atof would silently read
+// garbage as 0.
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -64,6 +66,20 @@ inline int coresArg(const std::string& text,
     rejectArg("bad core count '" + text + "' (want 1.." +
               std::to_string(machine.logicalCores()) + " on " +
               machine.name + ")");
+  }
+  return value;
+}
+
+/// A duration in seconds for `--flag=SECONDS`: the whole text must parse
+/// as a finite number >= 0 (0 = no limit).
+inline double secondsArg(const std::string& flag, const std::string& text) {
+  double value = 0.0;
+  const char* const last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc{} || end != last || !std::isfinite(value) ||
+      value < 0.0) {
+    rejectArg("bad " + flag + " '" + text +
+              "' (want a finite number of seconds >= 0)");
   }
   return value;
 }

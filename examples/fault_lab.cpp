@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
       continue;
     }
     if (arg.rfind("--deadline=", 0) == 0) {
-      deadline = std::atof(arg.c_str() + 11);
+      deadline = examples::secondsArg("--deadline", arg.substr(11));
       continue;
     }
     if (arg == "--isolate") {

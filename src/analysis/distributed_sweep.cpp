@@ -190,8 +190,7 @@ dist::TaskResult runSweepJob(const dist::JobSpec& job,
   context.isolation = isolation;
   context.maxAttempts = std::max(1, job.maxAttempts);
   context.poolSize = 1;
-  NullLifecycle lifecycle;
-  TaskOutcome outcome = runCoreCountTask(context, job.cores, lifecycle);
+  TaskOutcome outcome = runCoreCountTask(context, job.cores);
 
   dist::TaskResult result;
   result.taskId = job.taskId;

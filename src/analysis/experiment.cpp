@@ -1,10 +1,6 @@
 #include "analysis/experiment.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <deque>
 #include <exception>
 #include <future>
 #include <iomanip>
@@ -12,7 +8,6 @@
 #include <optional>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "analysis/distributed_sweep.hpp"
@@ -56,155 +51,13 @@ std::string pendingSuffix(const SweepResult& sweep) {
          std::to_string(sweep.requestedWorkers) + ")";
 }
 
-/// One per sweep task: the cancellation source the watchdog (or a relayed
-/// sweep-wide stop) fires into the run, plus the armed deadline for the
-/// attempt in flight. A deque because std::atomic makes the slot
-/// immovable.
-struct LifecycleSlot {
-  CancellationSource source;
-  std::atomic<bool> timedOut{false};
-  /// Deadline of the attempt in flight; guarded by the watchdog mutex.
-  std::optional<std::chrono::steady_clock::time_point> deadline;
-};
-
-/// Watchdog for per-run wall deadlines and sweep-wide cancellation. One
-/// thread per sweep (started only when either feature is configured)
-/// polls the slots: an expired deadline marks its slot timed-out and
-/// fires the slot's cancellation source; a sweep-level stop request is
-/// relayed into every slot. The simulator then unwinds at its next
-/// event-loop cancellation point — the watchdog never touches run state,
-/// so completed runs stay bit-deterministic.
-class Watchdog {
- public:
-  Watchdog(double wallSeconds, CancellationToken sweepToken,
-           std::size_t slotCount)
-      : wallSeconds_(wallSeconds), sweepToken_(std::move(sweepToken)),
-        slots_(slotCount),
-        active_(wallSeconds > 0.0 || sweepToken_.valid()) {
-    if (active_) {
-      thread_ = std::thread([this] { loop(); });
-    }
-  }
-
-  ~Watchdog() {
-    if (thread_.joinable()) {
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        stop_ = true;
-      }
-      cv_.notify_all();
-      thread_.join();
-    }
-  }
-
-  Watchdog(const Watchdog&) = delete;
-  Watchdog& operator=(const Watchdog&) = delete;
-
-  /// True when a thread is watching (a wall deadline or sweep token is
-  /// configured); when false, tokenFor() still works but never fires.
-  [[nodiscard]] bool active() const noexcept { return active_; }
-
-  [[nodiscard]] CancellationToken tokenFor(std::size_t slot) const {
-    return slots_[slot].source.token();
-  }
-
-  [[nodiscard]] bool timedOut(std::size_t slot) const noexcept {
-    return slots_[slot].timedOut.load(std::memory_order_relaxed);
-  }
-
-  /// Arms slot's deadline at now + wallSeconds (no-op without one).
-  void arm(std::size_t slot) {
-    if (wallSeconds_ <= 0.0) {
-      return;
-    }
-    const std::lock_guard<std::mutex> lock(mutex_);
-    slots_[slot].deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(wallSeconds_));
-  }
-
-  void disarm(std::size_t slot) {
-    if (wallSeconds_ <= 0.0) {
-      return;
-    }
-    const std::lock_guard<std::mutex> lock(mutex_);
-    slots_[slot].deadline.reset();
-  }
-
- private:
-  void loop() {
-    // Poll fast enough to bound deadline overshoot to a fraction of the
-    // deadline itself, but never busier than 1 kHz.
-    using std::chrono::milliseconds;
-    const auto poll =
-        wallSeconds_ > 0.0
-            ? std::clamp(milliseconds(static_cast<long>(
-                             wallSeconds_ * 1000.0 / 4.0)),
-                         milliseconds(1), milliseconds(20))
-            : milliseconds(5);
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (!stop_) {
-      cv_.wait_for(lock, poll, [this] { return stop_; });
-      if (stop_) {
-        return;
-      }
-      const bool sweepStop = sweepToken_.stopRequested();
-      const auto now = std::chrono::steady_clock::now();
-      for (LifecycleSlot& slot : slots_) {
-        if (sweepStop) {
-          slot.source.requestStop();
-        }
-        if (slot.deadline.has_value() && now >= *slot.deadline) {
-          slot.timedOut.store(true, std::memory_order_relaxed);
-          slot.source.requestStop();
-          slot.deadline.reset();
-        }
-      }
-    }
-  }
-
-  const double wallSeconds_;
-  const CancellationToken sweepToken_;
-  std::deque<LifecycleSlot> slots_;
-  const bool active_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
-};
-
-/// Adapts one watchdog slot to the RunLifecycle interface the shared
-/// attempt loop (analysis/sweep_task) consumes. The distributed worker
-/// runs the same loop behind a NullLifecycle — lease expiry is the hang
-/// recovery across a fleet.
-class WatchdogLifecycle final : public RunLifecycle {
- public:
-  WatchdogLifecycle(Watchdog& watchdog, std::size_t slot)
-      : watchdog_(watchdog), slot_(slot) {}
-  void arm() override { watchdog_.arm(slot_); }
-  void disarm() override { watchdog_.disarm(slot_); }
-  [[nodiscard]] bool timedOut() const override {
-    return watchdog_.timedOut(slot_);
-  }
-  [[nodiscard]] CancellationToken token() const override {
-    return watchdog_.tokenFor(slot_);
-  }
-  [[nodiscard]] bool active() const override { return watchdog_.active(); }
-
- private:
-  Watchdog& watchdog_;
-  std::size_t slot_;
-};
-
 /// Runs one core count: restore from the checkpoint when possible,
 /// otherwise hand the shared attempt loop (analysis/sweep_task) a context
 /// built from the sweep's configuration.
 TaskOutcome runSweepTask(const SweepConfig& config,
                          const workloads::WorkloadSpec& spec,
                          const SweepCheckpoint& restoredState, int cores,
-                         int maxAttempts, int poolSize, Watchdog& watchdog,
-                         std::size_t slot) {
+                         int maxAttempts, int poolSize) {
   if (std::optional<TaskOutcome> restored =
           restoredOutcome(restoredState, cores)) {
     return std::move(*restored);
@@ -214,13 +67,13 @@ TaskOutcome runSweepTask(const SweepConfig& config,
   context.workload = &spec;
   context.sim = &config.sim;
   context.cycleBudget = config.limits.cycleBudget;
+  context.wallSeconds = config.limits.wallSeconds;
   context.isolation = config.isolation;
   context.maxAttempts = maxAttempts;
   context.poolSize = poolSize;
   context.sweepCancel = config.cancel;
   context.beforeRun = config.beforeRun;
-  WatchdogLifecycle lifecycle(watchdog, slot);
-  return runCoreCountTask(context, cores, lifecycle);
+  return runCoreCountTask(context, cores);
 }
 
 /// Serializes checkpoint writes and keeps their contents deterministic: a
@@ -485,10 +338,6 @@ SweepResult runSweep(const SweepConfig& config) {
 
   std::vector<TaskOutcome> outcomes(coreCounts.size());
   CheckpointWriter checkpoint(config, restoredState, outcomes);
-  // One watchdog (and one slot per task) for the whole sweep; its thread
-  // only exists when a wall deadline or a sweep token is configured.
-  Watchdog watchdog(config.limits.wallSeconds, config.cancel,
-                    coreCounts.size());
 
   DistributedStats distStats;
   std::vector<RunFailure> distIncidents;
@@ -534,7 +383,7 @@ SweepResult runSweep(const SweepConfig& config) {
     // checkpoint writer.
     for (const std::size_t i : pendingTasks) {
       outcomes[i] = runSweepTask(config, spec, restoredState, coreCounts[i],
-                                 maxAttempts, workers, watchdog, i);
+                                 maxAttempts, workers);
       checkpoint.commit(i);
     }
   } else {
@@ -544,8 +393,7 @@ SweepResult runSweep(const SweepConfig& config) {
     for (const std::size_t i : pendingTasks) {
       joins.push_back(pool.submit([&, i] {
         outcomes[i] = runSweepTask(config, spec, restoredState,
-                                   coreCounts[i], maxAttempts, workers,
-                                   watchdog, i);
+                                   coreCounts[i], maxAttempts, workers);
         checkpoint.commit(i);
       }));
     }

@@ -134,13 +134,14 @@ struct SweepConfig {
   /// by default; when on, unfinished tasks are sharded across connected
   /// workers and the local pool becomes the grace-window fallback.
   DistributedConfig distributed;
-  /// Whole-sweep graceful stop. When the token reports a stop request
-  /// (watchdog relays it to every in-flight run's cancellation point),
-  /// runs not yet started are left pending — no failure record, so a
-  /// resume re-attempts them — in-flight runs unwind as RunFailure{kind =
-  /// kCancelled}, completed work is already checkpointed, and runSweep
-  /// returns normally with SweepResult::stopped set. The source's
-  /// requestStop() is async-signal-safe, so a SIGINT handler may own it.
+  /// Whole-sweep graceful stop. Every in-flight run polls the token at
+  /// its cancellation point, and a Deadline the token carries stops the
+  /// whole sweep the same way. On a stop, runs not yet started are left
+  /// pending — no failure record, so a resume re-attempts them —
+  /// in-flight runs unwind as RunFailure{kind = kCancelled}, completed
+  /// work is already checkpointed, and runSweep returns normally with
+  /// SweepResult::stopped set. The source's requestStop() is
+  /// async-signal-safe, so a SIGINT handler may own it.
   CancellationToken cancel;
 };
 
@@ -168,7 +169,7 @@ struct SweepResult {
   /// to `<path>.corrupt` and the sweep started fresh.
   std::string checkpointWarning;
   /// End-of-sweep pool telemetry (tasks per worker, queue-wait/busy time,
-  /// submit backpressure, queue occupancy) captured just before the pool
+  /// submit backpressure, peak queue depth) captured just before the pool
   /// is torn down. workers is empty on the serial path and when the
   /// observability layer is compiled out. Host-time only — two sweeps with
   /// identical simulated output may differ here.

@@ -6,24 +6,6 @@
 
 namespace occm::analysis {
 
-namespace {
-
-/// Disarms the lifecycle's deadline on every exit path of one attempt.
-class ArmedDeadline {
- public:
-  explicit ArmedDeadline(RunLifecycle& lifecycle) : lifecycle_(lifecycle) {
-    lifecycle_.arm();
-  }
-  ~ArmedDeadline() { lifecycle_.disarm(); }
-  ArmedDeadline(const ArmedDeadline&) = delete;
-  ArmedDeadline& operator=(const ArmedDeadline&) = delete;
-
- private:
-  RunLifecycle& lifecycle_;
-};
-
-}  // namespace
-
 RunRecord makeRunRecord(const perf::RunProfile& profile, int cores) {
   return RunRecord{cores,
                    profile.totalCyclesD(),
@@ -72,8 +54,7 @@ std::optional<TaskOutcome> restoredOutcome(const SweepCheckpoint& restoredState,
   return outcome;
 }
 
-TaskOutcome runCoreCountTask(const RunTaskContext& context, int cores,
-                             RunLifecycle& lifecycle) {
+TaskOutcome runCoreCountTask(const RunTaskContext& context, int cores) {
   TaskOutcome outcome;
   if (context.sweepCancel.stopRequested()) {
     // Graceful stop before the first attempt: stay pending (a resume
@@ -85,10 +66,14 @@ TaskOutcome runCoreCountTask(const RunTaskContext& context, int cores,
   failure.cores = cores;
   failure.poolSize = context.poolSize;
   for (int attempt = 0; attempt < context.maxAttempts; ++attempt) {
+    // The deadline covers the whole attempt, beforeRun included — a hook
+    // that hangs is exactly the overrun it exists for.
+    const Deadline deadline = context.wallSeconds > 0.0
+                                  ? Deadline::after(context.wallSeconds)
+                                  : Deadline{};
+    const CancellationToken cancel =
+        context.sweepCancel.withDeadline(deadline);
     try {
-      // The deadline covers the whole attempt, beforeRun included — a
-      // hook that hangs is exactly the overrun the watchdog exists for.
-      const ArmedDeadline deadline(lifecycle);
       if (context.beforeRun) {
         context.beforeRun(cores, attempt);
       }
@@ -111,9 +96,7 @@ TaskOutcome runCoreCountTask(const RunTaskContext& context, int cores,
         runnerConfig.limits.memoryBytes = context.isolation.memoryBytes;
         runnerConfig.limits.cpuSeconds = context.isolation.cpuSeconds;
         runnerConfig.stderrTailBytes = context.isolation.stderrTailBytes;
-        if (lifecycle.active()) {
-          runnerConfig.cancel = lifecycle.token();
-        }
+        runnerConfig.cancel = cancel;
         exec::ChildOutcome child = exec::runInChild(
             [&context, &simConfig, cores] {
               workloads::WorkloadInstance instance =
@@ -145,7 +128,7 @@ TaskOutcome runCoreCountTask(const RunTaskContext& context, int cores,
             failure.error = std::move(child.error);
             const bool overran =
                 child.abortReason == AbortReason::kCycleBudget ||
-                lifecycle.timedOut();
+                deadline.expired();
             failure.kind = overran ? RunFailureKind::kTimeout
                                    : RunFailureKind::kCancelled;
             outcome.failure = failure;
@@ -155,8 +138,8 @@ TaskOutcome runCoreCountTask(const RunTaskContext& context, int cores,
             // The supervisor SIGKILLed on the token: same deadline /
             // sweep-stop classification as a cooperative unwind.
             failure.error = std::move(child.error);
-            failure.kind = lifecycle.timedOut() ? RunFailureKind::kTimeout
-                                                : RunFailureKind::kCancelled;
+            failure.kind = deadline.expired() ? RunFailureKind::kTimeout
+                                              : RunFailureKind::kCancelled;
             outcome.failure = failure;
             return outcome;
           case exec::ChildStatus::kCrash:
@@ -171,9 +154,7 @@ TaskOutcome runCoreCountTask(const RunTaskContext& context, int cores,
             break;
         }
       } else {
-        if (lifecycle.active()) {
-          simConfig.cancel = lifecycle.token();
-        }
+        simConfig.cancel = cancel;
         // A fresh instance per task (not a shared reset one): building
         // from the same spec seed yields bit-identical streams, and
         // private streams are what lets tasks run concurrently at all.
@@ -200,7 +181,7 @@ TaskOutcome runCoreCountTask(const RunTaskContext& context, int cores,
       failure.error = e.what();
       failure.attempts = attempt + 1;
       const bool overran =
-          e.reason() == AbortReason::kCycleBudget || lifecycle.timedOut();
+          e.reason() == AbortReason::kCycleBudget || deadline.expired();
       failure.kind =
           overran ? RunFailureKind::kTimeout : RunFailureKind::kCancelled;
       outcome.failure = failure;

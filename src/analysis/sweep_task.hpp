@@ -9,9 +9,10 @@
 // task run in-process, so the deterministic request-order merge cannot
 // tell them apart.
 //
-// Lifecycle control (wall deadlines, sweep-wide stop relays) is injected
-// through RunLifecycle: the local path adapts the sweep's Watchdog, the
-// worker path runs without one (the coordinator's lease expiry is the
+// Lifecycle control is one token: each attempt arms its wall deadline
+// (RunTaskContext::wallSeconds) onto the sweep-wide stop token, and the
+// simulator (in-process) or the fork supervisor (isolated) polls it. The
+// worker path runs with neither (the coordinator's lease expiry is the
 // hang recovery across a fleet).
 
 #include <cstdint>
@@ -55,9 +56,9 @@ struct IsolationConfig {
 /// as RunFailure{kind = kTimeout} (not retried, never checkpointed) and
 /// the sweep continues with the remaining core counts.
 struct SweepLimits {
-  /// Wall-clock deadline per attempt, enforced by a watchdog thread that
-  /// fires the run's cancellation token. 0 = unlimited. Which runs time
-  /// out under a wall deadline is machine-dependent; the *completed* runs
+  /// Wall-clock deadline per attempt, armed on the attempt's cancellation
+  /// token (so it costs no thread). 0 = unlimited. Which runs time out
+  /// under a wall deadline is machine-dependent; the *completed* runs
   /// stay bit-identical to a serial sweep of the same subset.
   double wallSeconds = 0.0;
   /// Simulated-cycle budget per attempt (sim::SimConfig::cycleBudget).
@@ -77,27 +78,6 @@ struct TaskOutcome {
   /// resumed sweep re-attempts it.
   bool skipped = false;
 };
-
-/// Lifecycle hooks for one task, injected so the attempt loop does not
-/// know whether a Watchdog (local sweep) or nothing (distributed worker;
-/// lease expiry recovers hangs coordinator-side) is behind them.
-class RunLifecycle {
- public:
-  virtual ~RunLifecycle() = default;
-  /// Arms the wall deadline for the attempt about to start.
-  virtual void arm() {}
-  /// Disarms it (called on every exit path of the attempt).
-  virtual void disarm() {}
-  /// True when this task's armed deadline fired.
-  [[nodiscard]] virtual bool timedOut() const { return false; }
-  /// Cancellation token attempts should honor (only read when active()).
-  [[nodiscard]] virtual CancellationToken token() const { return {}; }
-  /// Whether token() is live (mirrors the Watchdog's active()).
-  [[nodiscard]] virtual bool active() const { return false; }
-};
-
-/// The no-op lifecycle (no deadline, no cancellation relay).
-class NullLifecycle final : public RunLifecycle {};
 
 /// Checkpoint row for a completed profile — shared by the in-process and
 /// isolated attempt paths so both persist byte-identical records.
@@ -120,12 +100,15 @@ struct RunTaskContext {
   /// Base sim config; each attempt copies it and perturbs the seed.
   const sim::SimConfig* sim = nullptr;
   Cycles cycleBudget = 0;
+  /// Wall deadline per attempt, beforeRun included (SweepLimits).
+  double wallSeconds = 0.0;
   IsolationConfig isolation;
   int maxAttempts = 1;
   /// Recorded into failure records (1 = serial / worker-local).
   int poolSize = 1;
   /// Sweep-wide stop; checked before the first attempt and between
-  /// retries.
+  /// retries, and polled inside every attempt with the attempt's
+  /// deadline added.
   CancellationToken sweepCancel;
   /// Test/diagnostics hook, called before every attempt; an exception it
   /// throws is treated exactly like a failed run.
@@ -137,7 +120,6 @@ struct RunTaskContext {
 /// workload instance and simulator per attempt, so concurrent tasks share
 /// nothing mutable; no exception escapes.
 [[nodiscard]] TaskOutcome runCoreCountTask(const RunTaskContext& context,
-                                           int cores,
-                                           RunLifecycle& lifecycle);
+                                           int cores);
 
 }  // namespace occm::analysis

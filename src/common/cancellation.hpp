@@ -9,8 +9,10 @@
 // points — the simulator's event-loop boundary, a sweep task's attempt
 // boundary — so where work stops is deterministic even though *when* the
 // request arrives is not. requestStop() is a lock-free atomic store and
-// is safe to call from a signal handler (graceful Ctrl-C) or a watchdog
-// thread.
+// is safe to call from a signal handler (graceful Ctrl-C) or another
+// thread. A token may also carry a Deadline (withDeadline), so a wall
+// limit is one more way for the same poll to report a stop — no thread
+// has to watch the clock and flip a flag.
 //
 // Work that observes a stop request or exhausts a cycle budget unwinds by
 // throwing RunAborted, a typed exception carrying the reason and the
@@ -28,19 +30,100 @@
 
 namespace occm {
 
-/// Read side of a stop flag. Default-constructed tokens are inert: they
-/// belong to no source and never report a stop request.
+/// A wall-clock deadline against the steady clock. Inert when
+/// default-constructed (never expires).
+class Deadline {
+ public:
+  Deadline() = default;
+
+  /// Deadline `seconds` from now. seconds <= 0 (or NaN) gives an
+  /// already-expired deadline; a span past the clock's range (inf
+  /// included) saturates at the clock's maximum instead of overflowing.
+  [[nodiscard]] static Deadline after(double seconds) {
+    using Clock = std::chrono::steady_clock;
+    Deadline d;
+    d.armed_ = true;
+    const Clock::time_point now = Clock::now();
+    if (!(seconds > 0.0)) {
+      d.at_ = now;
+      return d;
+    }
+    // One second short of the range: absorbs the double rounding there.
+    const double headroom =
+        std::chrono::duration<double>(Clock::time_point::max() - now)
+            .count() -
+        1.0;
+    d.at_ = seconds >= headroom
+                ? Clock::time_point::max()
+                : now + std::chrono::duration_cast<Clock::duration>(
+                            std::chrono::duration<double>(seconds));
+    return d;
+  }
+
+  [[nodiscard]] bool armed() const noexcept { return armed_; }
+
+  [[nodiscard]] bool expired() const noexcept {
+    return armed_ && std::chrono::steady_clock::now() >= at_;
+  }
+
+  /// Seconds until expiry (negative once past); +infinity when unarmed.
+  [[nodiscard]] double remainingSeconds() const noexcept {
+    if (!armed_) {
+      return std::numeric_limits<double>::infinity();
+    }
+    return std::chrono::duration<double>(at_ -
+                                         std::chrono::steady_clock::now())
+        .count();
+  }
+
+ private:
+  friend class CancellationToken;
+
+  /// The earlier of two deadlines; an unarmed one never wins.
+  [[nodiscard]] static Deadline earlier(const Deadline& a,
+                                        const Deadline& b) noexcept {
+    if (!a.armed_) {
+      return b;
+    }
+    if (!b.armed_) {
+      return a;
+    }
+    return a.at_ <= b.at_ ? a : b;
+  }
+
+  std::chrono::steady_clock::time_point at_{};
+  bool armed_ = false;
+};
+
+/// Read side of a stop flag, optionally carrying a Deadline: the token
+/// reports a stop once its source requested one or its deadline passed.
+/// Default-constructed tokens are inert: no flag, no deadline, never a
+/// stop request.
 class CancellationToken {
  public:
   CancellationToken() = default;
 
-  /// True when this token is connected to a CancellationSource.
-  [[nodiscard]] bool valid() const noexcept { return flag_ != nullptr; }
+  /// True when this token has a flag or an armed deadline, i.e. when
+  /// polling it can ever report a stop.
+  [[nodiscard]] bool valid() const noexcept {
+    return flag_ != nullptr || deadline_.armed();
+  }
 
-  /// True once the owning source requested a stop. Relaxed load: polls
-  /// are cheap enough for per-event granularity.
+  /// True once the owning source requested a stop (relaxed load) or the
+  /// deadline expired (a steady-clock read — poll a deadline-carrying
+  /// token at a coarser grain than per event).
   [[nodiscard]] bool stopRequested() const noexcept {
-    return flag_ != nullptr && flag_->load(std::memory_order_relaxed);
+    return (flag_ != nullptr && flag_->load(std::memory_order_relaxed)) ||
+           deadline_.expired();
+  }
+
+  /// This token's flag with `deadline` added; when both are armed the
+  /// earlier one wins.
+  [[nodiscard]] CancellationToken withDeadline(
+      const Deadline& deadline) const {
+    CancellationToken token = *this;
+    token.deadline_ = Deadline::earlier(deadline_, deadline);
+    return token;
   }
 
  private:
@@ -49,6 +132,7 @@ class CancellationToken {
       : flag_(std::move(flag)) {}
 
   std::shared_ptr<std::atomic<bool>> flag_;
+  Deadline deadline_;
 };
 
 /// Write side: owns the flag, hands out tokens. Copies share the flag.
@@ -70,44 +154,6 @@ class CancellationSource {
 
  private:
   std::shared_ptr<std::atomic<bool>> flag_;
-};
-
-/// A wall-clock deadline against the steady clock. Inert when
-/// default-constructed (never expires); watchdogs poll expired().
-class Deadline {
- public:
-  Deadline() = default;
-
-  /// Deadline `seconds` from now; seconds <= 0 gives an already-expired
-  /// deadline.
-  [[nodiscard]] static Deadline after(double seconds) {
-    Deadline d;
-    d.at_ = std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(seconds));
-    d.armed_ = true;
-    return d;
-  }
-
-  [[nodiscard]] bool armed() const noexcept { return armed_; }
-
-  [[nodiscard]] bool expired() const noexcept {
-    return armed_ && std::chrono::steady_clock::now() >= at_;
-  }
-
-  /// Seconds until expiry (negative once past); +infinity when unarmed.
-  [[nodiscard]] double remainingSeconds() const noexcept {
-    if (!armed_) {
-      return std::numeric_limits<double>::infinity();
-    }
-    return std::chrono::duration<double>(at_ -
-                                         std::chrono::steady_clock::now())
-        .count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point at_{};
-  bool armed_ = false;
 };
 
 /// Why a run was aborted at a cancellation point.

@@ -59,10 +59,6 @@ struct PendingRequest : Resolved {
   DegradeReason degradeReason = DegradeReason::kNone;
   bool cacheHit = false;
   std::uint32_t queueDepthAtAdmission = 0;
-  /// Tier-1 only: the per-request stop flag the deadline watchdog fires.
-  CancellationSource cancel;
-  bool stopRequested = false;
-  bool tier1Submitted = false;
   /// The fitted model this request will answer from, pinned at submit
   /// time so LRU eviction mid-sweep cannot orphan the answer.
   std::optional<model::ContentionModel> model;
@@ -364,7 +360,6 @@ AdvisorServerStats runAdvisorServer(const AdvisorServerConfig& config) {
   };
 
   auto submitTier1 = [&](PendingRequest& p) {
-    p.tier1Submitted = true;
     analysis::SweepConfig sweep;
     sweep.machine = p.machine;
     sweep.workload = p.workload;
@@ -375,7 +370,9 @@ AdvisorServerStats runAdvisorServer(const AdvisorServerConfig& config) {
     }
     sweep.maxAttempts = config.maxAttempts;
     sweep.parallel.workers = 1;
-    sweep.cancel = p.cancel.token();
+    // The request's deadline rides on the sweep token; the simulator
+    // observes its expiry at the event-loop boundary.
+    sweep.cancel = CancellationToken{}.withDeadline(p.deadline);
     sweep.beforeRun = config.beforeTier1Run;
     const std::uint64_t serverId = p.serverId;
     (void)pool->submit([&postCompletion, sweep = std::move(sweep),
@@ -607,31 +604,6 @@ AdvisorServerStats runAdvisorServer(const AdvisorServerConfig& config) {
     }
     drainCompletions();
 
-    // Deadline watchdog: fire the stop flag of every in-flight tier-1
-    // request whose deadline passed; the simulator observes it at the
-    // next event-loop boundary.
-    std::optional<std::uint64_t> untilDeadline;
-    for (auto& [serverId, p] : pending) {
-      if (!p.deadline.armed() || p.stopRequested) {
-        continue;
-      }
-      const double remaining = p.deadline.remainingSeconds();
-      if (remaining <= 0.0) {
-        if (p.tier1Submitted) {
-          p.cancel.requestStop();
-          p.stopRequested = true;
-          if (config.onDeadlineCancel) {
-            config.onDeadlineCancel(p.request.requestId);
-          }
-        }
-        // Parked requests resolve at fit completion (the shared fit
-        // cannot be cancelled on behalf of one waiter).
-        continue;
-      }
-      const auto ms = static_cast<std::uint64_t>(remaining * 1'000.0) + 1;
-      untilDeadline = std::min(untilDeadline.value_or(ms), ms);
-    }
-
     if (draining && queueDepth == 0 && pending.empty()) {
       stats.drained = true;
       break;
@@ -666,7 +638,7 @@ AdvisorServerStats runAdvisorServer(const AdvisorServerConfig& config) {
       }
     }
 
-    if (!reactor.turn(untilDeadline, onEvent)) {
+    if (!reactor.turn(std::nullopt, onEvent)) {
       stats.error = reactor.lastError();
       break;
     }

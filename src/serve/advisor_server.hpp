@@ -10,10 +10,11 @@
 //     model fit or tier-1 refinement) takes one slot of a bounded queue;
 //     at capacity new requests shed with a typed kQueueFull — the server
 //     never buffers unboundedly.
-//  2. Deadlines on the wire: a request's deadlineMs becomes a
-//     common/cancellation token; tier-1 simulator work past the deadline
-//     is cancelled at the event-loop boundary (never abandoned) and the
-//     request falls back to a tier-0 answer flagged kDeadlineMiss.
+//  2. Deadlines on the wire: a request's deadlineMs becomes a Deadline
+//     carried by its tier-1 sweep's cancellation token; simulator work
+//     past it is cancelled at the event-loop boundary (never abandoned)
+//     and the request falls back to a tier-0 answer flagged
+//     kDeadlineMiss. The loop itself never scans for expired deadlines.
 //  3. Graceful degradation: tier 0 answers from fitted ContentionModel
 //     parameters in microseconds; tier 1 refines via analysis::runSweep
 //     on the worker pool. When queue depth, deadline slack, or the EWMA
@@ -90,13 +91,10 @@ struct AdvisorServerConfig {
   /// counts, tier counts, tier-1 latency EWMA, cache hit rate), recorded
   /// against milliseconds-since-start. Not owned.
   obs::MetricRegistry* metrics = nullptr;
-  /// Test hooks: forwarded to the fit / tier-1 sweeps' beforeRun (called
-  /// on pool threads), and fired on the loop thread right after a
-  /// deadline expiry cancels a tier-1 request. Never called after
-  /// runAdvisorServer returns.
+  /// Test hooks, forwarded to the fit / tier-1 sweeps' beforeRun (called
+  /// on pool threads). Never called after runAdvisorServer returns.
   std::function<void(int cores, int attempt)> beforeFitRun;
   std::function<void(int cores, int attempt)> beforeTier1Run;
-  std::function<void(std::uint64_t requestId)> onDeadlineCancel;
 };
 
 /// Ground-truth counters of one server run — the numbers the overload

@@ -398,8 +398,12 @@ perf::RunProfile MachineSim::run(std::span<const trace::RefStreamPtr> streams,
 
   // Lifecycle guards, hoisted so the hot loop pays one predictable branch
   // each: a cycle budget aborts deterministically (same budget, same run,
-  // same abort event everywhere); a cancellation token aborts at the next
-  // event boundary after the stop request lands.
+  // same abort event everywhere); a cancellation token aborts at a
+  // sampled event boundary after the stop request lands. The token is
+  // read every kCancelPollEvents pops, starting with the first, because
+  // a deadline-carrying token reads the steady clock — about a quarter
+  // of an event's host time if it were paid per event.
+  constexpr std::uint64_t kCancelPollEvents = 64;
   const Cycles cycleBudget = config_.cycleBudget;
   const bool pollCancel = config_.cancel.valid();
   // Deterministic crash injection (fault::FaultPlan::crash*): the process
@@ -425,7 +429,8 @@ perf::RunProfile MachineSim::run(std::span<const trace::RefStreamPtr> streams,
                            " cycles (next event at cycle " +
                            std::to_string(ev.time) + ")");
     }
-    if (pollCancel && config_.cancel.stopRequested()) {
+    if (pollCancel && hot.eventsPopped % kCancelPollEvents == 0 &&
+        config_.cancel.stopRequested()) {
       throw RunAborted(AbortReason::kCancelled, ev.time,
                        "run cancelled at simulated cycle " +
                            std::to_string(ev.time));

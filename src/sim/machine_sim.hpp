@@ -75,10 +75,12 @@ struct SimConfig {
   /// scheduled past this cycle. 0 = unlimited. Deterministic: the same
   /// budget aborts the same run at the same event everywhere.
   Cycles cycleBudget = 0;
-  /// Cooperative cancellation: polled once per event-loop turn (the
-  /// deterministic cancellation point); when a stop is requested the run
-  /// unwinds with RunAborted (AbortReason::kCancelled). A default token
-  /// never fires and costs one predictable branch per event.
+  /// Cooperative cancellation: polled at the event-loop boundary every
+  /// 64 popped events, starting with the first, so a stop request or an
+  /// expired deadline carried by the token lands within 64 events; the
+  /// run then unwinds with RunAborted (AbortReason::kCancelled). A
+  /// default token is never polled and costs one predictable branch per
+  /// event.
   CancellationToken cancel;
   std::uint64_t seed = 7;
   /// Host-time self-profiler (obs::Profiler): when set, run() times itself

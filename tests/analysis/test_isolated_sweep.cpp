@@ -2,19 +2,22 @@
 // successful runs must be bit-identical to the in-process path at every
 // pool size (with and without a FaultPlan), injected crashes must be
 // contained as RunFailure{kind = crash} while sibling runs complete and
-// checkpoint, and a crash-then-resume cycle must converge to the
-// uninterrupted result — the acceptance criteria of the crash-containment
-// mode.
+// checkpoint, a crash-then-resume cycle must converge to the
+// uninterrupted result, and cycle budgets and wall deadlines classify as
+// timeouts across the fork — the acceptance criteria of the
+// crash-containment mode.
 //
-// Skipped under ThreadSanitizer: fork() from a process whose watchdog /
-// pool threads hold tsan-runtime locks can deadlock the child inside the
+// Skipped under ThreadSanitizer: fork() from a process whose pool
+// threads hold tsan-runtime locks can deadlock the child inside the
 // sanitizer, which is a property of the harness, not the code under test.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/csv.hpp"
@@ -315,6 +318,32 @@ TEST(IsolatedSweepLifecycle, CycleBudgetClassifiesAsTimeoutAcrossTheFork) {
     EXPECT_EQ(f.kind, RunFailureKind::kTimeout) << f.error;
     EXPECT_EQ(f.attempts, 1);
   }
+}
+
+TEST(IsolatedSweepLifecycle, WallDeadlineKillsChildAsTimeout) {
+  OCCM_SKIP_UNDER_TSAN();
+  // The wall deadline reaches the supervisor only through the attempt's
+  // token: the 2-core attempt stalls in the parent's beforeRun well past
+  // the deadline, so the supervisor finds the token stopped and SIGKILLs
+  // the child — classified as a timeout, not a sweep-wide cancel.
+  SweepConfig config = presetConfig(topology::testNuma4(), false);
+  config.parallel.workers = 1;
+  config.isolation.enabled = true;
+  config.limits.wallSeconds = 3.0;
+  config.beforeRun = [](int cores, int /*attempt*/) {
+    if (cores == 2) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(4500));
+    }
+  };
+  const SweepResult sweep = runSweep(config);
+  EXPECT_FALSE(sweep.stopped);
+  ASSERT_EQ(sweep.failures.size(), 1u) << sweep.diagnostics();
+  EXPECT_EQ(sweep.failures[0].cores, 2);
+  EXPECT_EQ(sweep.failures[0].kind, RunFailureKind::kTimeout)
+      << sweep.failures[0].error;
+  EXPECT_EQ(sweep.failures[0].attempts, 1);
+  EXPECT_EQ(sweep.profiles.size(), 3u);
+  EXPECT_EQ(sweep.pendingCoreCounts(), std::vector<int>{2});
 }
 
 TEST(IsolatedSweepLifecycle, CrashPlanWithoutIsolationIsRefused) {

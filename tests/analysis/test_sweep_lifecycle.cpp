@@ -11,6 +11,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -127,8 +128,8 @@ TEST(SweepLifecycle, WallDeadlineMarksOverrunningRunAsTimeout) {
   // The deadline must comfortably exceed a healthy run's wall time (a few
   // hundred ms here, a few seconds under sanitizers) while the 2-core
   // attempt stalls well past it inside beforeRun — by the time that run
-  // reaches the simulator's first cancellation point, the watchdog has
-  // long since fired. No tight timing on either side.
+  // reaches the simulator's first cancellation point, the deadline its
+  // token carries has long since expired. No tight timing on either side.
   config.limits.wallSeconds = 3.0;
   config.beforeRun = [](int cores, int /*attempt*/) {
     if (cores == 2) {
@@ -147,6 +148,18 @@ TEST(SweepLifecycle, WallDeadlineMarksOverrunningRunAsTimeout) {
       << sweep.diagnostics();
 }
 
+TEST(SweepLifecycle, HugeWallDeadlineNeverFires) {
+  // 1e10 s is past the steady clock's nanosecond range: the deadline must
+  // saturate (never expire), not overflow into an already-expired one.
+  SweepConfig config = presetConfig(topology::testNuma4(), false);
+  config.parallel.workers = 1;
+  config.limits.wallSeconds = 1e10;
+  const SweepResult sweep = runSweep(config);
+  EXPECT_FALSE(sweep.stopped);
+  EXPECT_TRUE(sweep.failures.empty()) << sweep.diagnostics();
+  EXPECT_EQ(sweep.profiles.size(), 4u);
+}
+
 TEST(SweepLifecycle, GracefulStopFlushesCheckpointAndResumes) {
   const std::string path = tempPath("occm_lifecycle_stop.json");
   std::filesystem::remove(path);
@@ -157,8 +170,8 @@ TEST(SweepLifecycle, GracefulStopFlushesCheckpointAndResumes) {
   const SweepFingerprint wholeFp = SweepFingerprint::of(whole);
 
   // Serial sweep, stop requested during the 3-core run's beforeRun; the
-  // sleep gives the watchdog ample time to relay the stop into the run's
-  // token, so the 3-core attempt aborts at its first cancellation point.
+  // run polls the sweep token directly, so the 3-core attempt aborts at
+  // its first cancellation point.
   CancellationSource stop;
   SweepConfig interrupted = presetConfig(topology::testNuma4(), false);
   interrupted.parallel.workers = 1;
@@ -338,6 +351,44 @@ TEST(CancellationPrimitives, TokenSourceAndDeadlineSemantics) {
   const Deadline future = Deadline::after(3600.0);
   EXPECT_FALSE(future.expired());
   EXPECT_GT(future.remainingSeconds(), 3000.0);
+
+  // Spans past the clock's range saturate instead of overflowing; NaN
+  // means "already expired", like seconds <= 0.
+  for (const double huge :
+       {1e10, 1e300, std::numeric_limits<double>::infinity()}) {
+    const Deadline far = Deadline::after(huge);
+    EXPECT_TRUE(far.armed()) << huge;
+    EXPECT_FALSE(far.expired()) << huge;
+    EXPECT_GT(far.remainingSeconds(), 1e9) << huge;
+  }
+  const Deadline nan =
+      Deadline::after(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_TRUE(nan.armed());
+  EXPECT_TRUE(nan.expired());
+
+  // A token carrying a deadline: it stops once the deadline expires,
+  // with no flag at all...
+  const CancellationToken expiring = CancellationToken{}.withDeadline(past);
+  EXPECT_TRUE(expiring.valid());
+  EXPECT_TRUE(expiring.stopRequested());
+  EXPECT_FALSE(CancellationToken{}.withDeadline(never).valid());
+  EXPECT_FALSE(CancellationToken{}.withDeadline(future).stopRequested());
+  // ...or when its linked flag fires, deadline or not...
+  CancellationSource linked;
+  const CancellationToken both = linked.token().withDeadline(future);
+  EXPECT_FALSE(both.stopRequested());
+  linked.requestStop();
+  EXPECT_TRUE(both.stopRequested());
+  // ...and of two deadlines the earlier wins, in either order.
+  EXPECT_TRUE(
+      CancellationToken{}.withDeadline(future).withDeadline(past)
+          .stopRequested());
+  EXPECT_TRUE(
+      CancellationToken{}.withDeadline(past).withDeadline(future)
+          .stopRequested());
+  EXPECT_FALSE(
+      CancellationToken{}.withDeadline(future).withDeadline(never)
+          .stopRequested());
 
   const RunAborted aborted(AbortReason::kCycleBudget, 12345, "budget blown");
   EXPECT_EQ(aborted.reason(), AbortReason::kCycleBudget);

@@ -1,7 +1,8 @@
 // End-to-end overload tests for the capacity-advisor server, driven over
-// real TCP with zero sleeps: every ordering is pinned by hooks (gates in
-// beforeFitRun/beforeTier1Run, futures from onListening / onDraining /
-// onDeadlineCancel), never by timing guesses. The flagship test walks the
+// real TCP with no timing guesses: every ordering is pinned by hooks
+// (gates in beforeFitRun/beforeTier1Run, futures from onListening /
+// onDraining); the one sleep waits out a test-side deadline that expires
+// no earlier than the server's. The flagship test walks the
 // whole robustness ladder in one run — queue fill -> typed shed, deadline
 // mid-tier-1 -> cooperative cancellation + tier-0 fallback, drain ->
 // kDraining shed — and then reconciles every AdvisorServerStats counter
@@ -153,8 +154,6 @@ TEST(AdvisorServer, OverloadLadderEndToEnd) {
   auto portFuture = portPromise.get_future();
   std::promise<void> drainingPromise;
   auto drainingFuture = drainingPromise.get_future();
-  std::promise<std::uint64_t> cancelPromise;
-  auto cancelFuture = cancelPromise.get_future();
   CancellationSource drain;
   obs::MetricRegistry metrics(1);  // 1 ms windows
 
@@ -168,9 +167,6 @@ TEST(AdvisorServer, OverloadLadderEndToEnd) {
   config.metrics = &metrics;
   config.onListening = [&](int port) { portPromise.set_value(port); };
   config.onDraining = [&] { drainingPromise.set_value(); };
-  config.onDeadlineCancel = [&](std::uint64_t id) {
-    cancelPromise.set_value(id);
-  };
   config.beforeFitRun = [&](int, int) { fitGate.pass(); };
   config.beforeTier1Run = [&](int, int) { tier1Gate.pass(); };
 
@@ -264,15 +260,22 @@ TEST(AdvisorServer, OverloadLadderEndToEnd) {
   }
 
   // --- Rung 2b: deadline expires mid-tier-1 -> cooperative cancel. ----
-  // The refinement blocks at its gate until the watchdog fires the
-  // request's stop flag (observed via onDeadlineCancel — no sleeps);
-  // the sweep then unwinds at the simulator's cancellation point and
-  // the request falls back to a flagged tier-0 answer.
+  // The refinement blocks at its gate until the request's deadline has
+  // passed. The server armed that deadline at admission, before the
+  // refinement reached the gate, so once a deadline of the same length
+  // armed at the arrival expires, the server's has too. The sweep then
+  // unwinds at the simulator's cancellation point and the request falls
+  // back to a flagged tier-0 answer.
+  const int tier1ArrivalsBefore7 = tier1Gate.arrivals();
   tier1Gate.close();
   ASSERT_TRUE(
-      client.send(makeRequest(7, "EP", TierPreference::kTier1, 30)));
-  ASSERT_EQ(cancelFuture.wait_for(30s), std::future_status::ready);
-  EXPECT_EQ(cancelFuture.get(), 7u);
+      client.send(makeRequest(7, "EP", TierPreference::kTier1, 200)));
+  ASSERT_TRUE(tier1Gate.awaitArrivals(tier1ArrivalsBefore7 + 1));
+  const Deadline serverDeadlinePassed = Deadline::after(0.200);
+  while (!serverDeadlinePassed.expired()) {
+    std::this_thread::sleep_for(std::chrono::duration<double>(
+        serverDeadlinePassed.remainingSeconds()));
+  }
   tier1Gate.open();
   auto r7 = client.recvFor(7);
   ASSERT_TRUE(r7.has_value());
