@@ -1,4 +1,4 @@
-// Fuzzes SweepCheckpoint::parse — the loader that re-ingests whatever a
+// Fuzzes SweepCheckpoint::parseChecked — the loader that re-ingests whatever a
 // previous (possibly crashed) invocation left on disk. Arbitrary bytes
 // must parse or be rejected, never crash; anything that parses must be a
 // serialize/reparse fixed point.
@@ -14,11 +14,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   using occm::analysis::SweepCheckpoint;
   const std::string text(reinterpret_cast<const char*>(data), size);
 
-  const auto parsed = SweepCheckpoint::parse(text);
-  if (parsed.has_value()) {
+  const auto parsed = SweepCheckpoint::parseChecked(text);
+  if (parsed.hasValue()) {
     const std::string json = parsed->toJson();
-    const auto again = SweepCheckpoint::parse(json);
-    if (!again.has_value() || again->toJson() != json) {
+    const auto again = SweepCheckpoint::parseChecked(json);
+    if (!again.hasValue() || again->toJson() != json) {
       std::abort();
     }
   }

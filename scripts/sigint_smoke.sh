@@ -49,8 +49,10 @@ grep -q "stopped early" "$workdir/first.log" || {
   echo "FAIL: no checkpoint flushed at $ckpt" >&2
   exit 1
 }
-python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$ckpt" 2>/dev/null || {
-  echo "FAIL: flushed checkpoint is not valid JSON" >&2
+# Checkpoint v3 shape: version 3, an 8-hex-digit config digest, and runs
+# that each carry cores, a crc and an even-length hex profile.
+python3 -c "import json,re,sys; c=json.load(open(sys.argv[1])); assert c['version'] == 3; assert re.fullmatch('[0-9a-f]{8}', c['config']); assert all({'cores', 'crc', 'profile'} <= set(r) and len(r['profile']) % 2 == 0 for r in c['runs'])" "$ckpt" 2>/dev/null || {
+  echo "FAIL: flushed checkpoint is not valid v3 JSON" >&2
   exit 1
 }
 

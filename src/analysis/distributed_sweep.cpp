@@ -112,7 +112,6 @@ TaskOutcome resultToOutcome(const dist::TaskResult& result, int cores) {
   TaskOutcome outcome;
   if (result.hasProfile) {
     outcome.profile = result.profile;
-    outcome.record = makeRunRecord(result.profile, cores);
   }
   if (result.hasFailure) {
     RunFailure failure;

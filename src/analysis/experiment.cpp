@@ -12,8 +12,10 @@
 
 #include "analysis/distributed_sweep.hpp"
 #include "common/cancellation.hpp"
+#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "exec/thread_pool.hpp"
+#include "fault/fault_plan_io.hpp"
 
 namespace occm::analysis {
 
@@ -49,6 +51,24 @@ std::string pendingSuffix(const SweepResult& sweep) {
   std::set<int> cores(pending.begin(), pending.end());
   return "; still pending: " + joinCores(cores) + " (sweep pool size " +
          std::to_string(sweep.requestedWorkers) + ")";
+}
+
+/// Checkpoint identity: CRC-32 of the sweep's fleet job — the complete,
+/// self-contained description of a run — with the per-task fields
+/// (taskId, cores) and the attempt policy zeroed. maxAttempts, the cycle
+/// budget and crash injections decide whether an attempt fails, never
+/// what a completed profile holds, so a resume may change them and still
+/// restore; anything else that differs starts the sweep fresh.
+std::uint32_t configDigest(const SweepConfig& config,
+                           const workloads::WorkloadSpec& spec) {
+  exec::dist::WireMessage message;
+  message.kind = exec::dist::WireMessage::Kind::kAssign;
+  message.job = makeJobSpec(config, spec, /*cores=*/0, /*taskId=*/0);
+  message.job.maxAttempts = 0;
+  message.job.cycleBudget = 0;
+  const fault::FaultPlan plan = config.sim.faultPlan.withoutCrashes();
+  message.job.faultPlanJson = plan.empty() ? std::string() : fault::toJson(plan);
+  return crc32(exec::dist::encodeMessage(message));
 }
 
 /// Runs one core count: restore from the checkpoint when possible,
@@ -103,8 +123,8 @@ class CheckpointWriter {
       }
       const TaskOutcome& outcome = outcomes_[i];
       // Restored outcomes are already in the base snapshot.
-      if (outcome.record.has_value() && !outcome.restored) {
-        snapshot.runs.push_back(*outcome.record);
+      if (outcome.profile.has_value() && !outcome.restored) {
+        snapshot.runs.push_back(*outcome.profile);
       }
       // Timeouts and cancellations are lifecycle outcomes of *this*
       // invocation: persisting them would pile up stale records across
@@ -309,22 +329,20 @@ SweepResult runSweep(const SweepConfig& config) {
     }
   }
 
-  SweepCheckpoint identity;
-  identity.program = workloads::workloadName(spec.program, spec.problemClass);
-  identity.machine = config.machine.name;
-  identity.seed = config.sim.seed;
-  identity.threads = spec.threads;
-  SweepCheckpoint restoredState = identity;
+  SweepCheckpoint restoredState;
+  restoredState.program =
+      workloads::workloadName(spec.program, spec.problemClass);
+  restoredState.machine = config.machine.name;
   std::string checkpointWarning;
   if (!config.checkpointPath.empty()) {
+    restoredState.config = configDigest(config, spec);
     // Tolerant restore: a checkpoint that exists but cannot be trusted
     // (truncated, garbage, version-skewed, CRC-failed) is quarantined to
     // <path>.corrupt and the sweep starts fresh; only its diagnosis
     // survives, as SweepResult::checkpointWarning.
     auto loaded = SweepCheckpoint::loadOrQuarantine(config.checkpointPath);
     if (loaded) {
-      if (loaded->matches(identity.program, identity.machine, identity.seed,
-                          identity.threads)) {
+      if (loaded->matches(restoredState.config)) {
         restoredState = std::move(*loaded);
       }
     } else if (loaded.error().kind != CheckpointErrorKind::kMissing) {

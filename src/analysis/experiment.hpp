@@ -115,7 +115,8 @@ struct SweepConfig {
   /// When non-empty, completed runs are checkpointed here after every
   /// core count (atomic tmp+rename JSON) and a matching checkpoint is
   /// restored on the next call, skipping finished runs. A checkpoint
-  /// whose program/machine/seed/threads identity differs is ignored.
+  /// written under a different configuration — anything that changes
+  /// what a completed run measures — is ignored.
   std::string checkpointPath;
   /// Test/diagnostics hook, called before every attempt; an exception it
   /// throws is treated exactly like a failed run. With parallel.workers
@@ -150,9 +151,8 @@ struct SweepResult {
   /// Core counts that failed at least once (recovered or not); a core
   /// count with `recovered == false` has no profile.
   std::vector<RunFailure> failures;
-  /// Runs restored from the checkpoint instead of simulated. Restored
-  /// profiles are lightweight: counters.totalCycles/stallCycles and
-  /// makespan only.
+  /// Runs restored from the checkpoint instead of simulated. A restored
+  /// profile is the checkpointed one in full (everything but the trace).
   std::size_t restoredRuns = 0;
   /// Resolved pool size the sweep ran with (1 = serial); reported by the
   /// accessor diagnostics so a partially-merged parallel sweep names the

@@ -3,49 +3,26 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "common/crc32.hpp"
 #include "common/json_reader.hpp"
 #include "exec/frame_transport.hpp"
+#include "exec/wire_codec.hpp"
 #include "obs/chrome_trace.hpp"
 
 namespace occm::analysis {
 
 namespace {
 
-/// Canonical double formatting shared by the JSON emitter and the CRC
-/// payloads: %.17g round-trips every double, and computing both the JSON
-/// text and the checksum from the same string means a value that survives
-/// a parse round-trip always re-produces its own CRC.
-std::string fmtDouble(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
-}
-
-// The CRC covers a canonical field encoding — not the JSON bytes — so
-// whitespace or key reordering never invalidates a record, while any
-// change to a field's *value* does. Writer and loader both derive the
-// payload from the in-memory record via these two helpers.
-std::string runPayload(const RunRecord& r) {
-  std::string out = "run|";
-  out += std::to_string(r.cores);
-  for (const double value :
-       {r.totalCycles, r.stallCycles, r.makespan, r.llcMisses,
-        r.coherenceMisses, r.writebacks, r.reroutedRequests, r.faultRetries,
-        r.backgroundRequests, r.throttledCycles}) {
-    out += '|';
-    out += fmtDouble(value);
-  }
-  return out;
-}
-
+// A failure record's CRC covers a canonical field encoding — not the
+// JSON bytes — so whitespace or key reordering never invalidates it,
+// while any change to a field's *value* does.
 std::string failurePayload(const RunFailure& f) {
   std::string out = "fail|";
   out += std::to_string(f.cores);
@@ -59,8 +36,8 @@ std::string failurePayload(const RunFailure& f) {
   out += toString(f.kind);
   out += '|';
   out += f.error;
-  // Crash detail joins the payload only for crash records, so the CRCs
-  // of every record an existing v2 file can contain are unchanged.
+  // Crash detail joins the payload only for crash records, matching the
+  // fields toJson writes.
   if (f.kind == RunFailureKind::kCrash) {
     out += '|';
     out += std::to_string(f.signal);
@@ -78,18 +55,59 @@ std::string crcHex(std::uint32_t crc) {
   return buf;
 }
 
-bool parseCrcHex(const std::string& text, std::uint32_t* out) {
-  if (text.size() != 8) {
+std::string toHex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(bytes.size() * 2);
+  for (const char ch : bytes) {
+    const auto byte = static_cast<unsigned char>(ch);
+    out += kDigits[byte >> 4];
+    out += kDigits[byte & 0xFU];
+  }
+  return out;
+}
+
+int hexDigit(char ch) {
+  if (ch >= '0' && ch <= '9') {
+    return ch - '0';
+  }
+  if (ch >= 'a' && ch <= 'f') {
+    return ch - 'a' + 10;
+  }
+  return -1;
+}
+
+/// Inverse of toHex: even length, lowercase digits only.
+bool fromHex(const std::string& hex, std::string* out) {
+  if (hex.size() % 2 != 0) {
     return false;
   }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(text.c_str(), &end, 16);
-  if (end != text.c_str() + 8 || errno == ERANGE) {
-    return false;
+  out->clear();
+  out->reserve(hex.size() / 2);
+  for (std::size_t i = 0; i < hex.size(); i += 2) {
+    const int hi = hexDigit(hex[i]);
+    const int lo = hexDigit(hex[i + 1]);
+    if (hi < 0 || lo < 0) {
+      return false;
+    }
+    out->push_back(static_cast<char>((hi << 4) | lo));
   }
-  *out = static_cast<std::uint32_t>(value);
   return true;
+}
+
+/// Reads a string holding 8 lowercase hex digits (a CRC-32 or the config
+/// digest); anything else fails the reader.
+std::uint32_t readHex32(JsonReader& reader, const char* field) {
+  std::string bytes;
+  const std::string text = reader.parseString();
+  if (reader.ok() && (text.size() != 8 || !fromHex(text, &bytes))) {
+    reader.fail(std::string(field) + " is not 8 lowercase hex digits");
+  }
+  std::uint32_t value = 0;
+  for (const char byte : bytes) {
+    value = (value << 8) | static_cast<unsigned char>(byte);
+  }
+  return value;
 }
 
 bool parseFailureKind(const std::string& text, RunFailureKind* out) {
@@ -115,12 +133,77 @@ CheckpointError readerError(const JsonReader& reader) {
   return err;
 }
 
-CheckpointError crcError(std::size_t recordOffset, std::string detail) {
+CheckpointError errorAt(CheckpointErrorKind kind, std::size_t offset,
+                        std::string detail) {
   CheckpointError err;
-  err.kind = CheckpointErrorKind::kCrcMismatch;
-  err.byteOffset = recordOffset;
+  err.kind = kind;
+  err.byteOffset = offset;
   err.detail = std::move(detail);
   return err;
+}
+
+/// The error for a record whose stored CRC is absent or differs from
+/// the CRC of `payload`; nullopt when they agree.
+std::optional<CheckpointError> checkCrc(std::size_t recordOffset,
+                                        const char* record,
+                                        std::optional<std::uint32_t> stored,
+                                        std::string_view payload) {
+  const std::uint32_t computed = crc32(payload);
+  if (!stored) {
+    return errorAt(CheckpointErrorKind::kCrcMismatch, recordOffset,
+                   std::string(record) + " record is missing its crc");
+  }
+  if (*stored != computed) {
+    return errorAt(CheckpointErrorKind::kCrcMismatch, recordOffset,
+                   std::string(record) + " record crc mismatch (stored " +
+                       crcHex(*stored) + ", computed " + crcHex(computed) +
+                       ")");
+  }
+  return std::nullopt;
+}
+
+/// Decodes one run record's profile: hex -> bytes, CRC, wire decode. The
+/// profile must fill the bytes exactly and name the record's core count.
+Expected<perf::RunProfile, CheckpointError> decodeRun(
+    std::size_t recordOffset, int cores, const std::string& hex,
+    std::optional<std::uint32_t> storedCrc) {
+  std::string bytes;
+  if (!fromHex(hex, &bytes)) {
+    return makeUnexpected(
+        errorAt(CheckpointErrorKind::kSyntax, recordOffset,
+                "run profile is not an even-length lowercase hex string"));
+  }
+  if (std::optional<CheckpointError> err =
+          checkCrc(recordOffset, "run", storedCrc, bytes)) {
+    return makeUnexpected(std::move(*err));
+  }
+  exec::wire::Reader in(bytes);
+  perf::RunProfile profile = exec::wire::readProfile(in);
+  if (in.ok() && !in.atEnd()) {
+    in.fail("trailing bytes after the profile");
+  }
+  if (!in.ok()) {
+    return makeUnexpected(errorAt(
+        CheckpointErrorKind::kSyntax, recordOffset,
+        "run profile does not decode at profile byte " +
+            std::to_string(in.error().byteOffset) + ": " +
+            in.error().detail));
+  }
+  if (profile.activeCores != cores) {
+    return makeUnexpected(errorAt(
+        CheckpointErrorKind::kSyntax, recordOffset,
+        "run record for " + std::to_string(cores) +
+            " cores holds a profile of " +
+            std::to_string(profile.activeCores)));
+  }
+  return profile;
+}
+
+CheckpointError unversioned(std::size_t offset) {
+  return errorAt(CheckpointErrorKind::kVersionSkew, offset,
+                 "checkpoint does not open with its format version "
+                 "(format 1 had none); this build reads version " +
+                     std::to_string(SweepCheckpoint::kFormatVersion));
 }
 
 }  // namespace
@@ -146,18 +229,10 @@ std::string CheckpointError::message() const {
   return out;
 }
 
-bool SweepCheckpoint::matches(const std::string& programName,
-                              const std::string& machineName,
-                              std::uint64_t seedValue,
-                              int threadCount) const {
-  return program == programName && machine == machineName &&
-         seed == seedValue && threads == threadCount;
-}
-
-const RunRecord* SweepCheckpoint::find(int cores) const {
-  for (const RunRecord& r : runs) {
-    if (r.cores == cores) {
-      return &r;
+const perf::RunProfile* SweepCheckpoint::find(int cores) const {
+  for (const perf::RunProfile& run : runs) {
+    if (run.activeCores == cores) {
+      return &run;
     }
   }
   return nullptr;
@@ -169,25 +244,15 @@ std::string SweepCheckpoint::toJson() const {
   out << "  \"version\": " << kFormatVersion << ",\n";
   out << "  \"program\": \"" << obs::jsonEscape(program) << "\",\n";
   out << "  \"machine\": \"" << obs::jsonEscape(machine) << "\",\n";
-  // The seed is a string: a 64-bit value does not survive a double.
-  out << "  \"seed\": \"" << seed << "\",\n";
-  out << "  \"threads\": " << threads << ",\n";
+  out << "  \"config\": \"" << crcHex(config) << "\",\n";
   out << "  \"runs\": [";
   for (std::size_t i = 0; i < runs.size(); ++i) {
-    const RunRecord& r = runs[i];
+    std::string bytes;
+    exec::wire::putProfile(bytes, runs[i]);
     out << (i == 0 ? "\n" : ",\n");
-    out << "    {\"cores\": " << r.cores
-        << ", \"totalCycles\": " << fmtDouble(r.totalCycles)
-        << ", \"stallCycles\": " << fmtDouble(r.stallCycles)
-        << ", \"makespan\": " << fmtDouble(r.makespan)
-        << ", \"llcMisses\": " << fmtDouble(r.llcMisses)
-        << ", \"coherenceMisses\": " << fmtDouble(r.coherenceMisses)
-        << ", \"writebacks\": " << fmtDouble(r.writebacks)
-        << ", \"rerouted\": " << fmtDouble(r.reroutedRequests)
-        << ", \"faultRetries\": " << fmtDouble(r.faultRetries)
-        << ", \"background\": " << fmtDouble(r.backgroundRequests)
-        << ", \"throttledCycles\": " << fmtDouble(r.throttledCycles)
-        << ", \"crc\": \"" << crcHex(crc32(runPayload(r))) << "\"}";
+    out << "    {\"cores\": " << runs[i].activeCores << ", \"profile\": \""
+        << toHex(bytes) << "\", \"crc\": \"" << crcHex(crc32(bytes))
+        << "\"}";
   }
   out << (runs.empty() ? "],\n" : "\n  ],\n");
   out << "  \"failures\": [";
@@ -215,152 +280,45 @@ Expected<SweepCheckpoint, CheckpointError> SweepCheckpoint::parseChecked(
     const std::string& json) {
   JsonReader reader(json);
   SweepCheckpoint state;
-  // Legacy (pre-CRC) checkpoints carry no header; absence means v1 and
-  // no per-record checksums to demand.
-  int version = 1;
-  if (!reader.consume('{')) {
-    return makeUnexpected(readerError(reader));
-  }
-  bool first = true;
-  while (reader.ok() && !reader.peek('}')) {
-    if (!first && !reader.consume(',')) {
-      return makeUnexpected(readerError(reader));
-    }
-    first = false;
-    const std::string key = reader.parseString();
-    if (!reader.consume(':')) {
-      return makeUnexpected(readerError(reader));
-    }
-    if (key == "version") {
-      reader.skipWs();
-      const std::size_t versionOffset = reader.offset();
-      version = reader.parseInt("version");
-      if (reader.ok() && (version < 1 || version > kFormatVersion)) {
-        CheckpointError err;
-        err.kind = CheckpointErrorKind::kVersionSkew;
-        err.byteOffset = versionOffset;
-        err.detail = "checkpoint format version " + std::to_string(version) +
-                     "; this build reads versions 1.." +
-                     std::to_string(kFormatVersion);
-        return makeUnexpected(err);
-      }
-    } else if (key == "program") {
-      state.program = reader.parseString();
-    } else if (key == "machine") {
-      state.machine = reader.parseString();
-    } else if (key == "seed") {
-      const std::string digits = reader.parseString();
-      errno = 0;
-      char* end = nullptr;
-      state.seed = std::strtoull(digits.c_str(), &end, 10);
-      if (end == digits.c_str() || *end != '\0' || errno == ERANGE) {
-        reader.fail("seed is not a decimal 64-bit integer");
-      }
-    } else if (key == "threads") {
-      state.threads = reader.parseInt("threads");
-    } else if (key == "runs") {
-      if (!reader.consume('[')) {
-        return makeUnexpected(readerError(reader));
-      }
-      while (reader.ok() && !reader.peek(']')) {
-        if (!state.runs.empty() && !reader.consume(',')) {
-          return makeUnexpected(readerError(reader));
-        }
-        reader.skipWs();
-        const std::size_t recordOffset = reader.offset();
-        RunRecord record;
-        bool hasCrc = false;
-        std::uint32_t storedCrc = 0;
-        if (!reader.consume('{')) {
-          return makeUnexpected(readerError(reader));
-        }
-        bool innerFirst = true;
-        while (reader.ok() && !reader.peek('}')) {
-          if (!innerFirst && !reader.consume(',')) {
-            return makeUnexpected(readerError(reader));
-          }
-          innerFirst = false;
-          const std::string field = reader.parseString();
-          if (!reader.consume(':')) {
-            return makeUnexpected(readerError(reader));
-          }
+  // A part that parsed but failed its own checks (version, CRC, profile).
+  std::optional<CheckpointError> bad;
+  // The version comes first: it decides how everything after it parses.
+  bool versioned = false;
+  const auto parseRun = [&] {
+    reader.skipWs();
+    const std::size_t recordOffset = reader.offset();
+    int cores = 0;
+    std::string hex;
+    std::optional<std::uint32_t> crc;
+    if (!reader.parseObject([&](const std::string& field, std::size_t) {
           if (field == "cores") {
-            record.cores = reader.parseInt("cores");
-          } else if (field == "totalCycles") {
-            record.totalCycles = reader.parseNumber();
-          } else if (field == "stallCycles") {
-            record.stallCycles = reader.parseNumber();
-          } else if (field == "makespan") {
-            record.makespan = reader.parseNumber();
-          } else if (field == "llcMisses") {
-            record.llcMisses = reader.parseNumber();
-          } else if (field == "coherenceMisses") {
-            record.coherenceMisses = reader.parseNumber();
-          } else if (field == "writebacks") {
-            record.writebacks = reader.parseNumber();
-          } else if (field == "rerouted") {
-            record.reroutedRequests = reader.parseNumber();
-          } else if (field == "faultRetries") {
-            record.faultRetries = reader.parseNumber();
-          } else if (field == "background") {
-            record.backgroundRequests = reader.parseNumber();
-          } else if (field == "throttledCycles") {
-            record.throttledCycles = reader.parseNumber();
+            cores = reader.parseInt("cores");
+          } else if (field == "profile") {
+            hex = reader.parseString();
           } else if (field == "crc") {
-            hasCrc = parseCrcHex(reader.parseString(), &storedCrc);
-            if (reader.ok() && !hasCrc) {
-              reader.fail("crc is not 8 hex digits");
-            }
+            crc = readHex32(reader, "crc");
           } else {
             reader.fail("unknown run field \"" + field + "\"");
           }
-        }
-        reader.consume('}');
-        if (!reader.ok()) {
-          return makeUnexpected(readerError(reader));
-        }
-        if (version >= 2) {
-          if (!hasCrc) {
-            return makeUnexpected(
-                crcError(recordOffset, "run record is missing its crc"));
-          }
-          const std::uint32_t computed = crc32(runPayload(record));
-          if (computed != storedCrc) {
-            return makeUnexpected(crcError(
-                recordOffset, "run record crc mismatch (stored " +
-                                  crcHex(storedCrc) + ", computed " +
-                                  crcHex(computed) + ")"));
-          }
-        }
-        state.runs.push_back(record);
-      }
-      reader.consume(']');
-    } else if (key == "failures") {
-      if (!reader.consume('[')) {
-        return makeUnexpected(readerError(reader));
-      }
-      while (reader.ok() && !reader.peek(']')) {
-        if (!state.failures.empty() && !reader.consume(',')) {
-          return makeUnexpected(readerError(reader));
-        }
-        reader.skipWs();
-        const std::size_t recordOffset = reader.offset();
-        RunFailure failure;
-        bool hasCrc = false;
-        std::uint32_t storedCrc = 0;
-        if (!reader.consume('{')) {
-          return makeUnexpected(readerError(reader));
-        }
-        bool innerFirst = true;
-        while (reader.ok() && !reader.peek('}')) {
-          if (!innerFirst && !reader.consume(',')) {
-            return makeUnexpected(readerError(reader));
-          }
-          innerFirst = false;
-          const std::string field = reader.parseString();
-          if (!reader.consume(':')) {
-            return makeUnexpected(readerError(reader));
-          }
+          return reader.ok();
+        })) {
+      return false;
+    }
+    Expected<perf::RunProfile, CheckpointError> run =
+        decodeRun(recordOffset, cores, hex, crc);
+    if (!run) {
+      bad = run.error();
+      return false;
+    }
+    state.runs.push_back(std::move(*run));
+    return true;
+  };
+  const auto parseFailure = [&] {
+    reader.skipWs();
+    const std::size_t recordOffset = reader.offset();
+    RunFailure failure;
+    std::optional<std::uint32_t> crc;
+    if (!reader.parseObject([&](const std::string& field, std::size_t) {
           if (field == "cores") {
             failure.cores = reader.parseInt("cores");
           } else if (field == "attempts") {
@@ -368,17 +326,15 @@ Expected<SweepCheckpoint, CheckpointError> SweepCheckpoint::parseChecked(
           } else if (field == "recovered") {
             failure.recovered = reader.parseBool();
           } else if (field == "poolSize") {
-            // Absent in pre-parallel checkpoints; RunFailure defaults to 1.
             failure.poolSize = reader.parseInt("poolSize");
           } else if (field == "kind") {
-            // Absent in v1 checkpoints; RunFailure defaults to kException.
             const std::string kindText = reader.parseString();
             if (reader.ok() && !parseFailureKind(kindText, &failure.kind)) {
               reader.fail("unknown failure kind \"" + kindText + "\"");
             }
           } else if (field == "signal") {
-            // Present only on crash records (format v2, crash-capable
-            // builds); absent fields keep their zero defaults.
+            // Present only on crash records; absent fields keep their
+            // zero defaults.
             failure.signal = reader.parseInt("signal");
           } else if (field == "rlimit") {
             failure.rlimit = reader.parseString();
@@ -387,55 +343,66 @@ Expected<SweepCheckpoint, CheckpointError> SweepCheckpoint::parseChecked(
           } else if (field == "error") {
             failure.error = reader.parseString();
           } else if (field == "crc") {
-            hasCrc = parseCrcHex(reader.parseString(), &storedCrc);
-            if (reader.ok() && !hasCrc) {
-              reader.fail("crc is not 8 hex digits");
-            }
+            crc = readHex32(reader, "crc");
           } else {
             reader.fail("unknown failure field \"" + field + "\"");
           }
-        }
-        reader.consume('}');
-        if (!reader.ok()) {
-          return makeUnexpected(readerError(reader));
-        }
-        if (version >= 2) {
-          if (!hasCrc) {
-            return makeUnexpected(
-                crcError(recordOffset, "failure record is missing its crc"));
-          }
-          const std::uint32_t computed = crc32(failurePayload(failure));
-          if (computed != storedCrc) {
-            return makeUnexpected(crcError(
-                recordOffset, "failure record crc mismatch (stored " +
-                                  crcHex(storedCrc) + ", computed " +
-                                  crcHex(computed) + ")"));
-          }
-        }
-        state.failures.push_back(failure);
+          return reader.ok();
+        })) {
+      return false;
+    }
+    bad = checkCrc(recordOffset, "failure", crc, failurePayload(failure));
+    if (bad) {
+      return false;
+    }
+    state.failures.push_back(std::move(failure));
+    return true;
+  };
+  reader.parseObject([&](const std::string& key, std::size_t keyOffset) {
+    if (!versioned && key != "version") {
+      bad = unversioned(keyOffset);
+      return false;
+    }
+    if (key == "version") {
+      reader.skipWs();
+      const std::size_t versionOffset = reader.offset();
+      const int version = reader.parseInt("version");
+      if (reader.ok() && version != kFormatVersion) {
+        bad = errorAt(CheckpointErrorKind::kVersionSkew, versionOffset,
+                      "checkpoint format version " + std::to_string(version) +
+                          "; this build reads version " +
+                          std::to_string(kFormatVersion));
+        return false;
       }
-      reader.consume(']');
+      versioned = true;
+    } else if (key == "program") {
+      state.program = reader.parseString();
+    } else if (key == "machine") {
+      state.machine = reader.parseString();
+    } else if (key == "config") {
+      state.config = readHex32(reader, "config");
+    } else if (key == "runs") {
+      reader.parseArray(parseRun);
+    } else if (key == "failures") {
+      reader.parseArray(parseFailure);
     } else {
       reader.fail("unknown checkpoint key \"" + key + "\"");
     }
+    return reader.ok() && !bad;
+  });
+  if (bad) {
+    return makeUnexpected(std::move(*bad));
   }
-  reader.consume('}');
   if (reader.ok() && !reader.atEnd()) {
     reader.fail("trailing bytes after the checkpoint object");
   }
   if (!reader.ok()) {
     return makeUnexpected(readerError(reader));
   }
-  return state;
-}
-
-std::optional<SweepCheckpoint> SweepCheckpoint::parse(
-    const std::string& json) {
-  Expected<SweepCheckpoint, CheckpointError> result = parseChecked(json);
-  if (!result) {
-    return std::nullopt;
+  if (!versioned) {
+    return makeUnexpected(unversioned(0));
   }
-  return std::move(*result);
+  return state;
 }
 
 bool SweepCheckpoint::save(const std::string& path) const {
@@ -521,14 +488,6 @@ Expected<SweepCheckpoint, CheckpointError> SweepCheckpoint::loadOrQuarantine(
     }
   }
   return makeUnexpected(std::move(err));
-}
-
-std::optional<SweepCheckpoint> SweepCheckpoint::load(const std::string& path) {
-  Expected<SweepCheckpoint, CheckpointError> result = loadChecked(path);
-  if (!result) {
-    return std::nullopt;
-  }
-  return std::move(*result);
 }
 
 }  // namespace occm::analysis

@@ -4,24 +4,30 @@
 // many core counts is the unit of work the whole methodology hangs on;
 // one crashed or degenerate run must not throw away the survivors. This
 // header holds the structured failure record runSweep emits and the
-// JSON checkpoint that lets an interrupted sweep resume without
-// re-simulating completed core counts.
+// checkpoint that lets an interrupted sweep resume without re-simulating
+// completed core counts.
 //
-// Checkpoint format v2 (this PR): a "version" header plus a CRC-32 per
-// record, computed over a canonical field encoding, so bytes damaged at
-// rest (bit rot, mid-write kill of a non-atomic copy, hand editing) are
-// detected instead of silently skewing a resumed sweep. Loading is
-// tolerant: truncated/garbage/version-skewed/CRC-failed files produce a
-// typed CheckpointError naming the byte offset, and loadOrQuarantine
+// Checkpoint format v3: JSON is only the container. The header names the
+// sweep (program and machine as readable labels, plus "config", a CRC-32
+// of everything that decides what a completed run measures), and each
+// completed run is stored whole: the exec::wire encoding of its
+// RunProfile — the same bytes the isolation pipe and the fleet carry —
+// as lowercase hex, with a CRC-32 over those bytes. A resumed profile is
+// therefore the checkpointed profile itself, bit for bit. Failure records
+// stay JSON fields with a CRC-32 over a canonical field encoding. Loading
+// is tolerant: truncated/garbage/version-skewed/CRC-failed files produce
+// a typed CheckpointError naming the byte offset, and loadOrQuarantine
 // renames the bad file to <path>.corrupt so a fresh start never fights
-// the same bytes twice. Version-1 files (no header, no CRCs) still load.
+// the same bytes twice. Files of older formats (v1, v2) load as version
+// skew: a checkpoint is a cache of work, so dropping one costs a re-run,
+// never a wrong answer.
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/expected.hpp"
+#include "perf/run_profile.hpp"
 
 namespace occm::analysis {
 
@@ -82,25 +88,6 @@ struct RunFailure {
   std::string worker;
 };
 
-/// Lightweight record of one completed run — exactly what the model fit
-/// needs (cores, cycle totals), so resuming a sweep does not require the
-/// full profile to have been persisted.
-struct RunRecord {
-  int cores = 0;
-  double totalCycles = 0.0;
-  double stallCycles = 0.0;
-  double makespan = 0.0;
-  // Everything a restored run needs to reproduce its CSV row and fault
-  // counters byte-for-byte. Absent in v1 checkpoints (restored as 0).
-  double llcMisses = 0.0;
-  double coherenceMisses = 0.0;
-  double writebacks = 0.0;
-  double reroutedRequests = 0.0;
-  double faultRetries = 0.0;
-  double backgroundRequests = 0.0;
-  double throttledCycles = 0.0;
-};
-
 /// Why a checkpoint failed to load.
 enum class CheckpointErrorKind : std::uint8_t {
   kMissing,      ///< no file at the path — a fresh start, not corruption
@@ -108,7 +95,7 @@ enum class CheckpointErrorKind : std::uint8_t {
   kTruncated,    ///< the bytes end mid-structure
   kSyntax,       ///< the bytes deviate from the format
   kVersionSkew,  ///< a format version this build does not understand
-  kCrcMismatch,  ///< a record's CRC-32 does not match its fields
+  kCrcMismatch,  ///< a record's CRC-32 does not match its contents
 };
 
 [[nodiscard]] constexpr const char* toString(CheckpointErrorKind kind) noexcept {
@@ -137,34 +124,31 @@ struct CheckpointError {
 };
 
 /// On-disk sweep state: an identity header (so a checkpoint from a
-/// different program/machine/seed is never silently reused) plus the
-/// completed runs and recorded failures.
+/// different configuration is never silently reused) plus the completed
+/// runs and recorded failures.
 struct SweepCheckpoint {
-  /// Newest format this build reads and the one it always writes.
-  static constexpr int kFormatVersion = 2;
+  /// The only format this build reads, and the one it writes.
+  static constexpr int kFormatVersion = 3;
 
   std::string program;
   std::string machine;
-  std::uint64_t seed = 0;
-  int threads = 0;
-  std::vector<RunRecord> runs;
+  /// Digest of the sweep configuration (see runSweep); matches() compares
+  /// it, program and machine are labels for a human reading the file.
+  std::uint32_t config = 0;
+  std::vector<perf::RunProfile> runs;
   std::vector<RunFailure> failures;
 
-  [[nodiscard]] bool matches(const std::string& programName,
-                             const std::string& machineName,
-                             std::uint64_t seedValue, int threadCount) const;
-  /// Completed record for a core count, or nullptr.
-  [[nodiscard]] const RunRecord* find(int cores) const;
+  [[nodiscard]] bool matches(std::uint32_t configDigest) const {
+    return config == configDigest;
+  }
+  /// Completed profile for a core count, or nullptr.
+  [[nodiscard]] const perf::RunProfile* find(int cores) const;
 
   [[nodiscard]] std::string toJson() const;
 
-  /// Parses what toJson produced (format v2, or legacy v1 without the
-  /// version header and CRCs). Returns a typed error naming the byte
+  /// Parses what toJson produced. Returns a typed error naming the byte
   /// offset of the first deviation; never throws, never UB on bad bytes.
   [[nodiscard]] static Expected<SweepCheckpoint, CheckpointError> parseChecked(
-      const std::string& json);
-  /// Convenience wrapper over parseChecked; nullopt on any error.
-  [[nodiscard]] static std::optional<SweepCheckpoint> parse(
       const std::string& json);
 
   /// Atomic, durable write: temp file in the same directory, fsync,
@@ -186,9 +170,6 @@ struct SweepCheckpoint {
   /// or silently overwriting — the evidence.
   [[nodiscard]] static Expected<SweepCheckpoint, CheckpointError>
   loadOrQuarantine(const std::string& path);
-  /// nullopt when the file is absent or unparsable.
-  [[nodiscard]] static std::optional<SweepCheckpoint> load(
-      const std::string& path);
 };
 
 }  // namespace occm::analysis

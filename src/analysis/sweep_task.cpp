@@ -6,50 +6,14 @@
 
 namespace occm::analysis {
 
-RunRecord makeRunRecord(const perf::RunProfile& profile, int cores) {
-  return RunRecord{cores,
-                   profile.totalCyclesD(),
-                   static_cast<double>(profile.counters.stallCycles),
-                   static_cast<double>(profile.makespan),
-                   static_cast<double>(profile.counters.llcMisses),
-                   static_cast<double>(profile.coherenceMisses),
-                   static_cast<double>(profile.writebacks),
-                   static_cast<double>(profile.reroutedRequests),
-                   static_cast<double>(profile.faultRetries),
-                   static_cast<double>(profile.backgroundRequests),
-                   static_cast<double>(profile.throttledCycles)};
-}
-
 std::optional<TaskOutcome> restoredOutcome(const SweepCheckpoint& restoredState,
                                            int cores) {
-  const RunRecord* record = restoredState.find(cores);
-  if (record == nullptr) {
+  const perf::RunProfile* profile = restoredState.find(cores);
+  if (profile == nullptr) {
     return std::nullopt;
   }
-  // Restored run: everything the CSV exporter and the determinism
-  // fingerprint read, so a resumed sweep is byte-identical to an
-  // uninterrupted one.
   TaskOutcome outcome;
-  perf::RunProfile profile;
-  profile.program = restoredState.program;
-  profile.machine = restoredState.machine;
-  profile.threads = restoredState.threads;
-  profile.activeCores = cores;
-  profile.counters.totalCycles = static_cast<Cycles>(record->totalCycles);
-  profile.counters.stallCycles = static_cast<Cycles>(record->stallCycles);
-  profile.counters.llcMisses = static_cast<std::uint64_t>(record->llcMisses);
-  profile.coherenceMisses =
-      static_cast<std::uint64_t>(record->coherenceMisses);
-  profile.writebacks = static_cast<std::uint64_t>(record->writebacks);
-  profile.reroutedRequests =
-      static_cast<std::uint64_t>(record->reroutedRequests);
-  profile.faultRetries = static_cast<std::uint64_t>(record->faultRetries);
-  profile.backgroundRequests =
-      static_cast<std::uint64_t>(record->backgroundRequests);
-  profile.throttledCycles = static_cast<Cycles>(record->throttledCycles);
-  profile.makespan = static_cast<Cycles>(record->makespan);
-  outcome.profile = std::move(profile);
-  outcome.record = *record;
+  outcome.profile = *profile;
   outcome.restored = true;
   return outcome;
 }
@@ -112,7 +76,6 @@ TaskOutcome runCoreCountTask(const RunTaskContext& context, int cores) {
               failure.recovered = true;
               outcome.failure = failure;
             }
-            outcome.record = makeRunRecord(child.profile, cores);
             outcome.profile = std::move(child.profile);
             return outcome;
           case exec::ChildStatus::kException:
@@ -168,7 +131,6 @@ TaskOutcome runCoreCountTask(const RunTaskContext& context, int cores) {
           failure.recovered = true;
           outcome.failure = failure;
         }
-        outcome.record = makeRunRecord(profile, cores);
         outcome.profile = std::move(profile);
         return outcome;
       }

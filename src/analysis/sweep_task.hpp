@@ -71,7 +71,6 @@ struct SweepLimits {
 struct TaskOutcome {
   std::optional<perf::RunProfile> profile;
   std::optional<RunFailure> failure;  ///< recovered retry or permanent
-  std::optional<RunRecord> record;    ///< checkpoint row for the profile
   bool restored = false;
   /// Sweep-level stop observed before the task started: no attempt was
   /// made, no failure is recorded, and the core count stays pending so a
@@ -79,15 +78,9 @@ struct TaskOutcome {
   bool skipped = false;
 };
 
-/// Checkpoint row for a completed profile — shared by the in-process and
-/// isolated attempt paths so both persist byte-identical records.
-[[nodiscard]] RunRecord makeRunRecord(const perf::RunProfile& profile,
-                                      int cores);
-
-/// Rebuilds the outcome of a checkpointed run: everything the CSV
-/// exporter and the determinism fingerprint read, so a resumed sweep is
-/// byte-identical to an uninterrupted one. nullopt when the checkpoint
-/// has no record for this core count.
+/// The outcome of a checkpointed run: the profile the checkpoint stored,
+/// bit for bit, marked restored. nullopt when the checkpoint has no run
+/// for this core count.
 [[nodiscard]] std::optional<TaskOutcome> restoredOutcome(
     const SweepCheckpoint& restoredState, int cores);
 

@@ -79,6 +79,43 @@ class JsonReader {
     return pos_ >= text_.size();
   }
 
+  /// Walks one object: for each key, field(key, keyOffset) must consume
+  /// the value and returns false to stop. False when the walk stopped or
+  /// the reader failed.
+  template <typename Field>
+  bool parseObject(Field&& field) {
+    if (!consume('{')) {
+      return false;
+    }
+    for (bool first = true; ok_ && !peek('}'); first = false) {
+      if (!first && !consume(',')) {
+        return false;
+      }
+      skipWs();
+      const std::size_t keyOffset = pos_;
+      const std::string key = parseString();
+      if (!consume(':') || !field(key, keyOffset)) {
+        return false;
+      }
+    }
+    return consume('}');
+  }
+
+  /// Walks one array: element() must consume one element and returns
+  /// false to stop. False when the walk stopped or the reader failed.
+  template <typename Element>
+  bool parseArray(Element&& element) {
+    if (!consume('[')) {
+      return false;
+    }
+    for (bool first = true; ok_ && !peek(']'); first = false) {
+      if ((!first && !consume(',')) || !element()) {
+        return false;
+      }
+    }
+    return consume(']');
+  }
+
   std::string parseString() {
     if (!consume('"')) {
       return {};

@@ -98,6 +98,16 @@ bool FaultPlan::hasCrash() const noexcept {
   return false;
 }
 
+FaultPlan FaultPlan::withoutCrashes() const {
+  FaultPlan out;
+  for (const FaultEvent& e : events_) {
+    if (!isCrashKind(e.kind)) {
+      out.events_.push_back(e);
+    }
+  }
+  return out;
+}
+
 const FaultEvent* FaultPlan::firstCrash(int activeCores) const noexcept {
   const FaultEvent* best = nullptr;
   for (const FaultEvent& e : events_) {

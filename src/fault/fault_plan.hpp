@@ -122,6 +122,11 @@ class FaultPlan {
   /// True when the plan contains any crash-injection event.
   [[nodiscard]] bool hasCrash() const noexcept;
 
+  /// The plan minus its crash-injection events: what a completed run's
+  /// profile depends on (a crash decides whether a run completes, never
+  /// what it measures).
+  [[nodiscard]] FaultPlan withoutCrashes() const;
+
   /// Earliest crash event that applies to a run with `activeCores` active
   /// cores (matching target, or target 0 = any); nullptr when none does.
   [[nodiscard]] const FaultEvent* firstCrash(int activeCores) const noexcept;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -128,55 +129,13 @@ std::string toJson(const FaultPlan& plan) {
 Expected<FaultPlan, PlanParseError> planFromJson(const std::string& json) {
   JsonReader reader(json);
   FaultPlan plan;
-  if (!reader.consume('{')) {
-    return makeUnexpected(readerError(reader));
-  }
-  bool first = true;
-  while (reader.ok() && !reader.peek('}')) {
-    if (!first && !reader.consume(',')) {
-      return makeUnexpected(readerError(reader));
-    }
-    first = false;
-    const std::string key = reader.parseString();
-    if (!reader.consume(':')) {
-      return makeUnexpected(readerError(reader));
-    }
-    if (key == "version") {
-      const int version = reader.parseInt("version");
-      if (reader.ok() && version != kPlanFormatVersion) {
-        PlanParseError err;
-        err.byteOffset = reader.offset();
-        err.detail = "fault plan format version " + std::to_string(version) +
-                     "; this build reads version " +
-                     std::to_string(kPlanFormatVersion);
-        return makeUnexpected(err);
-      }
-    } else if (key == "events") {
-      if (!reader.consume('[')) {
-        return makeUnexpected(readerError(reader));
-      }
-      bool firstEvent = true;
-      while (reader.ok() && !reader.peek(']')) {
-        if (!firstEvent && !reader.consume(',')) {
-          return makeUnexpected(readerError(reader));
-        }
-        firstEvent = false;
-        reader.skipWs();
-        const std::size_t eventOffset = reader.offset();
-        FaultEvent event;
-        if (!reader.consume('{')) {
-          return makeUnexpected(readerError(reader));
-        }
-        bool innerFirst = true;
-        while (reader.ok() && !reader.peek('}')) {
-          if (!innerFirst && !reader.consume(',')) {
-            return makeUnexpected(readerError(reader));
-          }
-          innerFirst = false;
-          const std::string field = reader.parseString();
-          if (!reader.consume(':')) {
-            return makeUnexpected(readerError(reader));
-          }
+  // A version or event that parsed but was refused.
+  std::optional<PlanParseError> bad;
+  const auto parseEvent = [&] {
+    reader.skipWs();
+    const std::size_t eventOffset = reader.offset();
+    FaultEvent event;
+    if (!reader.parseObject([&](const std::string& field, std::size_t) {
           if (field == "kind") {
             const std::string kindText = reader.parseString();
             if (reader.ok() && !parseKind(kindText, &event.kind)) {
@@ -208,25 +167,37 @@ Expected<FaultPlan, PlanParseError> planFromJson(const std::string& json) {
           } else {
             reader.fail("unknown event field \"" + field + "\"");
           }
-        }
-        reader.consume('}');
-        if (!reader.ok()) {
-          return makeUnexpected(readerError(reader));
-        }
-        std::string detail;
-        if (!appendEvent(plan, event, &detail)) {
-          PlanParseError err;
-          err.byteOffset = eventOffset;
-          err.detail = detail;
-          return makeUnexpected(err);
-        }
+          return reader.ok();
+        })) {
+      return false;
+    }
+    std::string detail;
+    if (!appendEvent(plan, event, &detail)) {
+      bad = PlanParseError{eventOffset, std::move(detail)};
+      return false;
+    }
+    return true;
+  };
+  reader.parseObject([&](const std::string& key, std::size_t) {
+    if (key == "version") {
+      const int version = reader.parseInt("version");
+      if (reader.ok() && version != kPlanFormatVersion) {
+        bad = PlanParseError{reader.offset(),
+                             "fault plan format version " +
+                                 std::to_string(version) +
+                                 "; this build reads version " +
+                                 std::to_string(kPlanFormatVersion)};
       }
-      reader.consume(']');
+    } else if (key == "events") {
+      reader.parseArray(parseEvent);
     } else {
       reader.fail("unknown fault plan key \"" + key + "\"");
     }
+    return reader.ok() && !bad;
+  });
+  if (bad) {
+    return makeUnexpected(std::move(*bad));
   }
-  reader.consume('}');
   if (reader.ok() && !reader.atEnd()) {
     reader.fail("trailing bytes after the fault plan object");
   }

@@ -530,8 +530,12 @@ perf::RunProfile MachineSim::run(std::span<const trace::RefStreamPtr> streams,
     profile.throttledCycles = fe->throttledCycles();
     profile.faultEpochs.reserve(config_.faultPlan.events().size());
     for (const fault::FaultEvent& e : config_.faultPlan.events()) {
-      profile.faultEpochs.push_back(
-          {fault::toString(e.kind), e.target, e.start, e.end, e.magnitude});
+      // A crash injection kills the run process: a run that completes
+      // never suffered one (and a crash-only plan leaves the engine idle).
+      if (!fault::isCrashKind(e.kind)) {
+        profile.faultEpochs.push_back(
+            {fault::toString(e.kind), e.target, e.start, e.end, e.magnitude});
+      }
     }
   }
   hot.controllerTicks = memory.reservationOps();

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -15,7 +17,9 @@
 #include <vector>
 
 #include "analysis/sweep_state.hpp"
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
+#include "exec/wire_codec.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/fault_plan_io.hpp"
 
@@ -65,15 +69,32 @@ std::string mutate(const std::string& text, Rng& rng) {
   return out;
 }
 
+perf::RunProfile sampleProfile(int cores, Cycles total, Cycles stall,
+                               Cycles makespan) {
+  perf::RunProfile profile;
+  profile.program = "cg.S";
+  profile.machine = "test-numa-4";
+  profile.threads = 4;
+  profile.activeCores = cores;
+  profile.counters.totalCycles = total;
+  profile.counters.stallCycles = stall;
+  profile.counters.instructions = total / 2;
+  profile.makespan = makespan;
+  profile.perCore.resize(4);
+  profile.perCore[0].totalCycles = total;
+  profile.controllerStats.resize(2);
+  profile.controllerStats[1].requests = 4321;
+  return profile;
+}
+
 SweepCheckpoint sampleCheckpoint() {
   SweepCheckpoint ckpt;
   ckpt.program = "cg.S";
   ckpt.machine = "test-numa-4";
-  ckpt.seed = 0xDEADBEEFCAFEF00DULL;
-  ckpt.threads = 4;
-  ckpt.runs.push_back({1, 1.25e6, 3.5e5, 1.25e6});
-  ckpt.runs.push_back({2, 1.5e6, 5.0e5, 7.6e5});
-  ckpt.runs.push_back({4, 2.25e6, 9.1e5, 6.0e5});
+  ckpt.config = 0xC0FFEE42U;
+  ckpt.runs.push_back(sampleProfile(1, 1'250'000, 350'000, 1'250'000));
+  ckpt.runs.push_back(sampleProfile(2, 1'500'000, 500'000, 760'000));
+  ckpt.runs.push_back(sampleProfile(4, 2'250'000, 910'000, 600'000));
   ckpt.failures.push_back({3, 2, "synthetic \"quoted\" crash\n", true, 4,
                            RunFailureKind::kException, 0, "", "", ""});
   return ckpt;
@@ -120,7 +141,8 @@ TEST(CorruptionSuite, CheckpointMutationsNeverCrashOrSilentlyMisparse) {
 TEST(CorruptionSuite, CheckpointBitFlipsInValuesAreCaughtByCrc) {
   // Target digits specifically: flip one numeric character inside a run
   // record. The JSON stays syntactically valid, so only the per-record
-  // CRC can catch it.
+  // CRC (or, for the core count, its cross-check against the profile)
+  // can catch it.
   const std::string pristine = sampleCheckpoint().toJson();
   const std::size_t runsAt = pristine.find("\"runs\"");
   ASSERT_NE(runsAt, std::string::npos);
@@ -141,9 +163,10 @@ TEST(CorruptionSuite, CheckpointBitFlipsInValuesAreCaughtByCrc) {
       EXPECT_NE(result.error().kind, CheckpointErrorKind::kIoError);
     }
   }
-  // Every single-digit change lands in a value or a CRC field; both must
-  // fail the record's checksum (a changed "cores" key digit would change
-  // the payload too). Nothing may parse as a silently different sweep.
+  // Every single-digit change lands in a core count, a profile byte or a
+  // CRC field: the first no longer names the profile's core count, the
+  // other two fail the record's checksum. Nothing may parse as a
+  // silently different sweep.
   EXPECT_EQ(caught, attempts);
 }
 
@@ -225,7 +248,7 @@ TEST(CorruptionSuite, CheckpointTypedErrorsNameKindAndOffset) {
   EXPECT_EQ(garbage.error().byteOffset, 0u);
 
   std::string skewed = pristine;
-  const std::size_t vAt = skewed.find("\"version\": 2");
+  const std::size_t vAt = skewed.find("\"version\": 3");
   ASSERT_NE(vAt, std::string::npos);
   skewed.replace(vAt, 12, "\"version\": 9");
   const auto skew = SweepCheckpoint::parseChecked(skewed);
@@ -234,9 +257,9 @@ TEST(CorruptionSuite, CheckpointTypedErrorsNameKindAndOffset) {
   EXPECT_NE(skew.error().detail.find("version 9"), std::string::npos);
 
   std::string flipped = pristine;
-  const std::size_t totalAt = flipped.find("\"totalCycles\": 1250000");
-  ASSERT_NE(totalAt, std::string::npos);
-  flipped.replace(totalAt, 22, "\"totalCycles\": 1250001");
+  const std::size_t hexAt = flipped.find("\"profile\": \"") + 12;
+  ASSERT_LT(hexAt, flipped.size());
+  flipped[hexAt] = flipped[hexAt] == '0' ? '1' : '0';
   const auto crc = SweepCheckpoint::parseChecked(flipped);
   ASSERT_FALSE(crc.hasValue());
   EXPECT_EQ(crc.error().kind, CheckpointErrorKind::kCrcMismatch);
@@ -255,8 +278,8 @@ TEST(CorruptionSuite, CheckpointTypedErrorsNameKindAndOffset) {
         << result.error().detail;
   };
   expectSyntax(
-      "{\"runs\": [{\"cores\": 1e10, \"totalCycles\": 100, "
-      "\"stallCycles\": 25, \"makespan\": 100}]}",
+      "{\"version\": 3, \"runs\": [{\"cores\": 1e10, \"profile\": \"\", "
+      "\"crc\": \"00000000\"}]}",
       "cores");
   for (const char* version : {"1.5", "1e300"}) {
     std::string bad = pristine;
@@ -289,8 +312,87 @@ TEST(CorruptionSuite, FaultPlanVersionMustBeAnInteger) {
   }
 }
 
-TEST(CorruptionSuite, LegacyV1CheckpointStillLoads) {
-  // A pre-CRC checkpoint: no version header, no crc fields, no kind.
+TEST(CorruptionSuite, CheckpointRunProfileMustDecodeExactly) {
+  // Each run's profile passes three gates — lowercase even-length hex,
+  // its CRC, a wire decode that consumes every byte and names the
+  // record's core count — and a failure at any gate points at the run
+  // record, never a silently different profile.
+  const std::string pristine = sampleCheckpoint().toJson();
+  const std::size_t recordAt = pristine.find("{\"cores\": 1,");
+  ASSERT_NE(recordAt, std::string::npos);
+  const std::size_t hexAt = pristine.find("\"profile\": \"", recordAt) + 12;
+  const std::size_t hexEnd = pristine.find('"', hexAt);
+  const std::string hex = pristine.substr(hexAt, hexEnd - hexAt);
+  const std::size_t crcAt = pristine.find("\"crc\": \"", hexEnd) + 8;
+
+  // Replaces the first run's profile hex and, when given, its CRC.
+  const auto withRun = [&](const std::string& newHex,
+                           const std::string& newCrc) {
+    std::string json = pristine;
+    if (!newCrc.empty()) {
+      json.replace(crcAt, 8, newCrc);
+    }
+    json.replace(hexAt, hex.size(), newHex);
+    return json;
+  };
+  // Hex of `bytes` with a CRC the loader accepts.
+  const auto sealed = [&](const std::string& bytes) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    std::string outHex;
+    for (const char ch : bytes) {
+      outHex += kDigits[static_cast<unsigned char>(ch) >> 4];
+      outHex += kDigits[static_cast<unsigned char>(ch) & 0xFU];
+    }
+    char crc[16];
+    std::snprintf(crc, sizeof crc, "%08x", crc32(bytes));
+    return withRun(outHex, crc);
+  };
+  const auto expectRecordError = [&](const std::string& json,
+                                     CheckpointErrorKind kind,
+                                     const std::string& detail) {
+    const auto result = SweepCheckpoint::parseChecked(json);
+    ASSERT_FALSE(result.hasValue()) << detail;
+    EXPECT_EQ(result.error().kind, kind) << result.error().message();
+    EXPECT_EQ(result.error().byteOffset, recordAt) << result.error().message();
+    EXPECT_NE(result.error().detail.find(detail), std::string::npos)
+        << result.error().detail;
+  };
+
+  std::string upper = hex;
+  for (char& ch : upper) {
+    ch = static_cast<char>(std::toupper(static_cast<unsigned char>(ch)));
+  }
+  expectRecordError(withRun(upper, ""), CheckpointErrorKind::kSyntax, "hex");
+  expectRecordError(withRun(hex.substr(1), ""), CheckpointErrorKind::kSyntax,
+                    "hex");
+
+  std::string bytes;
+  exec::wire::putProfile(bytes, sampleCheckpoint().runs[0]);
+  expectRecordError(sealed(bytes + '\0'), CheckpointErrorKind::kSyntax,
+                    "trailing bytes");
+  expectRecordError(sealed(bytes.substr(0, bytes.size() - 8)),
+                    CheckpointErrorKind::kSyntax, "unexpected end of input");
+
+  std::string moved = pristine;
+  moved.replace(recordAt, 12, "{\"cores\": 3,");
+  expectRecordError(moved, CheckpointErrorKind::kSyntax,
+                    "holds a profile of 1");
+
+  // The untouched bytes decode to the very profile that was written.
+  const auto back = SweepCheckpoint::parseChecked(pristine);
+  ASSERT_TRUE(back.hasValue()) << back.error().message();
+  ASSERT_NE(back->find(2), nullptr);
+  std::string again;
+  exec::wire::putProfile(again, *back->find(2));
+  std::string expected;
+  exec::wire::putProfile(expected, sampleCheckpoint().runs[1]);
+  EXPECT_EQ(again, expected);
+}
+
+TEST(CorruptionSuite, LegacyCheckpointsLoadAsVersionSkewAndQuarantine) {
+  // A v1 file (no version header, per-field runs, no CRCs) and a v2 file
+  // (version header, per-field runs with CRCs) are both caches of work
+  // this build cannot reproduce bit for bit: version skew, quarantined.
   const std::string v1 =
       "{\n"
       "  \"program\": \"cg.S\",\n"
@@ -299,26 +401,52 @@ TEST(CorruptionSuite, LegacyV1CheckpointStillLoads) {
       "  \"threads\": 4,\n"
       "  \"runs\": [\n"
       "    {\"cores\": 1, \"totalCycles\": 100, \"stallCycles\": 25, "
-      "\"makespan\": 100},\n"
-      "    {\"cores\": 2, \"totalCycles\": 130, \"stallCycles\": 40, "
-      "\"makespan\": 70}\n"
+      "\"makespan\": 100}\n"
       "  ],\n"
-      "  \"failures\": [\n"
-      "    {\"cores\": 3, \"attempts\": 2, \"recovered\": false, "
-      "\"error\": \"boom\"}\n"
-      "  ]\n"
+      "  \"failures\": []\n"
       "}\n";
-  const auto parsed = SweepCheckpoint::parseChecked(v1);
-  ASSERT_TRUE(parsed.hasValue()) << parsed.error().message();
-  EXPECT_EQ(parsed->runs.size(), 2u);
-  EXPECT_EQ(parsed->failures.size(), 1u);
-  EXPECT_EQ(parsed->failures[0].kind, RunFailureKind::kException);
-  EXPECT_EQ(parsed->failures[0].poolSize, 1);  // pre-parallel default
-  // Re-saving upgrades to v2 with CRCs.
-  const std::string upgraded = parsed->toJson();
-  EXPECT_NE(upgraded.find("\"version\": 2"), std::string::npos);
-  EXPECT_NE(upgraded.find("\"crc\""), std::string::npos);
-  EXPECT_TRUE(SweepCheckpoint::parseChecked(upgraded).hasValue());
+  const std::string v2 =
+      "{\n"
+      "  \"version\": 2,\n"
+      "  \"program\": \"cg.S\",\n"
+      "  \"machine\": \"old-box\",\n"
+      "  \"seed\": \"7\",\n"
+      "  \"threads\": 4,\n"
+      "  \"runs\": [\n"
+      "    {\"cores\": 1, \"totalCycles\": 100, \"stallCycles\": 25, "
+      "\"makespan\": 100, \"crc\": \"0123abcd\"}\n"
+      "  ],\n"
+      "  \"failures\": []\n"
+      "}\n";
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "occm_legacy_probe.json")
+          .string();
+  for (const std::string& legacy : {v1, v2, std::string("{}")}) {
+    const auto parsed = SweepCheckpoint::parseChecked(legacy);
+    ASSERT_FALSE(parsed.hasValue()) << legacy;
+    EXPECT_EQ(parsed.error().kind, CheckpointErrorKind::kVersionSkew)
+        << parsed.error().message();
+    EXPECT_NE(parsed.error().detail.find("reads version 3"),
+              std::string::npos)
+        << parsed.error().detail;
+
+    std::filesystem::remove(path + ".corrupt");
+    {
+      std::ofstream out(path, std::ios::trunc | std::ios::binary);
+      out << legacy;
+    }
+    const auto loaded = SweepCheckpoint::loadOrQuarantine(path);
+    ASSERT_FALSE(loaded.hasValue());
+    EXPECT_EQ(loaded.error().kind, CheckpointErrorKind::kVersionSkew);
+    EXPECT_EQ(loaded.error().quarantinedTo, path + ".corrupt");
+    EXPECT_FALSE(std::filesystem::exists(path));
+  }
+  // v1 is named at its first key, v2 at its version number.
+  EXPECT_EQ(SweepCheckpoint::parseChecked(v1).error().byteOffset,
+            v1.find("\"program\""));
+  EXPECT_EQ(SweepCheckpoint::parseChecked(v2).error().byteOffset,
+            v2.find("2,"));
+  std::filesystem::remove(path + ".corrupt");
 }
 
 TEST(CorruptionSuite, CheckpointRoundTripsAllFailureKinds) {

@@ -16,6 +16,7 @@
 #include "analysis/csv.hpp"
 #include "analysis/distributed_sweep.hpp"
 #include "analysis/experiment.hpp"
+#include "exec/wire_codec.hpp"
 #include "topology/presets.hpp"
 
 namespace occm::analysis {
@@ -35,6 +36,13 @@ std::string serialCsv() {
   SweepConfig config = baseConfig();
   config.parallel.workers = 1;
   return sweepToCsv(runSweep(config));
+}
+
+/// A profile's full wire encoding: equal bytes mean equal profiles.
+std::string wireBytes(const perf::RunProfile& profile) {
+  std::string out;
+  exec::wire::putProfile(out, profile);
+  return out;
 }
 
 struct WorkerThread {
@@ -179,6 +187,7 @@ TEST(DistributedSweep, ResumesFromCheckpointThroughTheFleet) {
               whole.at(n).counters.totalCycles)
         << "n = " << n;
     EXPECT_EQ(merged.at(n).makespan, whole.at(n).makespan) << "n = " << n;
+    EXPECT_EQ(wireBytes(merged.at(n)), wireBytes(whole.at(n))) << "n = " << n;
   }
   std::filesystem::remove(path);
 }

@@ -23,6 +23,7 @@
 #include "analysis/csv.hpp"
 #include "analysis/experiment.hpp"
 #include "common/error.hpp"
+#include "exec/wire_codec.hpp"
 #include "fault/crash_injection.hpp"
 #include "topology/presets.hpp"
 
@@ -102,6 +103,13 @@ struct SweepFingerprint {
 
 std::string tempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
+}
+
+/// A profile's full wire encoding: equal bytes mean equal profiles.
+std::string wireBytes(const perf::RunProfile& profile) {
+  std::string out;
+  exec::wire::putProfile(out, profile);
+  return out;
 }
 
 void expectIsolatedMatchesInProcess(const topology::MachineSpec& machine,
@@ -255,8 +263,8 @@ void expectCrashThenResumeConverges(bool withFaults, int workers) {
 
   // The crash record is persisted with its forensics, exactly like an
   // exception record — resumable evidence, not a lifecycle footnote.
-  const auto ckpt = SweepCheckpoint::load(path);
-  ASSERT_TRUE(ckpt.has_value());
+  const auto ckpt = SweepCheckpoint::loadChecked(path);
+  ASSERT_TRUE(ckpt.hasValue()) << ckpt.error().message();
   ASSERT_EQ(ckpt->failures.size(), 1u);
   EXPECT_EQ(ckpt->failures[0].kind, RunFailureKind::kCrash);
   EXPECT_EQ(ckpt->failures[0].cores, 3);
@@ -281,6 +289,9 @@ void expectCrashThenResumeConverges(bool withFaults, int workers) {
               whole.at(n).counters.stallCycles)
         << "n = " << n;
     EXPECT_EQ(merged.at(n).makespan, whole.at(n).makespan) << "n = " << n;
+    // Restored or re-simulated, each profile equals the in-process one in
+    // full.
+    EXPECT_EQ(wireBytes(merged.at(n)), wireBytes(whole.at(n))) << "n = " << n;
   }
 
   std::filesystem::remove(path);
@@ -325,8 +336,10 @@ TEST(IsolatedSweepLifecycle, WallDeadlineKillsChildAsTimeout) {
   // The wall deadline reaches the supervisor only through the attempt's
   // token: the 2-core attempt stalls in the parent's beforeRun well past
   // the deadline, so the supervisor finds the token stopped and SIGKILLs
-  // the child — classified as a timeout, not a sweep-wide cancel.
+  // the child — classified as a timeout, not a sweep-wide cancel. EP.S
+  // keeps every healthy run far inside the deadline, sanitizers included.
   SweepConfig config = presetConfig(topology::testNuma4(), false);
+  config.workload.program = workloads::Program::kEP;
   config.parallel.workers = 1;
   config.isolation.enabled = true;
   config.limits.wallSeconds = 3.0;

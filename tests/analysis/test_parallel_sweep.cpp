@@ -16,6 +16,7 @@
 #include "analysis/experiment.hpp"
 #include "common/error.hpp"
 #include "exec/thread_pool.hpp"
+#include "exec/wire_codec.hpp"
 #include "topology/presets.hpp"
 
 namespace occm::analysis {
@@ -144,6 +145,13 @@ std::string tempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
+/// A profile's full wire encoding: equal bytes mean equal profiles.
+std::string wireBytes(const perf::RunProfile& profile) {
+  std::string out;
+  exec::wire::putProfile(out, profile);
+  return out;
+}
+
 TEST(ParallelSweepCheckpoint, InterruptedSweepResumesToUninterruptedResult) {
   const std::string path = tempPath("occm_parallel_ckpt.json");
   std::filesystem::remove(path);
@@ -186,6 +194,7 @@ TEST(ParallelSweepCheckpoint, InterruptedSweepResumesToUninterruptedResult) {
               whole.at(n).counters.stallCycles)
         << "n = " << n;
     EXPECT_EQ(merged.at(n).makespan, whole.at(n).makespan) << "n = " << n;
+    EXPECT_EQ(wireBytes(merged.at(n)), wireBytes(whole.at(n))) << "n = " << n;
   }
 
   std::filesystem::remove(path);
@@ -205,10 +214,10 @@ TEST(ParallelSweepCheckpoint, FinalCheckpointFileIsPoolSizeInvariant) {
   config.checkpointPath = parallelPath;
   (void)runSweep(config);
 
-  const auto serialCkpt = SweepCheckpoint::load(serialPath);
-  const auto parallelCkpt = SweepCheckpoint::load(parallelPath);
-  ASSERT_TRUE(serialCkpt.has_value());
-  ASSERT_TRUE(parallelCkpt.has_value());
+  const auto serialCkpt = SweepCheckpoint::loadChecked(serialPath);
+  const auto parallelCkpt = SweepCheckpoint::loadChecked(parallelPath);
+  ASSERT_TRUE(serialCkpt.hasValue()) << serialCkpt.error().message();
+  ASSERT_TRUE(parallelCkpt.hasValue()) << parallelCkpt.error().message();
   EXPECT_EQ(parallelCkpt->toJson(), serialCkpt->toJson());
 
   std::filesystem::remove(serialPath);

@@ -21,6 +21,7 @@
 #include "analysis/experiment.hpp"
 #include "analysis/lifecycle_export.hpp"
 #include "common/cancellation.hpp"
+#include "exec/wire_codec.hpp"
 #include "topology/presets.hpp"
 
 namespace occm::analysis {
@@ -71,6 +72,24 @@ struct SweepFingerprint {
 
 std::string tempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
+}
+
+/// A profile's full wire encoding: equal bytes mean equal profiles.
+std::string wireBytes(const perf::RunProfile& profile) {
+  std::string out;
+  exec::wire::putProfile(out, profile);
+  return out;
+}
+
+/// Every profile of `merged` equals its uninterrupted twin in full — the
+/// restored ones included, down to perCore and controllerStats.
+void expectProfilesIdentical(const SweepResult& merged,
+                             const SweepResult& whole) {
+  ASSERT_EQ(merged.profiles.size(), whole.profiles.size());
+  for (const perf::RunProfile& p : merged.profiles) {
+    EXPECT_EQ(wireBytes(p), wireBytes(whole.at(p.activeCores)))
+        << "n = " << p.activeCores;
+  }
 }
 
 void writeBytes(const std::string& path, const std::string& bytes) {
@@ -125,11 +144,13 @@ TEST(SweepLifecycle, CycleBudgetConvertsOverrunToTimeoutDeterministically) {
 TEST(SweepLifecycle, WallDeadlineMarksOverrunningRunAsTimeout) {
   SweepConfig config = presetConfig(topology::testNuma4(), false);
   config.parallel.workers = 1;
-  // The deadline must comfortably exceed a healthy run's wall time (a few
-  // hundred ms here, a few seconds under sanitizers) while the 2-core
-  // attempt stalls well past it inside beforeRun — by the time that run
-  // reaches the simulator's first cancellation point, the deadline its
-  // token carries has long since expired. No tight timing on either side.
+  // EP.S, not CG.S: a healthy run must finish far inside the deadline
+  // even under sanitizers (a CG.S run there takes about 3 s), while
+  // the 2-core attempt stalls well past it inside beforeRun — by the time
+  // that run reaches the simulator's first cancellation point, the
+  // deadline its token carries has long since expired. No tight timing
+  // on either side.
+  config.workload.program = workloads::Program::kEP;
   config.limits.wallSeconds = 3.0;
   config.beforeRun = [](int cores, int /*attempt*/) {
     if (cores == 2) {
@@ -209,6 +230,7 @@ TEST(SweepLifecycle, GracefulStopFlushesCheckpointAndResumes) {
   EXPECT_FALSE(merged.stopped);
   EXPECT_EQ(merged.restoredRuns, 2u);
   EXPECT_EQ(SweepFingerprint::of(merged), wholeFp);
+  expectProfilesIdentical(merged, whole);
 
   std::filesystem::remove(path);
 }
@@ -236,6 +258,16 @@ TEST(SweepLifecycle, MidWriteKillResumesByteIdentical) {
       buffer << std::ifstream(path).rdbuf();
       const std::string full = buffer.str();
       ASSERT_GT(full.size(), 8u);
+
+      // Uncut replay: every run restores, bit for bit.
+      {
+        SweepConfig resume = reference;
+        resume.checkpointPath = path;
+        const SweepResult merged = runSweep(resume);
+        EXPECT_EQ(merged.restoredRuns, 4u);
+        EXPECT_EQ(SweepFingerprint::of(merged), wholeFp);
+        expectProfilesIdentical(merged, whole);
+      }
 
       const std::vector<std::size_t> cuts = {
           0, 1, full.size() / 4, full.size() / 2, 3 * full.size() / 4,

@@ -7,12 +7,15 @@
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "analysis/csv.hpp"
 #include "analysis/experiment.hpp"
 #include "analysis/sweep_state.hpp"
 #include "common/error.hpp"
 #include "core/contention_model.hpp"
+#include "exec/wire_codec.hpp"
 #include "topology/presets.hpp"
 
 namespace occm::analysis {
@@ -29,6 +32,13 @@ SweepConfig baseConfig() {
 
 std::string tempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
+}
+
+/// A profile's full wire encoding: equal bytes mean equal profiles.
+std::string wireBytes(const perf::RunProfile& profile) {
+  std::string out;
+  exec::wire::putProfile(out, profile);
+  return out;
 }
 
 TEST(FaultResilience, SweepSurvivesOutageAndThrowingRun) {
@@ -126,6 +136,8 @@ TEST(FaultResilience, CheckpointResumesCompletedRuns) {
   for (int n = 1; n <= 4; ++n) {
     EXPECT_EQ(second.at(n).counters.totalCycles,
               first.at(n).counters.totalCycles);
+    // A restored profile is the checkpointed one in full.
+    EXPECT_EQ(wireBytes(second.at(n)), wireBytes(first.at(n))) << "n = " << n;
   }
   EXPECT_NE(second.diagnostics().find("restored"), std::string::npos);
 
@@ -147,31 +159,74 @@ TEST(FaultResilience, MismatchedCheckpointIsIgnored) {
   std::filesystem::remove(path);
 }
 
+TEST(FaultResilience, CheckpointFromAnotherConfigIsNotReused) {
+  // Neither change touches program, machine, seed or threads, yet both
+  // change what every run measures: a checkpoint written under one must
+  // not be restored under the other.
+  SweepConfig faulted = baseConfig();
+  faulted.sim.faultPlan.controllerOutage(1, 20'000, 60'000)
+      .coreThrottle(1, 10'000, 50'000, 2.0);
+  SweepConfig firstTouch = baseConfig();
+  firstTouch.sim.memory.placement = mem::PlacementPolicy::kFirstTouch;
+
+  for (const auto& [checkpointed, resumed] :
+       {std::pair{faulted, baseConfig()}, std::pair{baseConfig(), firstTouch}}) {
+    const std::string path = tempPath("occm_resilience_config.json");
+    std::filesystem::remove(path);
+
+    SweepConfig writer = checkpointed;
+    writer.checkpointPath = path;
+    (void)runSweep(writer);
+    ASSERT_TRUE(std::filesystem::exists(path));
+
+    const SweepResult fresh = runSweep(resumed);
+    SweepConfig resume = resumed;
+    resume.checkpointPath = path;
+    const SweepResult merged = runSweep(resume);
+    EXPECT_EQ(merged.restoredRuns, 0u) << merged.diagnostics();
+    EXPECT_EQ(sweepToCsv(merged), sweepToCsv(fresh));
+    EXPECT_NE(sweepToCsv(merged), sweepToCsv(runSweep(checkpointed)));
+
+    std::filesystem::remove(path);
+  }
+}
+
 TEST(FaultResilience, CheckpointJsonRoundTrips) {
+  perf::RunProfile one;
+  one.program = "CG.S";
+  one.activeCores = 1;
+  one.counters.totalCycles = 1'000'000;
+  perf::RunProfile four = one;
+  four.activeCores = 4;
+  four.counters.totalCycles = 4'500'000;
+  four.controllerStats.resize(2);
+  four.controllerStats[1].requests = 77;
+
   SweepCheckpoint ckpt;
   ckpt.program = "CG.S";
   ckpt.machine = "testNuma4";
-  ckpt.seed = 0xDEADBEEFCAFEF00DULL;  // must survive as 64 bits
-  ckpt.threads = 4;
-  ckpt.runs.push_back({1, 1e6, 2.5e5, 1e6});
-  ckpt.runs.push_back({4, 4.5e6, 1.5e6, 1.2e6});
+  ckpt.config = 0xDEADBEEFU;
+  ckpt.runs = {one, four};
   ckpt.failures.push_back({3, 2, "synthetic \"quoted\" crash\n", true, 1,
                            RunFailureKind::kException, 0, "", "", ""});
 
-  const auto parsed = SweepCheckpoint::parse(ckpt.toJson());
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_TRUE(parsed->matches("CG.S", "testNuma4",
-                              0xDEADBEEFCAFEF00DULL, 4));
+  const auto parsed = SweepCheckpoint::parseChecked(ckpt.toJson());
+  ASSERT_TRUE(parsed.hasValue()) << parsed.error().message();
+  EXPECT_TRUE(parsed->matches(0xDEADBEEFU));
+  EXPECT_FALSE(parsed->matches(0xDEADBEEEU));
+  EXPECT_EQ(parsed->program, "CG.S");
   ASSERT_EQ(parsed->runs.size(), 2u);
   ASSERT_NE(parsed->find(4), nullptr);
-  EXPECT_DOUBLE_EQ(parsed->find(4)->totalCycles, 4.5e6);
+  EXPECT_EQ(parsed->find(4)->counters.totalCycles, 4'500'000u);
+  EXPECT_EQ(wireBytes(*parsed->find(4)), wireBytes(four));
   EXPECT_EQ(parsed->find(2), nullptr);
   ASSERT_EQ(parsed->failures.size(), 1u);
   EXPECT_EQ(parsed->failures[0].error, "synthetic \"quoted\" crash\n");
   EXPECT_TRUE(parsed->failures[0].recovered);
 
-  EXPECT_FALSE(SweepCheckpoint::parse("not json").has_value());
-  EXPECT_FALSE(SweepCheckpoint::parse("{\"program\": 3}").has_value());
+  EXPECT_FALSE(SweepCheckpoint::parseChecked("not json").hasValue());
+  EXPECT_FALSE(
+      SweepCheckpoint::parseChecked("{\"program\": 3}").hasValue());
 }
 
 }  // namespace
