@@ -7,7 +7,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/experiment.hpp"
@@ -114,6 +116,21 @@ inline analysis::SweepResult sweep(const topology::MachineSpec& machine,
   config.sim.enableSampler = sampler;
   config.parallel.workers = sweepWorkers();
   return analysis::runSweep(config);
+}
+
+/// Fits the contention model; on a FitError prints its diagnosis to
+/// stderr and exits 1.
+inline model::ContentionModel fitOrExit(
+    const model::MachineShape& shape,
+    std::span<const model::MeasuredPoint> points,
+    const model::ContentionModel::Options& options = {}) {
+  auto fitted = model::ContentionModel::tryFit(shape, points, options);
+  if (!fitted) {
+    std::fprintf(stderr, "error: model fit failed: %s\n",
+                 fitted.error().describe().c_str());
+    std::exit(1);
+  }
+  return std::move(*fitted);
 }
 
 /// All core counts 1..max for a machine.

@@ -27,8 +27,7 @@ void runMachine(const topology::MachineSpec& machine) {
   std::printf("\n\n");
 
   const auto fitPoints = analysis::pointsAt(sweep, fitCores);
-  const model::ContentionModel m =
-      model::ContentionModel::fit(shape, fitPoints);
+  const model::ContentionModel m = bench::fitOrExit(shape, fitPoints);
   const model::ValidationReport report = model::validate(m, sweep.points());
 
   analysis::TextTable table;
@@ -56,7 +55,7 @@ void runMachine(const topology::MachineSpec& machine) {
     const auto threePoints = analysis::pointsAt(
         sweep, {1, shape.coresPerProcessor, shape.coresPerProcessor + 1});
     const model::ContentionModel hm =
-        model::ContentionModel::fit(shape, threePoints, homogeneous);
+        bench::fitOrExit(shape, threePoints, homogeneous);
     const model::ValidationReport hreport = model::validate(hm, sweep.points());
     std::printf(
         "homogeneous-interconnect variant (3 inputs): %.1f%% mean error "

@@ -20,8 +20,7 @@ void runMachine(const topology::MachineSpec& machine) {
   const model::MachineShape shape = model::shapeOf(machine);
   const auto fitPoints =
       analysis::pointsAt(sweep, model::defaultFitCores(shape));
-  const model::ContentionModel m =
-      model::ContentionModel::fit(shape, fitPoints);
+  const model::ContentionModel m = bench::fitOrExit(shape, fitPoints);
   const model::ValidationReport report = model::validate(m, sweep.points());
 
   analysis::TextTable table;

@@ -97,7 +97,7 @@ void BM_LinearFit(benchmark::State& state) {
   std::vector<stats::Point> points;
   for (int i = 0; i < 64; ++i) {
     points.push_back({static_cast<double>(i),
-                      2.0 * i + rng.uniform(-1.0, 1.0), 1.0});
+                      2.0 * i + rng.uniform(-1.0, 1.0)});
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(stats::fitLinear(points));

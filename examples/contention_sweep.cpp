@@ -329,7 +329,13 @@ int main(int argc, char** argv) {
   const model::MachineShape shape = model::shapeOf(config.machine);
   const auto fitCores = model::defaultFitCores(shape);
   const auto fitPoints = analysis::pointsAt(sweep, fitCores);
-  const model::ContentionModel m = model::ContentionModel::fit(shape, fitPoints);
+  const auto fitted = model::ContentionModel::tryFit(shape, fitPoints);
+  if (!fitted) {
+    std::fprintf(stderr, "error: model fit failed: %s\n",
+                 fitted.error().describe().c_str());
+    return 1;
+  }
+  const model::ContentionModel& m = *fitted;
 
   const auto allPoints = sweep.points();
   const model::ValidationReport report = model::validate(m, allPoints);

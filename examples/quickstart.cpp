@@ -41,7 +41,13 @@ int main(int argc, char** argv) {
       {13, 9.15e11},  // second controller comes online: contention drops
   };
 
-  const model::ContentionModel m = model::ContentionModel::fit(shape, measured);
+  const auto fitted = model::ContentionModel::tryFit(shape, measured);
+  if (!fitted) {
+    std::fprintf(stderr, "error: model fit failed: %s\n",
+                 fitted.error().describe().c_str());
+    return 1;
+  }
+  const model::ContentionModel& m = *fitted;
 
   std::printf("Fitted single-processor M/M/1: mu/r = %.3e, L/r = %.3e\n",
               m.singleProcessor().muOverR(), m.singleProcessor().lOverR());

@@ -33,8 +33,7 @@ Expected<AdvisorModel, model::FitError> fitAdvisorModel(
   }
   out.measuredRuns = result.profiles.size();
 
-  auto fitted =
-      model::ContentionModel::tryFit(out.shape, result.points(), config.options);
+  auto fitted = model::ContentionModel::tryFit(out.shape, result.points());
   if (!fitted) {
     model::FitError error = fitted.error();
     // Name the runs that never completed: a permanently failed measurement

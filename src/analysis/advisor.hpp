@@ -25,8 +25,6 @@ struct AdvisorFitConfig {
   int maxAttempts = 2;
   /// Sweep pool size; 0 resolves via OCCM_SWEEP_WORKERS / hardware.
   int workers = 0;
-  /// Model options (estimator, remote mode, robust fallback).
-  model::ContentionModel::Options options;
   /// Cooperative cancellation, polled at the simulator's event-loop
   /// boundary of every measurement run. A cancelled fit comes back as a
   /// FitError (kTooFewPoints, "fit sweep cancelled") — never a throw.

@@ -35,7 +35,7 @@ struct BurstinessReport {
 };
 
 /// Classifies a sampled run. `windows` are per-window line counts
-/// (perf::MissSampler::windows()).
+/// (perf::RunProfile::missWindows).
 [[nodiscard]] BurstinessReport analyzeBurstiness(
     std::span<const std::uint64_t> windows);
 

@@ -13,9 +13,6 @@ namespace occm::model {
 
 namespace {
 
-/// Matches Options{}.robustFallbackR2 (kept in the header for visibility).
-constexpr double kDefaultRobustFallbackR2 = 0.9;
-
 /// "1, 4, 5" — the distinct core counts present, for diagnostics.
 std::string coresPresent(std::span<const MeasuredPoint> points) {
   std::set<int> cores;
@@ -36,23 +33,6 @@ std::string coresPresent(std::span<const MeasuredPoint> points) {
 
 double degreeOfContention(double cyclesN, double cycles1) {
   OCCM_REQUIRE_MSG(cycles1 > 0.0, "C(1) must be positive");
-  return (cyclesN - cycles1) / cycles1;
-}
-
-Expected<double, FitError> degreeOfContentionChecked(double cyclesN,
-                                                     double cycles1) {
-  if (!(cycles1 > 0.0) || !std::isfinite(cycles1)) {
-    return makeUnexpected(FitError{
-        FitErrorKind::kNonPositiveCycles,
-        "C(1) = " + std::to_string(cycles1) + " is not a positive finite "
-        "cycle count; omega(n) is undefined",
-        1});
-  }
-  if (!std::isfinite(cyclesN)) {
-    return makeUnexpected(FitError{
-        FitErrorKind::kNonPositiveCycles,
-        "C(n) = " + std::to_string(cyclesN) + " is not finite", 0});
-  }
   return (cyclesN - cycles1) / cycles1;
 }
 
@@ -86,18 +66,8 @@ std::vector<int> defaultFitCores(const MachineShape& shape) {
   return cores;
 }
 
-SingleProcessorModel SingleProcessorModel::fit(
-    std::span<const MeasuredPoint> points) {
-  auto result = tryFit(points);
-  if (!result) {
-    throw ContractViolation("single-processor fit: " +
-                            result.error().describe());
-  }
-  return *result;
-}
-
 Expected<SingleProcessorModel, FitError> SingleProcessorModel::tryFit(
-    std::span<const MeasuredPoint> points, FitMethod method) {
+    std::span<const MeasuredPoint> points) {
   if (points.size() < 2) {
     return makeUnexpected(FitError{
         FitErrorKind::kTooFewPoints,
@@ -122,7 +92,7 @@ Expected<SingleProcessorModel, FitError> SingleProcessorModel::tryFit(
           p.cores});
     }
     distinct.insert(p.cores);
-    inv.push_back({static_cast<double>(p.cores), 1.0 / p.totalCycles, 1.0});
+    inv.push_back({static_cast<double>(p.cores), 1.0 / p.totalCycles});
   }
   if (distinct.size() < 2) {
     return makeUnexpected(FitError{
@@ -133,12 +103,7 @@ Expected<SingleProcessorModel, FitError> SingleProcessorModel::tryFit(
         *distinct.begin()});
   }
   SingleProcessorModel model;
-  model.fit_ = method == FitMethod::kTheilSen ? stats::fitTheilSen(inv)
-                                              : stats::fitLinear(inv);
-  if (method == FitMethod::kRobustFallback &&
-      model.fit_.r2 < kDefaultRobustFallbackR2) {
-    model.fit_ = stats::fitTheilSen(inv);
-  }
+  model.fit_ = stats::fitLinear(inv);
   // Saturation diagnosis: the open M/M/1 queue requires mu > n L across
   // the measured range; a non-positive intercept (mu/r <= 0) or a fitted
   // 1/C that crosses zero inside the data means the regime is saturated
@@ -183,25 +148,9 @@ double colinearityR2(std::span<const MeasuredPoint> points) {
   inv.reserve(points.size());
   for (const MeasuredPoint& p : points) {
     OCCM_REQUIRE_MSG(p.totalCycles > 0.0, "cycles must be positive");
-    inv.push_back({static_cast<double>(p.cores), 1.0 / p.totalCycles, 1.0});
+    inv.push_back({static_cast<double>(p.cores), 1.0 / p.totalCycles});
   }
   return stats::fitLinear(inv).r2;
-}
-
-ContentionModel ContentionModel::fit(const MachineShape& shape,
-                                     std::span<const MeasuredPoint> points) {
-  return fit(shape, points, Options{});
-}
-
-ContentionModel ContentionModel::fit(const MachineShape& shape,
-                                     std::span<const MeasuredPoint> points,
-                                     const Options& options) {
-  auto result = tryFit(shape, points, options);
-  if (!result) {
-    throw ContractViolation("contention-model fit: " +
-                            result.error().describe());
-  }
-  return *result;
 }
 
 Expected<ContentionModel, FitError> ContentionModel::tryFit(
@@ -250,16 +199,7 @@ Expected<ContentionModel, FitError> ContentionModel::tryFit(
         "present: " + coresPresent(points),
         1});
   }
-  // Resolve the estimator: kRobustFallback means OLS unless its
-  // colinearity R^2 on the first-processor points falls below the
-  // configured threshold (outliers breaking the 1/C(n) linearity).
-  FitMethod method = options.fitMethod;
-  auto single = SingleProcessorModel::tryFit(
-      first, method == FitMethod::kRobustFallback ? FitMethod::kOls : method);
-  if (single && method == FitMethod::kRobustFallback &&
-      single->fitInfo().r2 < options.robustFallbackR2) {
-    single = SingleProcessorModel::tryFit(first, FitMethod::kTheilSen);
-  }
+  auto single = SingleProcessorModel::tryFit(first);
   if (!single) {
     FitError error = single.error();
     error.message = "single-processor stage (n <= " + std::to_string(k) +
@@ -270,11 +210,9 @@ Expected<ContentionModel, FitError> ContentionModel::tryFit(
 
   // One slope per additional processor, from the first measured point
   // beyond that processor's boundary.
-  //  - NUMA: the remote-access term rho (eq. 10 load-split by default,
-  //    eq. 11 verbatim in proportional mode).
+  //  - NUMA: the remote-access term rho (eq. 10 load split).
   //  - UMA: the per-extra-core bus correction DeltaC on top of the
   //    machine-wide shared-controller queue.
-  model.options_ = options;
   model.slopes_.assign(static_cast<std::size_t>(shape.processors - 1), 0.0);
   const bool uma = shape.architecture == topology::MemoryArchitecture::kUma;
   for (int p = 1; p < shape.processors; ++p) {
@@ -291,14 +229,13 @@ Expected<ContentionModel, FitError> ContentionModel::tryFit(
     if (options.homogeneousRemote && p > 1) {
       slope = model.slopes_[0];
     } else if (chosen != nullptr) {
-      const int extra = chosen->cores - boundary;
       if (uma) {
         // Eq. 8 (shared controller): the single-queue curve spans the
         // machine; delta is the bus correction per extra core.
         slope = (chosen->totalCycles -
                  model.single_.predict(chosen->cores)) /
-                static_cast<double>(extra);
-      } else if (options.remoteMode == RemoteMode::kLoadSplit) {
+                static_cast<double>(chosen->cores - boundary);
+      } else {
         // Eq. 10: C_meas = C_s(n/m) + rho_r * n * (m-1)/m, m = p+1 active
         // processors at the chosen point.
         const double n = static_cast<double>(chosen->cores);
@@ -306,10 +243,6 @@ Expected<ContentionModel, FitError> ContentionModel::tryFit(
         const double remote = n * (m - 1.0) / m;
         slope =
             (chosen->totalCycles - model.single_.predict(n / m)) / remote;
-      } else {
-        // Eq. 11 verbatim.
-        slope = (chosen->totalCycles - model.chainedBoundary(p)) /
-                static_cast<double>(extra);
       }
     } else if (p > 1) {
       // Reuse the previous processor's slope rather than failing.
@@ -328,18 +261,6 @@ Expected<ContentionModel, FitError> ContentionModel::tryFit(
   return model;
 }
 
-double ContentionModel::chainedBoundary(int processor) const {
-  // Model value at n = processor * k (all processors up to `processor`
-  // fully active); used by the proportional (eq. 11 verbatim) mode.
-  const int k = shape_.coresPerProcessor;
-  double cycles = single_.predict(k);
-  for (int q = 1; q < processor; ++q) {
-    cycles += slopes_[static_cast<std::size_t>(q - 1)] *
-              static_cast<double>(k);
-  }
-  return cycles;
-}
-
 double ContentionModel::predictCycles(int cores) const {
   OCCM_REQUIRE_MSG(cores >= 1 && cores <= shape_.totalCores(),
                    "core count outside the machine");
@@ -348,7 +269,6 @@ double ContentionModel::predictCycles(int cores) const {
     return single_.predict(cores);
   }
   const int p = (cores - 1) / k;  // processor index of the last core
-  const int extra = cores - p * k;
   if (shape_.architecture == topology::MemoryArchitecture::kUma) {
     // Eq. 8 (shared controller): machine-wide single queue plus the bus
     // correction for the cores beyond the first processor.
@@ -360,16 +280,11 @@ double ContentionModel::predictCycles(int cores) const {
     }
     return single_.predict(cores) + correction;
   }
-  if (options_.remoteMode == RemoteMode::kLoadSplit) {
-    // Eq. 10: per-controller load n/m plus the remote-request penalty.
-    const double n = static_cast<double>(cores);
-    const double m = static_cast<double>(p + 1);
-    return single_.predict(n / m) +
-           slopes_[static_cast<std::size_t>(p - 1)] * n * (m - 1.0) / m;
-  }
-  // Eq. 11 verbatim: linear beyond the boundary.
-  return chainedBoundary(p) + slopes_[static_cast<std::size_t>(p - 1)] *
-                                  static_cast<double>(extra);
+  // Eq. 10: per-controller load n/m plus the remote-request penalty.
+  const double n = static_cast<double>(cores);
+  const double m = static_cast<double>(p + 1);
+  return single_.predict(n / m) +
+         slopes_[static_cast<std::size_t>(p - 1)] * n * (m - 1.0) / m;
 }
 
 double ContentionModel::predictOmega(int cores) const {

@@ -24,11 +24,14 @@
 //    distances (the paper's five-point AMD fit); the homogeneous-rho
 //    variant reuses the first slope everywhere (the three-point fit the
 //    paper reports as ~25 % error on AMD). The literal eq. 11 form
-//    C(n) = C(c) + r rho (n-c) is available as RemoteMode::kProportional.
+//    C(n) = C(c) + r rho (n-c) has no load relief, so it cannot produce
+//    that drop and is not modelled (DESIGN.md section 6).
+//  - Every parameter comes from ordinary least squares, the paper's only
+//    estimator; tryFit is the one entry point and reports degenerate
+//    input as a typed FitError.
 //  - Degree of memory contention (Definition 1):
 //    omega(n) = (C(n) - C(1)) / C(1).
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -46,25 +49,8 @@ struct MeasuredPoint {
 };
 
 /// omega(n) per Definition 1. Negative values = positive cache effects.
-/// Throws ContractViolation when C(1) is non-positive; use the checked
-/// variant in harness code that must survive degenerate measurements.
+/// Throws ContractViolation when C(1) is non-positive.
 [[nodiscard]] double degreeOfContention(double cyclesN, double cycles1);
-
-/// Non-throwing omega(n): diagnoses non-positive or non-finite C(1)
-/// (e.g. a failed run recorded as zero cycles) as a typed FitError
-/// instead of dividing to inf/NaN.
-[[nodiscard]] Expected<double, FitError> degreeOfContentionChecked(
-    double cyclesN, double cycles1);
-
-/// How the 1/C(n) regression line is estimated.
-enum class FitMethod : std::uint8_t {
-  kOls,       ///< ordinary least squares (the paper's estimator)
-  kTheilSen,  ///< robust median-of-slopes (outlier-contaminated sweeps)
-  /// OLS first; falls back to Theil-Sen when the OLS colinearity R^2
-  /// drops below robustFallbackR2 (outliers breaking the linearity the
-  /// model relies on).
-  kRobustFallback,
-};
 
 /// The machine abstraction the model needs: processors of equal core
 /// count filled one at a time.
@@ -92,19 +78,13 @@ struct MachineShape {
 /// linearity of 1/C(n) in n.
 class SingleProcessorModel {
  public:
-  /// Fits from >= 2 points, all with 1 <= cores <= coresPerProcessor.
-  /// Throws ContractViolation on degenerate input (thin wrapper over
-  /// tryFit for callers that treat bad input as a programming error).
-  [[nodiscard]] static SingleProcessorModel fit(
-      std::span<const MeasuredPoint> points);
-
-  /// Hardened fit: diagnoses degenerate input (too few points, duplicate
-  /// or invalid core counts, non-positive/non-finite cycles, a fitted
-  /// queue already saturated — mu <= n L — inside the measured range) as
-  /// a typed FitError instead of throwing.
+  /// Least-squares fit of 1/C(n) on n from >= 2 points with distinct core
+  /// counts. Degenerate input (too few points, duplicate or invalid core
+  /// counts, non-positive/non-finite cycles, a fitted queue already
+  /// saturated — mu <= n L — inside the measured range) comes back as a
+  /// typed FitError.
   [[nodiscard]] static Expected<SingleProcessorModel, FitError> tryFit(
-      std::span<const MeasuredPoint> points,
-      FitMethod method = FitMethod::kOls);
+      std::span<const MeasuredPoint> points);
 
   /// Predicted C(n). Beyond the fitted saturation point the open queue
   /// diverges; predictions are clamped at kSaturationFloor of the
@@ -135,25 +115,10 @@ class SingleProcessorModel {
 /// The full hierarchical model.
 class ContentionModel {
  public:
-  enum class RemoteMode : std::uint8_t {
-    /// Eq. 10 with interleaved placement: per-controller load n/m, remote
-    /// fraction (m-1)/m (default; matches measured behaviour).
-    kLoadSplit,
-    /// Literal eq. 11: C(n) = C(k) + rho_r * (n - k), linear beyond each
-    /// boundary with no controller load relief.
-    kProportional,
-  };
-
   struct Options {
     /// Reuse the first remote slope for every remote processor (the
     /// paper's three-point homogeneous-interconnect variant).
     bool homogeneousRemote = false;
-    RemoteMode remoteMode = RemoteMode::kLoadSplit;
-    /// Estimator for the single-processor 1/C(n) line.
-    FitMethod fitMethod = FitMethod::kOls;
-    /// kRobustFallback switches to Theil-Sen when the OLS colinearity
-    /// R^2 of the first-processor points drops below this threshold.
-    double robustFallbackR2 = 0.9;
   };
 
   /// Fits from measured points. Requirements: >= 2 points within the
@@ -161,20 +126,11 @@ class ContentionModel {
   /// that should be modelled, at least one point just beyond its
   /// boundary (unless homogeneousRemote reuses the first boundary
   /// slope). Points are matched by the fill-processor-first policy.
-  /// Throws ContractViolation on degenerate input (wrapper over tryFit).
-  [[nodiscard]] static ContentionModel fit(
-      const MachineShape& shape, std::span<const MeasuredPoint> points,
-      const Options& options);
-
-  /// Overload with default options.
-  [[nodiscard]] static ContentionModel fit(
-      const MachineShape& shape, std::span<const MeasuredPoint> points);
-
-  /// Hardened fit: every precondition failure (invalid shape, points
-  /// outside the machine, missing n = 1 anchor, missing boundary point,
-  /// degenerate single-processor input, saturated regime) comes back as
-  /// a typed FitError naming the offending core counts, so a sweep
-  /// harness can log the diagnosis and keep the surviving runs.
+  /// Every precondition failure (invalid shape, points outside the
+  /// machine, missing n = 1 anchor, missing boundary point, degenerate
+  /// single-processor input, saturated regime) comes back as a typed
+  /// FitError naming the offending core counts, so a sweep harness can
+  /// log the diagnosis and keep the surviving runs.
   [[nodiscard]] static Expected<ContentionModel, FitError> tryFit(
       const MachineShape& shape, std::span<const MeasuredPoint> points,
       const Options& options);
@@ -201,11 +157,7 @@ class ContentionModel {
   [[nodiscard]] double measuredC1() const noexcept { return c1_; }
 
  private:
-  /// Model value of C at the boundary n = processor * coresPerProcessor.
-  [[nodiscard]] double chainedBoundary(int processor) const;
-
   MachineShape shape_;
-  Options options_;
   SingleProcessorModel single_;
   std::vector<double> slopes_;
   double c1_ = 0.0;

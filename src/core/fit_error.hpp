@@ -4,8 +4,8 @@
 // C(n) = r / (mu - n L) silently produces garbage (or diverges) on inputs
 // a production sweep can easily hand it: a saturated regime (mu <= n L), a
 // failed run reporting zero cycles, duplicate core counts, or too few
-// surviving points after failure isolation. The hardened tryFit entry
-// points return Expected<Model, FitError> so callers can record the
+// surviving points after failure isolation. tryFit, the one way to fit
+// the model, returns Expected<Model, FitError> so callers can record the
 // diagnosis and keep the rest of the sweep alive.
 
 #include <cstdint>

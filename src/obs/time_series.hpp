@@ -1,9 +1,9 @@
 #pragma once
 
 // Windowed time-series sampler over simulated time — the generic machinery
-// behind every per-window metric the observability layer records (and
-// behind perf::MissSampler, which is the paper's 5 us LLC-miss sampler
-// specialised to one counter).
+// behind every per-window metric the observability layer records, and
+// behind the paper's 5 us LLC-miss sampler (a counter series whose window
+// sums become RunProfile::missWindows).
 //
 // Simulated time is bucketed into fixed windows of `windowCycles`; each
 // record() lands in window `time / windowCycles`. Two metric kinds:
@@ -15,9 +15,8 @@
 //    the last observed mean forward — a gauge keeps its level between
 //    observations; windows before the first sample are zero.
 //
-// Sums are kept in double, which is exact for integer totals up to 2^53 —
-// wide enough that the std::uint32_t overflow the old MissSampler could
-// silently hit cannot recur.
+// Sums are kept in double, which is exact for integer totals up to 2^53,
+// so per-window miss counts past 2^32 stay exact.
 
 #include <cstdint>
 #include <vector>

@@ -341,7 +341,6 @@ AdvisorServerStats runAdvisorServer(const AdvisorServerConfig& config) {
     fit.sim = config.sim;
     fit.maxAttempts = config.maxAttempts;
     fit.workers = 1;  // serial inside the task; parallelism across requests
-    fit.options = config.fitOptions;
     fit.beforeRun = config.beforeFitRun;
     const ModelKey key = p.key;
     (void)pool->submit([&postCompletion, fit = std::move(fit), key]() {

@@ -37,7 +37,6 @@
 #include <string>
 
 #include "common/cancellation.hpp"
-#include "core/contention_model.hpp"
 #include "exec/frame_transport.hpp"
 #include "obs/metric_registry.hpp"
 #include "serve/degrade.hpp"
@@ -64,7 +63,6 @@ struct AdvisorServerConfig {
   std::uint64_t workloadSeed = 2011;
   /// Attempts per measurement run (failure isolation inside sweeps).
   int maxAttempts = 2;
-  model::ContentionModel::Options fitOptions;
   /// Drain trigger. requestStop() is async-signal-safe, so a SIGTERM
   /// handler may own the source (examples/advisor_server.cpp does).
   CancellationToken drain;

@@ -11,7 +11,7 @@
 #include "common/rng.hpp"
 #include "fault/crash_injection.hpp"
 #include "fault/fault_engine.hpp"
-#include "perf/miss_sampler.hpp"
+#include "obs/time_series.hpp"
 #include "sim/event_queue.hpp"
 
 namespace occm::sim {
@@ -197,7 +197,9 @@ perf::RunProfile MachineSim::run(std::span<const trace::RefStreamPtr> streams,
 
   const Cycles samplerWindow = std::max<Cycles>(
       1, nsToCycles(config_.samplerWindowNs, spec.clockGhz));
-  perf::MissSampler sampler(samplerWindow);
+  // The paper's fine-grained LLC-miss sampler (section III-B.2): requested
+  // lines per window; the window sums are Figure 4's burst sizes.
+  obs::TimeSeries missSeries(samplerWindow);
 
   const int totalCores = spec.logicalCores();
   std::vector<CoreState> cores(static_cast<std::size_t>(totalCores));
@@ -449,7 +451,7 @@ perf::RunProfile MachineSim::run(std::span<const trace::RefStreamPtr> streams,
         ++hot.issueTurns;
         const Cycles now = ev.time;
         if (config_.enableSampler) {
-          sampler.record(now);
+          missSeries.record(now);
         }
         if (hp != nullptr && hp->llcMisses != nullptr) {
           hp->llcMisses->record(now);
@@ -542,9 +544,13 @@ perf::RunProfile MachineSim::run(std::span<const trace::RefStreamPtr> streams,
   profile.hotPath = hot;
   profile.channelsPerController = spec.channelsPerController;
   if (config_.enableSampler) {
-    sampler.finalize(profile.makespan);
-    profile.missWindows = sampler.windows();
-    profile.samplerWindowCycles = sampler.windowCycles();
+    missSeries.finalize(profile.makespan);
+    profile.missWindows.reserve(missSeries.windowCount());
+    for (std::size_t i = 0; i < missSeries.windowCount(); ++i) {
+      profile.missWindows.push_back(
+          static_cast<std::uint64_t>(missSeries.sum(i)));
+    }
+    profile.samplerWindowCycles = samplerWindow;
   }
   if (runTrace != nullptr) {
     memory.setObserver(nullptr);

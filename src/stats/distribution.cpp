@@ -8,57 +8,6 @@
 
 namespace occm::stats {
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)), counts_(bins) {
-  OCCM_REQUIRE_MSG(hi > lo, "histogram range must be non-empty");
-  OCCM_REQUIRE_MSG(bins > 0, "histogram needs at least one bin");
-}
-
-void Histogram::add(double x) noexcept { add(x, 1); }
-
-void Histogram::add(double x, std::uint64_t count) noexcept {
-  auto raw = static_cast<std::int64_t>(std::floor((x - lo_) / width_));
-  raw = std::clamp<std::int64_t>(raw, 0,
-                                 static_cast<std::int64_t>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(raw)] += count;
-  total_ += count;
-}
-
-std::uint64_t Histogram::binValue(std::size_t bin) const {
-  OCCM_REQUIRE(bin < counts_.size());
-  return counts_[bin];
-}
-
-double Histogram::binLow(std::size_t bin) const {
-  OCCM_REQUIRE(bin < counts_.size());
-  return lo_ + width_ * static_cast<double>(bin);
-}
-
-double Histogram::binHigh(std::size_t bin) const {
-  OCCM_REQUIRE(bin < counts_.size());
-  return lo_ + width_ * static_cast<double>(bin + 1);
-}
-
-double Histogram::quantile(double q) const {
-  OCCM_REQUIRE(q >= 0.0 && q <= 1.0);
-  OCCM_REQUIRE_MSG(total_ > 0, "quantile of an empty histogram");
-  const double target = q * static_cast<double>(total_);
-  std::uint64_t running = 0;
-  for (std::size_t bin = 0; bin < counts_.size(); ++bin) {
-    const std::uint64_t next = running + counts_[bin];
-    if (static_cast<double>(next) >= target) {
-      const double within =
-          counts_[bin] == 0
-              ? 0.0
-              : (target - static_cast<double>(running)) /
-                    static_cast<double>(counts_[bin]);
-      return binLow(bin) + within * width_;
-    }
-    running = next;
-  }
-  return binHigh(counts_.size() - 1);
-}
-
 std::vector<CcdfPoint> empiricalCcdf(std::span<const double> samples) {
   OCCM_REQUIRE_MSG(!samples.empty(), "CCDF of an empty sample set");
   std::vector<double> sorted(samples.begin(), samples.end());
@@ -100,7 +49,7 @@ TailFit fitLogLogTail(std::span<const CcdfPoint> ccdf, double xmin) {
   std::vector<Point> pts;
   for (const CcdfPoint& p : ccdf) {
     if (p.x >= xmin && p.x > 0.0 && p.probability > 0.0) {
-      pts.push_back({std::log10(p.x), std::log10(p.probability), 1.0});
+      pts.push_back({std::log10(p.x), std::log10(p.probability)});
     }
   }
   TailFit fit;

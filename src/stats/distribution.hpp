@@ -1,40 +1,15 @@
 #pragma once
 
-// Empirical distributions: histograms, complementary CDFs and heavy-tail
+// Empirical distributions: complementary CDFs and heavy-tail
 // diagnostics. Figure 4 of the paper plots P(BurstSize > x) on log-log
 // axes and classifies traffic as bursty when the tail is a straight
 // decreasing diagonal (power law); these are the tools behind that plot.
 
-#include <cstdint>
+#include <cstddef>
 #include <span>
 #include <vector>
 
 namespace occm::stats {
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// first/last bin so no observation is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  void add(double x, std::uint64_t count) noexcept;
-
-  [[nodiscard]] std::size_t binCount() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t binValue(std::size_t bin) const;
-  [[nodiscard]] double binLow(std::size_t bin) const;
-  [[nodiscard]] double binHigh(std::size_t bin) const;
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-
-  /// Quantile in [0,1] by linear interpolation inside the containing bin.
-  [[nodiscard]] double quantile(double q) const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
 
 /// One point of an empirical complementary CDF: P(X > x).
 struct CcdfPoint {

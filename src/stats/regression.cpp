@@ -1,161 +1,40 @@
 #include "stats/regression.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/error.hpp"
 
 namespace occm::stats {
 
-namespace {
-
-/// Computes R^2 and residual SE for a fitted line over the points.
-void fillGoodness(std::span<const Point> points, LinearFit& fit) {
-  double ssRes = 0.0;
-  double ssTot = 0.0;
-  double meanY = 0.0;
-  double totalW = 0.0;
-  for (const Point& p : points) {
-    meanY += p.weight * p.y;
-    totalW += p.weight;
-  }
-  meanY /= totalW;
-  for (const Point& p : points) {
-    const double pred = fit.predict(p.x);
-    ssRes += p.weight * (p.y - pred) * (p.y - pred);
-    ssTot += p.weight * (p.y - meanY) * (p.y - meanY);
-  }
-  fit.r2 = ssTot == 0.0 ? 1.0 : 1.0 - ssRes / ssTot;
-  fit.n = points.size();
-  fit.residualStdError =
-      points.size() > 2
-          ? std::sqrt(ssRes / static_cast<double>(points.size() - 2))
-          : 0.0;
-}
-
-}  // namespace
-
 LinearFit fitLinear(std::span<const Point> points) {
   OCCM_REQUIRE_MSG(points.size() >= 2, "linear fit needs at least two points");
-  double sw = 0.0;
+  const auto count = static_cast<double>(points.size());
   double sx = 0.0;
   double sy = 0.0;
   for (const Point& p : points) {
-    OCCM_REQUIRE_MSG(p.weight > 0.0, "weights must be positive");
-    sw += p.weight;
-    sx += p.weight * p.x;
-    sy += p.weight * p.y;
+    sx += p.x;
+    sy += p.y;
   }
-  const double mx = sx / sw;
-  const double my = sy / sw;
+  const double mx = sx / count;
+  const double my = sy / count;
   double sxx = 0.0;
   double sxy = 0.0;
   for (const Point& p : points) {
-    sxx += p.weight * (p.x - mx) * (p.x - mx);
-    sxy += p.weight * (p.x - mx) * (p.y - my);
+    sxx += (p.x - mx) * (p.x - mx);
+    sxy += (p.x - mx) * (p.y - my);
   }
   OCCM_REQUIRE_MSG(sxx > 0.0, "linear fit needs two distinct x values");
   LinearFit fit;
   fit.slope = sxy / sxx;
   fit.intercept = my - fit.slope * mx;
-  fillGoodness(points, fit);
-  return fit;
-}
-
-LinearFit fitLinear(std::span<const double> xs, std::span<const double> ys) {
-  OCCM_REQUIRE(xs.size() == ys.size());
-  std::vector<Point> points(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    points[i] = Point{xs[i], ys[i], 1.0};
-  }
-  return fitLinear(points);
-}
-
-LinearFit fitThroughOrigin(std::span<const Point> points) {
-  OCCM_REQUIRE_MSG(!points.empty(), "fit needs at least one point");
-  double sxx = 0.0;
-  double sxy = 0.0;
-  double syy = 0.0;
-  for (const Point& p : points) {
-    OCCM_REQUIRE_MSG(p.weight > 0.0, "weights must be positive");
-    sxx += p.weight * p.x * p.x;
-    sxy += p.weight * p.x * p.y;
-    syy += p.weight * p.y * p.y;
-  }
-  OCCM_REQUIRE_MSG(sxx > 0.0, "fit through origin needs a nonzero x");
-  LinearFit fit;
-  fit.slope = sxy / sxx;
-  fit.intercept = 0.0;
-  // Uncentered R^2: 1 - SS_res / sum(y^2).
-  double ssRes = 0.0;
-  for (const Point& p : points) {
-    const double e = p.y - fit.slope * p.x;
-    ssRes += p.weight * e * e;
-  }
-  fit.r2 = syy == 0.0 ? 1.0 : 1.0 - ssRes / syy;
-  fit.n = points.size();
-  fit.residualStdError =
-      points.size() > 1
-          ? std::sqrt(ssRes / static_cast<double>(points.size() - 1))
-          : 0.0;
-  return fit;
-}
-
-LinearFit fitTheilSen(std::span<const Point> points) {
-  OCCM_REQUIRE_MSG(points.size() >= 2,
-                   "Theil-Sen fit needs at least two points");
-  std::vector<double> slopes;
-  slopes.reserve(points.size() * (points.size() - 1) / 2);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    for (std::size_t j = i + 1; j < points.size(); ++j) {
-      const double dx = points[j].x - points[i].x;
-      if (dx != 0.0) {
-        slopes.push_back((points[j].y - points[i].y) / dx);
-      }
-    }
-  }
-  OCCM_REQUIRE_MSG(!slopes.empty(),
-                   "Theil-Sen fit needs two distinct x values");
-  const auto median = [](std::vector<double>& values) {
-    const std::size_t mid = values.size() / 2;
-    std::nth_element(values.begin(), values.begin() + static_cast<std::ptrdiff_t>(mid),
-                     values.end());
-    double result = values[mid];
-    if (values.size() % 2 == 0) {
-      const auto lower = std::max_element(
-          values.begin(), values.begin() + static_cast<std::ptrdiff_t>(mid));
-      result = (result + *lower) / 2.0;
-    }
-    return result;
-  };
-  LinearFit fit;
-  fit.slope = median(slopes);
-  std::vector<double> intercepts;
-  intercepts.reserve(points.size());
-  for (const Point& p : points) {
-    intercepts.push_back(p.y - fit.slope * p.x);
-  }
-  fit.intercept = median(intercepts);
-  fillGoodness(points, fit);
-  return fit;
-}
-
-double coefficientOfDetermination(std::span<const double> observed,
-                                  std::span<const double> predicted) {
-  OCCM_REQUIRE(observed.size() == predicted.size());
-  OCCM_REQUIRE(!observed.empty());
-  double mean = 0.0;
-  for (double v : observed) {
-    mean += v;
-  }
-  mean /= static_cast<double>(observed.size());
   double ssRes = 0.0;
   double ssTot = 0.0;
-  for (std::size_t i = 0; i < observed.size(); ++i) {
-    ssRes += (observed[i] - predicted[i]) * (observed[i] - predicted[i]);
-    ssTot += (observed[i] - mean) * (observed[i] - mean);
+  for (const Point& p : points) {
+    const double pred = fit.predict(p.x);
+    ssRes += (p.y - pred) * (p.y - pred);
+    ssTot += (p.y - my) * (p.y - my);
   }
-  return ssTot == 0.0 ? 1.0 : 1.0 - ssRes / ssTot;
+  fit.r2 = ssTot == 0.0 ? 1.0 : 1.0 - ssRes / ssTot;
+  fit.n = points.size();
+  return fit;
 }
 
 }  // namespace occm::stats

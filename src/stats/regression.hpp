@@ -2,19 +2,17 @@
 
 // Ordinary least-squares simple linear regression, the parameter-estimation
 // tool the paper uses everywhere: mu and L come from the linearity of
-// 1/C(n) in n (eq. 6), DeltaC and rho from linear fits on the multi-socket
-// points (eqs. 8, 11), and Table IV reports the colinearity R^2.
+// 1/C(n) in n (eq. 6), DeltaC and rho from the multi-socket points
+// (eqs. 8, 10), and Table IV reports the colinearity R^2.
 
 #include <span>
-#include <vector>
 
 namespace occm::stats {
 
-/// One observation (x, y) with an optional weight.
+/// One observation (x, y).
 struct Point {
   double x = 0.0;
   double y = 0.0;
-  double weight = 1.0;
 };
 
 /// Result of fitting y = intercept + slope * x.
@@ -23,8 +21,6 @@ struct LinearFit {
   double intercept = 0.0;
   /// Coefficient of determination in [0, 1] (1 = perfect colinearity).
   double r2 = 0.0;
-  /// Residual standard error (n-2 denominator), 0 when n <= 2.
-  double residualStdError = 0.0;
   std::size_t n = 0;
 
   [[nodiscard]] double predict(double x) const noexcept {
@@ -32,28 +28,8 @@ struct LinearFit {
   }
 };
 
-/// Fits y = a + b*x by (weighted) least squares. Requires >= 2 points with
-/// at least two distinct x values; throws ContractViolation otherwise.
+/// Fits y = a + b*x by least squares. Requires >= 2 points with at least
+/// two distinct x values; throws ContractViolation otherwise.
 [[nodiscard]] LinearFit fitLinear(std::span<const Point> points);
-
-/// Convenience overload over parallel x/y arrays with unit weights.
-[[nodiscard]] LinearFit fitLinear(std::span<const double> xs,
-                                  std::span<const double> ys);
-
-/// Fits y = b*x (regression through the origin); r2 is the uncentered R^2.
-[[nodiscard]] LinearFit fitThroughOrigin(std::span<const Point> points);
-
-/// Theil–Sen robust estimator: slope = median of all pairwise slopes,
-/// intercept = median of (y_i - slope * x_i). Breakdown point ~29%, so a
-/// few outlier-contaminated sweep points (a degraded run, a partially
-/// failed measurement) do not drag the fit the way least squares lets
-/// them. Weights are ignored (medians are unweighted); r2/residuals are
-/// reported against the robust line. O(n^2) pairs — fine for sweep-sized
-/// inputs. Requires >= 2 points with two distinct x values.
-[[nodiscard]] LinearFit fitTheilSen(std::span<const Point> points);
-
-/// R^2 of an externally supplied prediction against observations.
-[[nodiscard]] double coefficientOfDetermination(
-    std::span<const double> observed, std::span<const double> predicted);
 
 }  // namespace occm::stats

@@ -35,34 +35,6 @@ double OnlineStats::cv() const noexcept {
   return mean_ == 0.0 ? 0.0 : stddev() / mean_;
 }
 
-void OnlineStats::merge(const OnlineStats& other) noexcept {
-  if (other.n_ == 0) {
-    return;
-  }
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
-OnlineStats summarize(std::span<const double> values) noexcept {
-  OnlineStats s;
-  for (double v : values) {
-    s.add(v);
-  }
-  return s;
-}
-
 double meanRelativeError(std::span<const double> measured,
                          std::span<const double> predicted) {
   OCCM_REQUIRE(measured.size() == predicted.size());

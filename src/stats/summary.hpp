@@ -1,6 +1,6 @@
 #pragma once
 
-// Streaming summary statistics (Welford) and simple batch summaries.
+// Streaming summary statistics (Welford) and the model's error metric.
 
 #include <cstdint>
 #include <span>
@@ -24,11 +24,6 @@ class OnlineStats {
   /// Coefficient of variation (stddev / mean); 0 for zero mean.
   [[nodiscard]] double cv() const noexcept;
 
-  /// Merges another accumulator into this one (parallel Welford).
-  void merge(const OnlineStats& other) noexcept;
-
-  void reset() noexcept { *this = OnlineStats{}; }
-
  private:
   std::uint64_t n_ = 0;
   double mean_ = 0.0;
@@ -37,9 +32,6 @@ class OnlineStats {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-/// Batch summary over a span.
-[[nodiscard]] OnlineStats summarize(std::span<const double> values) noexcept;
 
 /// Mean absolute relative error between model predictions and measurements,
 /// the accuracy metric the paper reports (5-14 %). Entries where the

@@ -1,4 +1,6 @@
-// Multi-seed chaos soak: the PR's enforced invariant, stated as tests.
+// Multi-seed chaos soak: the fleet's and the server's fault invariants,
+// stated as tests. Each leg runs once per seed 1..20, and every (leg, seed)
+// pair is its own test, so `ctest -j` spreads the soak over all cores.
 //
 // Fleet leg: for every seed, a coordinator + two chaos-wrapped workers
 // run the same small sweep while planFromSeed(seed) drops, duplicates,
@@ -33,9 +35,6 @@
 
 namespace occm::analysis {
 namespace {
-
-constexpr std::uint64_t kFleetSeeds = 20;
-constexpr std::uint64_t kServerSeeds = 20;
 
 SweepConfig baseConfig() {
   SweepConfig config;
@@ -108,13 +107,24 @@ std::string chaosFleetCsv(std::uint64_t seed) {
   return sweepToCsv(sweep);
 }
 
-TEST(ChaosSoak, FleetConvergesByteIdenticalUnderEverySeed) {
-  const std::string& reference = serialReference();
-  for (std::uint64_t seed = 1; seed <= kFleetSeeds; ++seed) {
-    SCOPED_TRACE("chaos seed " + std::to_string(seed) + " plan " +
-                 exec::chaos::planFromSeed(seed).toSpec());
-    EXPECT_EQ(chaosFleetCsv(seed), reference);
+/// Parameterised by the chaos seed.
+class ChaosSoak : public ::testing::TestWithParam<int> {
+ protected:
+  [[nodiscard]] std::uint64_t seed() const {
+    return static_cast<std::uint64_t>(GetParam());
   }
+
+  /// Names the seed's plan, so a failure can be replayed with
+  /// --chaos-plan.
+  [[nodiscard]] std::string planTrace() const {
+    return "chaos seed " + std::to_string(seed()) + " plan " +
+           exec::chaos::planFromSeed(seed()).toSpec();
+  }
+};
+
+TEST_P(ChaosSoak, FleetConvergesByteIdentical) {
+  SCOPED_TRACE(planTrace());
+  EXPECT_EQ(chaosFleetCsv(seed()), serialReference());
 }
 
 // ---------------------------------------------------------------------
@@ -163,51 +173,53 @@ void runClientSession(int serverPort, std::uint64_t /*seed*/) {
   }
 }
 
-TEST(ChaosSoak, ServerAlwaysDrainsUnderEverySeed) {
-  for (std::uint64_t seed = 1; seed <= kServerSeeds; ++seed) {
-    SCOPED_TRACE("chaos seed " + std::to_string(seed) + " plan " +
-                 exec::chaos::planFromSeed(seed).toSpec());
+TEST_P(ChaosSoak, ServerAlwaysDrains) {
+  SCOPED_TRACE(planTrace());
+  std::promise<int> portPromise;
+  auto portFuture = portPromise.get_future();
+  CancellationSource drain;
 
-    std::promise<int> portPromise;
-    auto portFuture = portPromise.get_future();
-    CancellationSource drain;
+  serve::AdvisorServerConfig config;
+  config.workers = 1;
+  config.readProgressTimeoutMs = 300;  // chaos stalls must be reaped
+  config.drain = drain.token();
+  exec::chaos::ChaosConfig chaos;
+  chaos.seed = seed();
+  chaos.plan = exec::chaos::planFromSeed(seed());
+  config.transportFactory = exec::chaos::chaosTransportFactory(chaos);
+  config.onListening = [&](int p) { portPromise.set_value(p); };
 
-    serve::AdvisorServerConfig config;
-    config.workers = 1;
-    config.readProgressTimeoutMs = 300;  // chaos stalls must be reaped
-    config.drain = drain.token();
-    exec::chaos::ChaosConfig chaos;
-    chaos.seed = seed;
-    chaos.plan = exec::chaos::planFromSeed(seed);
-    config.transportFactory = exec::chaos::chaosTransportFactory(chaos);
-    config.onListening = [&](int p) { portPromise.set_value(p); };
+  serve::AdvisorServerStats stats;
+  std::thread server([&] { stats = serve::runAdvisorServer(config); });
+  ASSERT_EQ(portFuture.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  const int port = portFuture.get();
 
-    serve::AdvisorServerStats stats;
-    std::thread server([&] { stats = serve::runAdvisorServer(config); });
-    ASSERT_EQ(portFuture.wait_for(std::chrono::seconds(30)),
-              std::future_status::ready);
-    const int port = portFuture.get();
-
-    std::vector<std::thread> clients;
-    for (int c = 0; c < 3; ++c) {
-      clients.emplace_back(
-          [port, seed] { runClientSession(port, seed); });
-    }
-    for (std::thread& client : clients) {
-      client.join();
-    }
-
-    drain.requestStop();
-    server.join();
-
-    // The invariant: whatever chaos did to the sessions, the server run
-    // itself ends typed — drained, no listen error, counters coherent.
-    EXPECT_TRUE(stats.drained);
-    EXPECT_TRUE(stats.error.empty()) << stats.error;
-    EXPECT_LE(stats.responsesSent,
-              stats.requestsDecoded);  // never answers from thin air
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 3; ++c) {
+    clients.emplace_back(
+        [port, seed = seed()] { runClientSession(port, seed); });
   }
+  for (std::thread& client : clients) {
+    client.join();
+  }
+
+  drain.requestStop();
+  server.join();
+
+  // The invariant: whatever chaos did to the sessions, the server run
+  // itself ends typed — drained, no listen error, counters coherent.
+  EXPECT_TRUE(stats.drained);
+  EXPECT_TRUE(stats.error.empty()) << stats.error;
+  EXPECT_LE(stats.responsesSent,
+            stats.requestsDecoded);  // never answers from thin air
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, ChaosSoak, ::testing::Range(1, 21),
+    [](const ::testing::TestParamInfo<int>& seed) {
+      return "seed" + std::to_string(seed.param);
+    });
 
 }  // namespace
 }  // namespace occm::analysis

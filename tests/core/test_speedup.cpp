@@ -21,7 +21,7 @@ ContentionModel fitLinearContention(double perCoreGrowth, int k = 4,
     points.push_back(
         {k + 1, 1000.0 * (1.0 + perCoreGrowth * k)});
   }
-  return ContentionModel::fit(shape, points);
+  return ContentionModel::tryFit(shape, points).value();
 }
 
 TEST(Speedup, NoContentionIsLinear) {
@@ -58,7 +58,7 @@ TEST(AdviseCores, PicksThePeak) {
   for (int n : {1, 4, 8}) {
     points.push_back({n, 1e6 / (0.01 - 0.001 * n)});
   }
-  const ContentionModel m = ContentionModel::fit(shape, points);
+  const ContentionModel m = ContentionModel::tryFit(shape, points).value();
   const SpeedupAdvice advice = adviseCores(m, 0.5);
   EXPECT_GE(advice.bestCores, 2);
   EXPECT_LE(advice.bestCores, 8);

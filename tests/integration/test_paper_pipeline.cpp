@@ -27,7 +27,8 @@ TEST(PaperPipeline, CgModelFitsHighContentionWithinPaperError) {
 
   const model::MachineShape shape = model::shapeOf(config.machine);
   const auto fitPoints = analysis::pointsAt(sweep, {1, 2, 12, 13});
-  const model::ContentionModel m = model::ContentionModel::fit(shape, fitPoints);
+  const model::ContentionModel m =
+      model::ContentionModel::tryFit(shape, fitPoints).value();
   const model::ValidationReport report = model::validate(m, sweep.points());
   EXPECT_LT(report.meanRelativeError, 0.20);
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/error.hpp"
 #include "obs/metric_registry.hpp"
 
@@ -103,6 +105,17 @@ TEST(TimeSeries, CounterValuesMatchPointQueries) {
   for (std::size_t i = 0; i < values.size(); ++i) {
     EXPECT_DOUBLE_EQ(values[i], series.value(i));
   }
+}
+
+TEST(TimeSeries, WindowCountsSurviveUint32Overflow) {
+  // Regression: the LLC-miss sampler once kept uint32 window counts that
+  // silently wrapped past 2^32 lines. The simulator turns these counter
+  // sums into RunProfile::missWindows, so they must stay exact as uint64.
+  TimeSeries series(100);
+  series.record(10, 5'000'000'000.0);
+  series.record(20, 5'000'000'000.0);
+  ASSERT_EQ(series.windowCount(), 1u);
+  EXPECT_EQ(static_cast<std::uint64_t>(series.sum(0)), 10'000'000'000ULL);
 }
 
 TEST(TimeSeries, ZeroWindowRejected) {

@@ -27,7 +27,7 @@ model::ContentionModel someModel() {
       {12, 9.80e11},
       {13, 9.15e11},
   };
-  return model::ContentionModel::fit(shape, measured);
+  return model::ContentionModel::tryFit(shape, measured).value();
 }
 
 ModelKey key(const std::string& program) {

@@ -11,55 +11,6 @@
 namespace occm::stats {
 namespace {
 
-TEST(Histogram, BasicBinning) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.6);
-  EXPECT_EQ(h.binValue(0), 1u);
-  EXPECT_EQ(h.binValue(1), 2u);
-  EXPECT_EQ(h.total(), 3u);
-  EXPECT_DOUBLE_EQ(h.binLow(1), 1.0);
-  EXPECT_DOUBLE_EQ(h.binHigh(1), 2.0);
-}
-
-TEST(Histogram, OutOfRangeClampsToEdges) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-100.0);
-  h.add(100.0);
-  EXPECT_EQ(h.binValue(0), 1u);
-  EXPECT_EQ(h.binValue(4), 1u);
-  EXPECT_EQ(h.total(), 2u);
-}
-
-TEST(Histogram, WeightedAdd) {
-  Histogram h(0.0, 4.0, 4);
-  h.add(1.5, 10);
-  EXPECT_EQ(h.binValue(1), 10u);
-  EXPECT_EQ(h.total(), 10u);
-}
-
-TEST(Histogram, QuantileInterpolates) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) {
-    h.add(i + 0.5);
-  }
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-  EXPECT_LE(h.quantile(0.0), 1.0);
-  EXPECT_NEAR(h.quantile(1.0), 100.0, 1.0);
-}
-
-TEST(Histogram, InvalidConstructionThrows) {
-  EXPECT_THROW((void)Histogram(1.0, 1.0, 10), ContractViolation);
-  EXPECT_THROW((void)Histogram(0.0, 1.0, 0), ContractViolation);
-}
-
-TEST(Histogram, QuantileOfEmptyThrows) {
-  Histogram h(0.0, 1.0, 2);
-  EXPECT_THROW((void)h.quantile(0.5), ContractViolation);
-}
-
 TEST(EmpiricalCcdf, SmallExample) {
   const std::vector<double> samples = {1.0, 1.0, 2.0, 4.0};
   const auto ccdf = empiricalCcdf(samples);

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "common/error.hpp"
@@ -14,24 +13,23 @@ namespace {
 TEST(FitLinear, RecoversExactLine) {
   std::vector<Point> pts;
   for (int x = 0; x < 10; ++x) {
-    pts.push_back({static_cast<double>(x), 3.0 + 2.0 * x, 1.0});
+    pts.push_back({static_cast<double>(x), 3.0 + 2.0 * x});
   }
   const LinearFit fit = fitLinear(pts);
   EXPECT_NEAR(fit.slope, 2.0, 1e-12);
   EXPECT_NEAR(fit.intercept, 3.0, 1e-12);
   EXPECT_NEAR(fit.r2, 1.0, 1e-12);
-  EXPECT_NEAR(fit.residualStdError, 0.0, 1e-9);
   EXPECT_EQ(fit.n, 10u);
 }
 
 TEST(FitLinear, PredictInterpolates) {
-  const std::vector<Point> pts = {{0.0, 1.0, 1.0}, {2.0, 5.0, 1.0}};
+  const std::vector<Point> pts = {{0.0, 1.0}, {2.0, 5.0}};
   const LinearFit fit = fitLinear(pts);
   EXPECT_NEAR(fit.predict(1.0), 3.0, 1e-12);
 }
 
 TEST(FitLinear, TwoPointsExact) {
-  const std::vector<Point> pts = {{1.0, 10.0, 1.0}, {3.0, 4.0, 1.0}};
+  const std::vector<Point> pts = {{1.0, 10.0}, {3.0, 4.0}};
   const LinearFit fit = fitLinear(pts);
   EXPECT_NEAR(fit.slope, -3.0, 1e-12);
   EXPECT_NEAR(fit.intercept, 13.0, 1e-12);
@@ -42,105 +40,22 @@ TEST(FitLinear, NoisyDataHasR2BelowOne) {
   std::vector<Point> pts;
   for (int x = 0; x < 100; ++x) {
     pts.push_back({static_cast<double>(x),
-                   2.0 * x + rng.uniform(-20.0, 20.0), 1.0});
+                   2.0 * x + rng.uniform(-20.0, 20.0)});
   }
   const LinearFit fit = fitLinear(pts);
   EXPECT_NEAR(fit.slope, 2.0, 0.2);
   EXPECT_LT(fit.r2, 1.0);
   EXPECT_GT(fit.r2, 0.8);
-  EXPECT_GT(fit.residualStdError, 0.0);
-}
-
-TEST(FitLinear, WeightsShiftTheFit) {
-  // Two clusters; weighting one heavily pulls the line through it.
-  std::vector<Point> pts = {{0.0, 0.0, 100.0},
-                            {1.0, 1.0, 100.0},
-                            {2.0, 10.0, 0.001}};
-  const LinearFit fit = fitLinear(pts);
-  EXPECT_NEAR(fit.slope, 1.0, 0.05);
 }
 
 TEST(FitLinear, TooFewPointsThrows) {
-  const std::vector<Point> pts = {{1.0, 1.0, 1.0}};
+  const std::vector<Point> pts = {{1.0, 1.0}};
   EXPECT_THROW((void)fitLinear(pts), ContractViolation);
 }
 
 TEST(FitLinear, DegenerateXThrows) {
-  const std::vector<Point> pts = {{1.0, 1.0, 1.0}, {1.0, 2.0, 1.0}};
+  const std::vector<Point> pts = {{1.0, 1.0}, {1.0, 2.0}};
   EXPECT_THROW((void)fitLinear(pts), ContractViolation);
-}
-
-TEST(FitLinear, NonPositiveWeightThrows) {
-  const std::vector<Point> pts = {{1.0, 1.0, 1.0}, {2.0, 2.0, 0.0}};
-  EXPECT_THROW((void)fitLinear(pts), ContractViolation);
-}
-
-TEST(FitLinear, SpanOverloadMatches) {
-  const std::vector<double> xs = {1.0, 2.0, 3.0};
-  const std::vector<double> ys = {2.0, 4.0, 6.0};
-  const LinearFit fit = fitLinear(xs, ys);
-  EXPECT_NEAR(fit.slope, 2.0, 1e-12);
-  EXPECT_NEAR(fit.intercept, 0.0, 1e-12);
-}
-
-TEST(FitThroughOrigin, RecoversSlope) {
-  std::vector<Point> pts;
-  for (int x = 1; x <= 5; ++x) {
-    pts.push_back({static_cast<double>(x), 4.0 * x, 1.0});
-  }
-  const LinearFit fit = fitThroughOrigin(pts);
-  EXPECT_NEAR(fit.slope, 4.0, 1e-12);
-  EXPECT_EQ(fit.intercept, 0.0);
-  EXPECT_NEAR(fit.r2, 1.0, 1e-12);
-}
-
-TEST(FitThroughOrigin, AllZeroXThrows) {
-  const std::vector<Point> pts = {{0.0, 1.0, 1.0}};
-  EXPECT_THROW((void)fitThroughOrigin(pts), ContractViolation);
-}
-
-TEST(CoefficientOfDetermination, PerfectAndPoor) {
-  const std::vector<double> obs = {1.0, 2.0, 3.0, 4.0};
-  EXPECT_NEAR(coefficientOfDetermination(obs, obs), 1.0, 1e-12);
-  const std::vector<double> constant = {2.5, 2.5, 2.5, 2.5};
-  EXPECT_NEAR(coefficientOfDetermination(obs, constant), 0.0, 1e-12);
-}
-
-TEST(CoefficientOfDetermination, MismatchedSizesThrow) {
-  const std::vector<double> a = {1.0, 2.0};
-  const std::vector<double> b = {1.0};
-  EXPECT_THROW((void)coefficientOfDetermination(a, b), ContractViolation);
-}
-
-TEST(FitTheilSen, ExactOnCleanLine) {
-  std::vector<Point> pts;
-  for (int x = 1; x <= 9; ++x) {
-    pts.push_back({static_cast<double>(x), 3.0 + 2.0 * x, 1.0});
-  }
-  const LinearFit fit = fitTheilSen(pts);
-  EXPECT_NEAR(fit.slope, 2.0, 1e-12);
-  EXPECT_NEAR(fit.intercept, 3.0, 1e-12);
-  EXPECT_EQ(fit.n, 9u);
-}
-
-TEST(FitTheilSen, IgnoresOneOutlierWhereOlsDoesNot) {
-  std::vector<Point> pts;
-  for (int x = 1; x <= 9; ++x) {
-    pts.push_back({static_cast<double>(x), 3.0 + 2.0 * x, 1.0});
-  }
-  pts[4].y += 100.0;  // one wild measurement
-  const LinearFit robust = fitTheilSen(pts);
-  const LinearFit ols = fitLinear(pts);
-  EXPECT_NEAR(robust.slope, 2.0, 1e-12);
-  EXPECT_NEAR(robust.intercept, 3.0, 1e-12);
-  EXPECT_GT(std::abs(ols.intercept - 3.0), 1.0);  // OLS is dragged
-}
-
-TEST(FitTheilSen, DegenerateInputThrows) {
-  const std::vector<Point> one = {{1.0, 2.0, 1.0}};
-  EXPECT_THROW((void)fitTheilSen(one), ContractViolation);
-  const std::vector<Point> sameX = {{2.0, 1.0, 1.0}, {2.0, 5.0, 1.0}};
-  EXPECT_THROW((void)fitTheilSen(sameX), ContractViolation);
 }
 
 }  // namespace

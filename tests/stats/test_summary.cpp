@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 
 namespace occm::stats {
 namespace {
@@ -50,44 +49,6 @@ TEST(OnlineStats, NegativeValuesTracked) {
   EXPECT_EQ(s.mean(), 0.0);
   EXPECT_EQ(s.min(), -3.0);
   EXPECT_EQ(s.cv(), 0.0);  // zero mean -> defined as 0
-}
-
-TEST(OnlineStats, MergeEqualsSequential) {
-  Rng rng(77);
-  OnlineStats whole;
-  OnlineStats a;
-  OnlineStats b;
-  for (int i = 0; i < 1000; ++i) {
-    const double v = rng.uniform(-10, 10);
-    whole.add(v);
-    (i % 2 == 0 ? a : b).add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_NEAR(a.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), whole.variance(), 1e-9);
-  EXPECT_EQ(a.min(), whole.min());
-  EXPECT_EQ(a.max(), whole.max());
-}
-
-TEST(OnlineStats, MergeWithEmptyIsNoop) {
-  OnlineStats a;
-  a.add(1.0);
-  a.add(2.0);
-  OnlineStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  OnlineStats b;
-  b.merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_NEAR(b.mean(), 1.5, 1e-12);
-}
-
-TEST(Summarize, SpanOverload) {
-  const std::vector<double> values = {1.0, 2.0, 3.0};
-  const OnlineStats s = summarize(values);
-  EXPECT_EQ(s.count(), 3u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.0);
 }
 
 TEST(MeanRelativeError, Basic) {
