@@ -15,9 +15,11 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "common/cancellation.hpp"
+#include "example_args.hpp"
 #include "exec/chaos/chaos_transport.hpp"
 #include "serve/advisor_server.hpp"
 
@@ -91,12 +93,11 @@ Args parseArgs(int argc, char** argv) {
       return v;
     };
     const auto doubleValue = [&]() {
-      char* end = nullptr;
-      const double v = std::strtod(value.c_str(), &end);
-      if (value.empty() || *end != '\0' || v < 0.0) {
-        die("bad value in \"" + arg + "\"");
+      const std::optional<double> v = occm::examples::nonNegativeArg(value);
+      if (!v.has_value()) {
+        die("bad value in \"" + arg + "\" (want a finite number >= 0)");
       }
-      return v;
+      return *v;
     };
     if (flag == "--help" || flag == "-h") {
       usage(stdout, argv[0]);

@@ -4,12 +4,14 @@
 // count or duration is rejected here with one "error:" line on stderr and
 // exit status 1, before any simulation starts — the library would
 // otherwise abort on the contract violation, and atof would silently read
-// garbage as 0.
+// garbage as 0. nonNegativeArg only parses, for CLIs that reject with
+// their own usage and exit status.
 
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <system_error>
 
@@ -70,18 +72,27 @@ inline int coresArg(const std::string& text,
   return value;
 }
 
-/// A duration in seconds for `--flag=SECONDS`: the whole text must parse
-/// as a finite number >= 0 (0 = no limit).
-inline double secondsArg(const std::string& flag, const std::string& text) {
+/// The whole text as a finite number >= 0, or nullopt (empty text,
+/// trailing junk, a negative value, nan or inf).
+inline std::optional<double> nonNegativeArg(const std::string& text) {
   double value = 0.0;
   const char* const last = text.data() + text.size();
   const auto [end, ec] = std::from_chars(text.data(), last, value);
   if (ec != std::errc{} || end != last || !std::isfinite(value) ||
       value < 0.0) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+/// A duration in seconds for `--flag=SECONDS` (0 = no limit).
+inline double secondsArg(const std::string& flag, const std::string& text) {
+  const std::optional<double> value = nonNegativeArg(text);
+  if (!value.has_value()) {
     rejectArg("bad " + flag + " '" + text +
               "' (want a finite number of seconds >= 0)");
   }
-  return value;
+  return *value;
 }
 
 }  // namespace occm::examples

@@ -6,6 +6,8 @@
 #
 # ALLOWLIST names the test-only headers that are known and scheduled to
 # get a caller or leave src/ (ROADMAP item 3). Shrink it; never grow it.
+# An entry that names no header under src/ fails too, so a deleted header
+# must take its entry with it.
 #
 # Usage: check_test_only_headers.sh [repo-dir]   (default: this checkout)
 set -euo pipefail
@@ -17,7 +19,6 @@ ALLOWLIST=(
   queueing/models.hpp
   queueing/single_queue_sim.hpp
   trace/stream_analysis.hpp
-  analysis/lifecycle_export.hpp
 )
 
 allowed() {
@@ -32,6 +33,14 @@ allowed() {
 dirs=(src examples bench fuzz perfbench)
 
 failed=0
+for entry in "${ALLOWLIST[@]}"; do
+  if [ ! -f "src/$entry" ]; then
+    echo "FAIL: allowlist entry src/$entry names no header;" \
+         "drop it from the allowlist in $0" >&2
+    failed=1
+  fi
+done
+
 while IFS= read -r path; do
   header="${path#src/}"
   own="${path%.hpp}.cpp"

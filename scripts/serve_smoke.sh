@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Capacity-advisor service smoke test, three acts against the real
-# binaries over loopback TCP:
+# binaries over loopback TCP, after a check that bad knob values are
+# refused:
 #
+#   0. Bad knobs: --min-slack-ms / --max-ewma-ms set to nan, inf, -1 or
+#      abc must exit 2 before a port is bound.
 #   1. Overload: a healthy tier-1 answer, then a cold pipelined burst
 #      against a 3-slot admission queue — the overflow must shed with a
 #      typed queue-full reason and the admitted requests must still be
@@ -36,6 +39,23 @@ wait_for_port() {  # wait_for_port <logfile> -> echoes the bound port
                       cat "$log" >&2; exit 1; }
   echo "$port"
 }
+
+# --- Act 0: non-finite, negative or garbled knobs never bind a port -------
+
+for flag in --min-slack-ms --max-ewma-ms; do
+  for bad in nan inf -1 abc; do
+    status=0
+    timeout 10 "$server" --port=0 "$flag=$bad" \
+      >"$workdir/badknob.log" 2>&1 || status=$?
+    [ "$status" -eq 2 ] || {
+      echo "FAIL: $flag=$bad exited $status, want 2" >&2
+      cat "$workdir/badknob.log" >&2; exit 1; }
+    if grep -q 'listening on port' "$workdir/badknob.log"; then
+      echo "FAIL: $flag=$bad bound a port before rejecting" >&2
+      exit 1
+    fi
+  done
+done
 
 # --- Act 1: healthy answer, then typed queue-full sheds -------------------
 
@@ -117,4 +137,5 @@ grep -q 'drained: yes' "$workdir/server3.log" || {
   echo "FAIL: act-3 server did not report a clean drain" >&2
   cat "$workdir/server3.log" >&2; exit 1; }
 
-echo "OK: overload sheds typed, degradation flagged, SIGTERM drained clean"
+echo "OK: bad knobs refused, overload sheds typed, degradation flagged," \
+  "SIGTERM drained clean"

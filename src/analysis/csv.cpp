@@ -70,26 +70,6 @@ std::string sweepToCsv(const SweepResult& sweep) {
   return out;
 }
 
-std::string validationToCsv(const model::ValidationReport& report) {
-  std::string out = csvRow({"cores", "measured_cycles", "predicted_cycles",
-                            "measured_omega", "predicted_omega",
-                            "relative_error"});
-  for (const model::ValidationRow& row : report.rows) {
-    out += csvRow({std::to_string(row.cores), num(row.measuredCycles),
-                   num(row.predictedCycles), num(row.measuredOmega),
-                   num(row.predictedOmega), num(row.relativeError)});
-  }
-  return out;
-}
-
-std::string ccdfToCsv(const model::BurstinessReport& report) {
-  std::string out = csvRow({"burst_size_x", "prob_greater_x"});
-  for (const stats::CcdfPoint& point : report.ccdf) {
-    out += csvRow({num(point.x), num(point.probability)});
-  }
-  return out;
-}
-
 std::string metricsToCsv(const obs::MetricRegistry& metrics,
                          double clockGhz) {
   OCCM_REQUIRE_MSG(clockGhz > 0.0, "clock must be positive");
@@ -104,45 +84,6 @@ std::string metricsToCsv(const obs::MetricRegistry& metrics,
                      num(cyclesToNs(start, clockGhz)), metric.name,
                      metric.unit, num(values[i])});
     }
-  }
-  return out;
-}
-
-std::string failuresToCsv(const SweepResult& sweep) {
-  std::string out =
-      csvRow({"cores", "attempts", "recovered", "pool_size", "kind", "signal",
-              "rlimit", "has_stderr_tail", "worker", "error"});
-  for (const RunFailure& f : sweep.failures) {
-    // Crash columns are zero/empty/false for every other kind, and the
-    // worker column is empty outside the distributed kinds, so existing
-    // consumers that key on (kind, error) see the same values one
-    // column-lookup away.
-    out += csvRow({std::to_string(f.cores), std::to_string(f.attempts),
-                   f.recovered ? "true" : "false", std::to_string(f.poolSize),
-                   toString(f.kind), std::to_string(f.signal), f.rlimit,
-                   f.stderrTail.empty() ? "false" : "true", f.worker,
-                   f.error});
-  }
-  return out;
-}
-
-std::string poolStatsToCsv(const exec::ThreadPoolStats& stats) {
-  std::string out = csvRow({"scope", "metric", "value"});
-  if (stats.workers.empty()) {
-    return out;  // serial sweep (or obs compiled out): nothing to report
-  }
-  out += csvRow({"pool", "workers", std::to_string(stats.workers.size())});
-  out += csvRow({"pool", "submitted", std::to_string(stats.submitted)});
-  out += csvRow(
-      {"pool", "submit_block_ns", std::to_string(stats.submitBlockNs)});
-  out += csvRow(
-      {"pool", "max_queue_depth", std::to_string(stats.maxQueueDepth)});
-  for (std::size_t i = 0; i < stats.workers.size(); ++i) {
-    const exec::WorkerStats& w = stats.workers[i];
-    const std::string scope = "worker" + std::to_string(i);
-    out += csvRow({scope, "tasks", std::to_string(w.tasks)});
-    out += csvRow({scope, "busy_ns", std::to_string(w.busyNs)});
-    out += csvRow({scope, "queue_wait_ns", std::to_string(w.queueWaitNs)});
   }
   return out;
 }

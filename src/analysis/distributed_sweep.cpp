@@ -283,15 +283,7 @@ DistributedPhaseOutcome runDistributedPhase(
   phase.stats.workersSeen = report.workersSeen;
   phase.stats.degradedToLocal = report.degradedToLocal;
   phase.stats.leases = report.stats;
-  phase.stats.heartbeatRttMs = std::move(report.rttMs);
   phase.stats.error = std::move(report.error);
-  phase.stats.leaseSpans = std::move(report.spans);
-  for (dist::LeaseSpan& span : phase.stats.leaseSpans) {
-    // Re-key spans to the request-order slot for the lifecycle export.
-    if (span.taskId < globalIndex.size()) {
-      span.taskId = globalIndex[span.taskId];
-    }
-  }
   for (const dist::WorkerIncident& incident : report.incidents) {
     RunFailure failure;
     failure.kind = incidentKind(incident.kind);

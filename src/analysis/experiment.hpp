@@ -92,11 +92,6 @@ struct DistributedStats {
   bool degradedToLocal = false;
   /// Lease-table counters (expiries, re-dispatches, speculation, ...).
   exec::dist::LeaseStats leases;
-  /// Per-lease spans (taskId here is the index into the sweep's core
-  /// counts) for Chrome-trace export.
-  std::vector<exec::dist::LeaseSpan> leaseSpans;
-  /// Heartbeat round-trip samples, in arrival order. Host-time only.
-  std::vector<double> heartbeatRttMs;
   /// Non-empty when the coordinator could not start (bind/listen
   /// failure); the whole sweep then ran on the local pool.
   std::string error;

@@ -49,26 +49,6 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
   LeaseTable leases(config.lease, jobs.size());
   std::vector<bool> settled(jobs.size(), false);
 
-  obs::TimeSeries* aliveGauge = nullptr;
-  obs::TimeSeries* expiredGauge = nullptr;
-  obs::TimeSeries* redispatchGauge = nullptr;
-  obs::TimeSeries* rttGauge = nullptr;
-  if (config.metrics != nullptr) {
-    aliveGauge = &config.metrics->gauge("dist.workers.alive", "workers");
-    expiredGauge = &config.metrics->gauge("dist.leases.expired", "leases");
-    redispatchGauge = &config.metrics->gauge("dist.redispatches", "tasks");
-    rttGauge = &config.metrics->gauge("dist.heartbeat.rtt_ms", "ms");
-  }
-  auto recordGauges = [&](std::uint64_t at) {
-    if (aliveGauge != nullptr) {
-      aliveGauge->record(at, static_cast<double>(leases.aliveWorkers()));
-      expiredGauge->record(at,
-                           static_cast<double>(leases.stats().leasesExpired));
-      redispatchGauge->record(
-          at, static_cast<double>(leases.stats().redispatches));
-    }
-  };
-
   auto loseWorker = [&](Connection& conn, const std::string& detail,
                         WorkerIncident::Kind kind) {
     conn.dead = true;
@@ -134,7 +114,6 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
       conn.state.handshaken = true;
       ++report.workersSeen;
       leases.workerJoined(conn.state.workerId, nowMs());
-      recordGauges(nowMs());
       WireMessage welcome;
       welcome.kind = WireMessage::Kind::kWelcome;
       conn.send(encodeMessage(welcome));
@@ -152,24 +131,11 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
           return;
         }
         std::erase(conn.state.assigned, taskId);
-        if (leases.completeTask(taskId, conn.state.workerId, nowMs())) {
+        if (leases.completeTask(taskId)) {
           settled[taskId] = true;
           config.onResult(message.result);
         }
         tryAssign(conn);
-        break;
-      }
-      case WireMessage::Kind::kPong: {
-        const std::uint64_t sentNs = message.pingSentNs;
-        const std::uint64_t now = reactor.nowNs();
-        if (now >= sentNs) {
-          const double rtt =
-              static_cast<double>(now - sentNs) / 1'000'000.0;
-          report.rttMs.push_back(rtt);
-          if (rttGauge != nullptr) {
-            rttGauge->record(nowMs(), rtt);
-          }
-        }
         break;
       }
       case WireMessage::Kind::kHello:
@@ -178,8 +144,8 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
                    WorkerIncident::Kind::kHandshake);
         break;
       default:
-        // Coordinator-bound kinds only; anything else is noise from a
-        // confused peer. Drop it, keep the session.
+        // A pong's only job is the heartbeat above. Anything else is noise
+        // from a confused peer: drop it, keep the session.
         break;
     }
   };
@@ -260,9 +226,6 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
                                   "heartbeat timeout; worker evicted",
                                   std::nullopt});
     }
-    if (!events.expired.empty() || !events.evictedWorkers.empty()) {
-      recordGauges(now);
-    }
 
     // Handshake deadline: a socket that connects and then never
     // completes the hello (half-open peer, partitioned worker, port
@@ -305,8 +268,7 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
         eligible.has_value() && *eligible > now) {
       untilDeadline = *eligible - now;
     }
-    if (!reactor.turn(untilDeadline, onEvent,
-                      [&](Connection&) { recordGauges(now); })) {
+    if (!reactor.turn(untilDeadline, onEvent)) {
       report.error = reactor.lastError();
       break;
     }
@@ -315,7 +277,7 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
   // Drain: cancellation tears leases down; completion/degradation just
   // says goodbye. Workers treat kShutdown as "disconnect now".
   if (report.cancelled) {
-    leases.cancelAll(nowMs());
+    leases.cancelAll();
   }
   WireMessage shutdown;
   shutdown.kind = WireMessage::Kind::kShutdown;
@@ -326,7 +288,6 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
     }
   }
 
-  recordGauges(nowMs());
   for (std::uint64_t id = 0; id < settled.size(); ++id) {
     if (settled[id]) {
       report.settledTasks.push_back(id);
@@ -334,7 +295,6 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
   }
   report.connectionsRefused = reactor.refused();
   report.stats = leases.stats();
-  report.spans = leases.spans();
   return report;
 }
 

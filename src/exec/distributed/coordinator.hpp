@@ -28,7 +28,6 @@
 #include "exec/distributed/lease.hpp"
 #include "exec/distributed/protocol.hpp"
 #include "exec/frame_transport.hpp"
-#include "obs/metric_registry.hpp"
 
 namespace occm::exec::dist {
 
@@ -55,7 +54,7 @@ struct CoordinatorConfig {
   /// unless a worker races the window).
   std::uint64_t graceWindowMs = 5'000;
   LeaseConfig lease;
-  /// Ping cadence per worker; pongs feed RTT gauges and liveness.
+  /// Ping cadence per worker; pongs feed liveness.
   std::uint64_t heartbeatIntervalMs = 1'000;
   /// A connection that has not completed the hello within this window is
   /// dropped (handshake incident). Guards against half-open sockets piling
@@ -77,10 +76,6 @@ struct CoordinatorConfig {
   std::function<void(int boundPort)> onListening;
   /// Result sink; see class comment for ordering guarantees. Required.
   std::function<void(const TaskResult&)> onResult;
-  /// Optional dist.* gauges (dist.workers.alive, dist.leases.expired,
-  /// dist.redispatches, dist.heartbeat.rtt_ms), recorded against
-  /// milliseconds-since-start as the registry's time axis. Not owned.
-  obs::MetricRegistry* metrics = nullptr;
 };
 
 struct CoordinatorReport {
@@ -88,15 +83,11 @@ struct CoordinatorReport {
   /// through onResult). Unsettled ids are the caller's to run locally.
   std::vector<std::uint64_t> settledTasks;
   LeaseStats stats;
-  std::vector<LeaseSpan> spans;
   std::vector<WorkerIncident> incidents;
   /// Distinct workers that completed the handshake over the run.
   std::size_t workersSeen = 0;
   /// Accepts closed at the admission cap (see maxConnections).
   std::uint64_t connectionsRefused = 0;
-  /// Heartbeat round-trip samples, arrival order (host-time, not
-  /// deterministic; diagnostics only).
-  std::vector<double> rttMs;
   bool cancelled = false;
   /// No worker arrived within the grace window; nothing was dispatched.
   bool degradedToLocal = false;

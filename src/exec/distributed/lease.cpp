@@ -24,7 +24,7 @@ std::vector<std::uint64_t> LeaseTable::workerLeft(const std::string& worker,
     }
     for (std::size_t i = task.leases.size(); i-- > 0;) {
       if (task.leases[i].worker == worker) {
-        closeLease(id, task, i, nowMs, "disconnected");
+        dropLease(task, i);
         torn.push_back(id);
       }
     }
@@ -42,9 +42,8 @@ void LeaseTable::heartbeat(const std::string& worker, std::uint64_t nowMs) {
   }
 }
 
-void LeaseTable::grantLease(Task& task, std::uint64_t taskId,
-                            const std::string& worker, std::uint64_t nowMs,
-                            bool speculative) {
+void LeaseTable::grantLease(Task& task, const std::string& worker,
+                            std::uint64_t nowMs, bool speculative) {
   Lease lease;
   lease.worker = worker;
   lease.startMs = nowMs;
@@ -57,7 +56,6 @@ void LeaseTable::grantLease(Task& task, std::uint64_t taskId,
   if (speculative) {
     ++stats_.speculativeLeases;
   }
-  (void)taskId;
 }
 
 std::optional<std::uint64_t> LeaseTable::nextAssignment(
@@ -70,7 +68,7 @@ std::optional<std::uint64_t> LeaseTable::nextAssignment(
   for (std::uint64_t id = 0; id < tasks_.size(); ++id) {
     Task& task = tasks_[id];
     if (task.state == TaskState::kPending && nowMs >= task.notBeforeMs) {
-      grantLease(task, id, worker, nowMs, /*speculative=*/false);
+      grantLease(task, worker, nowMs, /*speculative=*/false);
       return id;
     }
   }
@@ -101,7 +99,7 @@ std::optional<std::uint64_t> LeaseTable::nextAssignment(
     }
   }
   if (best.has_value()) {
-    grantLease(tasks_[*best], *best, worker, nowMs, /*speculative=*/true);
+    grantLease(tasks_[*best], worker, nowMs, /*speculative=*/true);
   }
   return best;
 }
@@ -119,8 +117,7 @@ std::optional<std::uint64_t> LeaseTable::nextEligibleMs() const {
   return earliest;
 }
 
-bool LeaseTable::completeTask(std::uint64_t taskId, const std::string& worker,
-                              std::uint64_t nowMs) {
+bool LeaseTable::completeTask(std::uint64_t taskId) {
   OCCM_REQUIRE_MSG(taskId < tasks_.size(), "result for unknown task id");
   Task& task = tasks_[taskId];
   if (task.state == TaskState::kSettled) {
@@ -130,10 +127,7 @@ bool LeaseTable::completeTask(std::uint64_t taskId, const std::string& worker,
   // A result from a worker whose lease already expired (it was slow, not
   // dead) still wins if the task is unsettled — the work is valid and
   // deterministic regardless of who finished it.
-  for (std::size_t i = task.leases.size(); i-- > 0;) {
-    const bool winner = task.leases[i].worker == worker;
-    closeLease(taskId, task, i, nowMs, winner ? "won" : "duplicate");
-  }
+  task.leases.clear();
   if (task.state == TaskState::kAbandoned) {
     // A straggler outlived the expiry cap: accept the work after all.
     --abandonedCount_;
@@ -144,15 +138,13 @@ bool LeaseTable::completeTask(std::uint64_t taskId, const std::string& worker,
   return true;
 }
 
-void LeaseTable::settleLocal(std::uint64_t taskId, std::uint64_t nowMs) {
+void LeaseTable::settleLocal(std::uint64_t taskId) {
   OCCM_REQUIRE_MSG(taskId < tasks_.size(), "settle for unknown task id");
   Task& task = tasks_[taskId];
   if (task.state == TaskState::kSettled) {
     return;
   }
-  for (std::size_t i = task.leases.size(); i-- > 0;) {
-    closeLease(taskId, task, i, nowMs, "duplicate");
-  }
+  task.leases.clear();
   if (task.state == TaskState::kAbandoned) {
     --abandonedCount_;
     --stats_.tasksAbandoned;
@@ -182,7 +174,7 @@ LeaseTable::TickEvents LeaseTable::tick(std::uint64_t nowMs) {
         }
         for (std::size_t i = task.leases.size(); i-- > 0;) {
           if (task.leases[i].worker == worker) {
-            closeLease(id, task, i, nowMs, "evicted");
+            dropLease(task, i);
             events.expired.emplace_back(id, worker);
           }
         }
@@ -205,7 +197,7 @@ LeaseTable::TickEvents LeaseTable::tick(std::uint64_t nowMs) {
         if (task.leases[i].deadlineMs != 0 &&
             nowMs >= task.leases[i].deadlineMs) {
           events.expired.emplace_back(id, task.leases[i].worker);
-          closeLease(id, task, i, nowMs, "expired");
+          dropLease(task, i);
           ++stats_.leasesExpired;
         }
       }
@@ -220,12 +212,9 @@ LeaseTable::TickEvents LeaseTable::tick(std::uint64_t nowMs) {
   return events;
 }
 
-void LeaseTable::cancelAll(std::uint64_t nowMs) {
-  for (std::uint64_t id = 0; id < tasks_.size(); ++id) {
-    Task& task = tasks_[id];
-    for (std::size_t i = task.leases.size(); i-- > 0;) {
-      closeLease(id, task, i, nowMs, "cancelled");
-    }
+void LeaseTable::cancelAll() {
+  for (Task& task : tasks_) {
+    task.leases.clear();
     if (task.state == TaskState::kLeased) {
       task.state = TaskState::kPending;  // pending again; a resume retries
     }
@@ -237,16 +226,7 @@ bool LeaseTable::taskSettled(std::uint64_t taskId) const {
   return tasks_[taskId].state == TaskState::kSettled;
 }
 
-void LeaseTable::closeLease(std::uint64_t taskId, Task& task,
-                            std::size_t index, std::uint64_t nowMs,
-                            const std::string& outcome) {
-  LeaseSpan span;
-  span.taskId = taskId;
-  span.worker = task.leases[index].worker;
-  span.startMs = task.leases[index].startMs;
-  span.endMs = nowMs;
-  span.outcome = outcome;
-  spans_.push_back(std::move(span));
+void LeaseTable::dropLease(Task& task, std::size_t index) {
   task.leases.erase(task.leases.begin() +
                     static_cast<std::ptrdiff_t>(index));
 }

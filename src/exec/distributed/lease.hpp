@@ -9,7 +9,7 @@
 // duplicates are discarded by task id.
 //
 // Deliberately a pure state machine over an injected clock (milliseconds
-// since an arbitrary epoch): every transition takes `nowMs`, so the
+// since an arbitrary epoch): every timed transition takes `nowMs`, so the
 // tier-1 tests drive expiry, eviction, speculation and convergence with
 // a fake clock and zero real sleeps. The coordinator's poll loop is the
 // only caller that feeds it real time.
@@ -50,18 +50,7 @@ struct LeaseConfig {
   std::uint64_t speculativeAfterMs = 10'000;
 };
 
-/// One dispatch interval, for the Chrome-trace lifecycle export.
-struct LeaseSpan {
-  std::uint64_t taskId = 0;
-  std::string worker;
-  std::uint64_t startMs = 0;
-  std::uint64_t endMs = 0;
-  /// "won" (its result settled the task), "duplicate" (a sibling won),
-  /// "expired", "evicted", "disconnected", "abandoned", "cancelled".
-  std::string outcome;
-};
-
-/// Counters surfaced as dist.* gauges and SweepResult diagnostics.
+/// Counters surfaced as SweepResult diagnostics (DistributedStats::leases).
 struct LeaseStats {
   std::uint64_t leasesGranted = 0;
   std::uint64_t leasesExpired = 0;
@@ -106,15 +95,15 @@ class LeaseTable {
 
   // -- results -------------------------------------------------------------
 
-  /// A result for `taskId` arrived from `worker`. Returns true when this
-  /// result settles the task (first valid result wins); false when the
-  /// task is already settled — the duplicate is counted and discarded.
-  bool completeTask(std::uint64_t taskId, const std::string& worker,
-                    std::uint64_t nowMs);
+  /// A result for `taskId` arrived. Returns true when this result settles
+  /// the task (first valid result wins) and drops every lease on it;
+  /// false when the task is already settled — the duplicate is counted
+  /// and discarded.
+  bool completeTask(std::uint64_t taskId);
 
   /// Marks a task settled outside the fleet (restored from a checkpoint
   /// before dispatch, or finished by the local fallback).
-  void settleLocal(std::uint64_t taskId, std::uint64_t nowMs);
+  void settleLocal(std::uint64_t taskId);
 
   // -- clock ---------------------------------------------------------------
 
@@ -130,9 +119,9 @@ class LeaseTable {
   /// Advances time: expires overdue leases, evicts silent workers.
   TickEvents tick(std::uint64_t nowMs);
 
-  /// Cancellation: tears down every outstanding lease (outcome
-  /// "cancelled") without re-queueing.
-  void cancelAll(std::uint64_t nowMs);
+  /// Cancellation: tears down every outstanding lease without
+  /// re-queueing.
+  void cancelAll();
 
   // -- introspection -------------------------------------------------------
 
@@ -145,9 +134,6 @@ class LeaseTable {
     return settled_ + abandonedCount_ == tasks_.size();
   }
   [[nodiscard]] const LeaseStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const std::vector<LeaseSpan>& spans() const noexcept {
-    return spans_;
-  }
 
  private:
   enum class TaskState : std::uint8_t {
@@ -175,12 +161,10 @@ class LeaseTable {
     std::uint64_t lastSeenMs = 0;
   };
 
-  void grantLease(Task& task, std::uint64_t taskId, const std::string& worker,
-                  std::uint64_t nowMs, bool speculative);
-  /// Ends one lease with `outcome`, recording its span. Does not touch
-  /// task state.
-  void closeLease(std::uint64_t taskId, Task& task, std::size_t index,
-                  std::uint64_t nowMs, const std::string& outcome);
+  void grantLease(Task& task, const std::string& worker, std::uint64_t nowMs,
+                  bool speculative);
+  /// Ends one lease. Does not touch task state.
+  static void dropLease(Task& task, std::size_t index);
   /// Re-queues a task after a lease loss (or abandons it past the cap).
   void requeue(std::uint64_t taskId, Task& task, std::uint64_t nowMs);
 
@@ -190,7 +174,6 @@ class LeaseTable {
   std::size_t settled_ = 0;
   std::size_t abandonedCount_ = 0;
   LeaseStats stats_;
-  std::vector<LeaseSpan> spans_;
 };
 
 }  // namespace occm::exec::dist

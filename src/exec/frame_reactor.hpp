@@ -105,7 +105,6 @@ class FrameReactor : public FrameReactorBase {
   };
   using EventHandler =
       std::function<void(Connection&, ReactorEvent, std::string& payload)>;
-  using ReapHandler = std::function<void(Connection&)>;
 
   using FrameReactorBase::FrameReactorBase;
 
@@ -120,19 +119,15 @@ class FrameReactor : public FrameReactorBase {
     return it == conns_.end() ? nullptr : &it->second;
   }
 
-  /// One loop iteration: reap dead connections (onReap sees each first),
-  /// poll for min(untilDeadlineMs, kMaxPollMs), accept, then drain each
-  /// readable connection into onEvent until it would block or is dead.
-  /// False when poll fails (see lastError).
+  /// One loop iteration: reap dead connections, poll for
+  /// min(untilDeadlineMs, kMaxPollMs), accept, then drain each readable
+  /// connection into onEvent until it would block or is dead. False when
+  /// poll fails (see lastError).
   [[nodiscard]] bool turn(std::optional<std::uint64_t> untilDeadlineMs,
-                          const EventHandler& onEvent,
-                          const ReapHandler& onReap = {}) {
+                          const EventHandler& onEvent) {
     std::vector<ReactorLink*> watched;
     for (auto it = conns_.begin(); it != conns_.end();) {
       if (it->second.dead) {
-        if (onReap) {
-          onReap(it->second);
-        }
         it = conns_.erase(it);
         continue;
       }

@@ -168,28 +168,6 @@ AdvisorServerStats runAdvisorServer(const AdvisorServerConfig& config) {
   }
   const auto nowMs = [&reactor] { return reactor.nowMs(); };
 
-  // serve.* gauges (cumulative counts recorded against ms-since-start,
-  // the registry convention the dist.* gauges set).
-  obs::TimeSeries* depthGauge = nullptr;
-  obs::TimeSeries* shedGauge = nullptr;
-  obs::TimeSeries* degradedGauge = nullptr;
-  obs::TimeSeries* deadlineMissGauge = nullptr;
-  obs::TimeSeries* tier0Gauge = nullptr;
-  obs::TimeSeries* tier1Gauge = nullptr;
-  obs::TimeSeries* ewmaGauge = nullptr;
-  obs::TimeSeries* hitRateGauge = nullptr;
-  if (config.metrics != nullptr) {
-    depthGauge = &config.metrics->gauge("serve.queue.depth", "requests");
-    shedGauge = &config.metrics->gauge("serve.shed", "requests");
-    degradedGauge = &config.metrics->gauge("serve.degraded", "requests");
-    deadlineMissGauge =
-        &config.metrics->gauge("serve.deadline_miss", "requests");
-    tier0Gauge = &config.metrics->gauge("serve.tier0", "requests");
-    tier1Gauge = &config.metrics->gauge("serve.tier1", "requests");
-    ewmaGauge = &config.metrics->gauge("serve.tier1.ewma_ms", "ms");
-    hitRateGauge = &config.metrics->gauge("serve.cache.hit_rate", "");
-  }
-
   ModelCache cache(config.cacheCapacity);
   LatencyEwma ewma(config.degrade.ewmaAlpha);
 
@@ -222,29 +200,6 @@ AdvisorServerStats runAdvisorServer(const AdvisorServerConfig& config) {
     reactor.wake();
   };
 
-  auto recordGauges = [&](std::uint64_t atOverride = 0) {
-    if (config.metrics == nullptr) {
-      return;
-    }
-    const std::uint64_t at = atOverride != 0 ? atOverride : nowMs();
-    depthGauge->record(at, static_cast<double>(queueDepth));
-    shedGauge->record(
-        at, static_cast<double>(stats.shedQueueFull +
-                                stats.shedDeadlineInfeasible +
-                                stats.shedDraining + stats.shedBadRequest));
-    degradedGauge->record(at, static_cast<double>(stats.degraded));
-    deadlineMissGauge->record(at, static_cast<double>(stats.deadlineMisses));
-    tier0Gauge->record(at, static_cast<double>(stats.tier0Served));
-    tier1Gauge->record(at, static_cast<double>(stats.tier1Served));
-    ewmaGauge->record(at, ewma.seeded() ? ewma.value() : 0.0);
-    const ModelCacheStats c = cache.stats();
-    const std::uint64_t looks = c.hits + c.misses;
-    hitRateGauge->record(at, looks == 0
-                                 ? 0.0
-                                 : static_cast<double>(c.hits) /
-                                       static_cast<double>(looks));
-  };
-
   auto sendResponse = [&](std::uint64_t connId,
                           const AdvisorResponse& response) {
     ServeMessage message;
@@ -275,7 +230,6 @@ AdvisorServerStats runAdvisorServer(const AdvisorServerConfig& config) {
       case ShedReason::kNone: break;
     }
     sendResponse(connId, response);
-    recordGauges();
   };
 
   /// Serves a finished (kOk) answer and releases the request's slot when
@@ -299,7 +253,6 @@ AdvisorServerStats runAdvisorServer(const AdvisorServerConfig& config) {
     if (heldSlot && queueDepth > 0) {
       --queueDepth;
     }
-    recordGauges();
   };
 
   auto tier0Answer = [&](const PendingRequest& p,
@@ -434,7 +387,6 @@ AdvisorServerStats runAdvisorServer(const AdvisorServerConfig& config) {
     ++queueDepth;
     stats.maxQueueDepth = std::max<std::uint64_t>(stats.maxQueueDepth,
                                                   queueDepth);
-    recordGauges();
     const std::uint64_t serverId = p.serverId;
     if (cached.has_value()) {
       p.model = *cached;
@@ -654,10 +606,6 @@ AdvisorServerStats runAdvisorServer(const AdvisorServerConfig& config) {
   if (ewma.seeded()) {
     stats.tier1EwmaMs = ewma.value();
   }
-  // Final snapshot in a window strictly after every in-run record, so the
-  // last value of each serve.* series equals the end-of-run ground truth
-  // (a gauge window holds the mean of its samples).
-  recordGauges(nowMs() + 1);
   return stats;
 }
 

@@ -38,7 +38,6 @@
 
 #include "common/cancellation.hpp"
 #include "exec/frame_transport.hpp"
-#include "obs/metric_registry.hpp"
 #include "serve/degrade.hpp"
 #include "serve/model_cache.hpp"
 #include "serve/protocol.hpp"
@@ -85,10 +84,6 @@ struct AdvisorServerConfig {
   /// sheds kDraining. Tests use it to mark the drain boundary without
   /// polling.
   std::function<void()> onDraining;
-  /// Optional serve.* gauges (queue depth, shed/degraded/deadline-miss
-  /// counts, tier counts, tier-1 latency EWMA, cache hit rate), recorded
-  /// against milliseconds-since-start. Not owned.
-  obs::MetricRegistry* metrics = nullptr;
   /// Test hooks, forwarded to the fit / tier-1 sweeps' beforeRun (called
   /// on pool threads). Never called after runAdvisorServer returns.
   std::function<void(int cores, int attempt)> beforeFitRun;
@@ -96,8 +91,7 @@ struct AdvisorServerConfig {
 };
 
 /// Ground-truth counters of one server run — the numbers the overload
-/// tests reconcile against client-observed responses, and the source of
-/// the serve.* metrics.
+/// tests reconcile against client-observed responses.
 struct AdvisorServerStats {
   std::uint64_t connectionsAccepted = 0;
   /// Accepts closed at the maxConnections admission cap.

@@ -5,7 +5,7 @@
 // feeds in observed load (queue depth, deadline slack, the tier-1
 // latency EWMA) and gets back a typed decision — serve tier 1, degrade
 // to tier 0 with a named reason, or shed with a named reason. The server
-// translates decisions into wire responses and serve.* metrics; this
+// translates decisions into wire responses and stats counters; this
 // header never reads a clock.
 
 #include <cstddef>

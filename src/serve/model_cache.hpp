@@ -8,9 +8,10 @@
 // The claim/publish split (beginFit / completeFit) instead of a blocking
 // getOrFit exists because the owner is a single-threaded poll loop: the
 // loop must never block on a fit, it parks the request and resumes it
-// from the fit job's completion event. The cache itself is
-// mutex-protected so fit jobs running on pool threads can publish while
-// the loop reads.
+// from the fit job's completion event. Fit jobs run on pool threads but
+// never touch the cache: they post a completion, and the loop publishes
+// it (completeFit) from its own thread. The mutex keeps the class safe
+// for an owner that does share it across threads.
 
 #include <cstddef>
 #include <cstdint>

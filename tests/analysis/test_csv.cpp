@@ -63,23 +63,6 @@ TEST(SweepToCsv, WithoutOneCoreRunNormalizesToFirst) {
   EXPECT_EQ(row.substr(row.rfind(',') + 1), "0");
 }
 
-TEST(ValidationToCsv, SerializesRows) {
-  model::ValidationReport report;
-  report.rows.push_back({4, 100.0, 110.0, 0.0, 0.1, 0.1});
-  const std::string csv = validationToCsv(report);
-  EXPECT_NE(csv.find("cores,measured_cycles"), std::string::npos);
-  EXPECT_NE(csv.find("4,100,110,0,0.1,0.1"), std::string::npos);
-}
-
-TEST(CcdfToCsv, SerializesPoints) {
-  model::BurstinessReport report;
-  report.ccdf = {{1.0, 0.5}, {10.0, 0.01}};
-  const std::string csv = ccdfToCsv(report);
-  EXPECT_NE(csv.find("burst_size_x"), std::string::npos);
-  EXPECT_NE(csv.find("1,0.5"), std::string::npos);
-  EXPECT_NE(csv.find("10,0.01"), std::string::npos);
-}
-
 TEST(WriteFile, RoundTrips) {
   const std::string path = "/tmp/occm_csv_test.csv";
   writeFile(path, "a,b\n1,2\n");

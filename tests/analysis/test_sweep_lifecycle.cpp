@@ -19,7 +19,6 @@
 
 #include "analysis/csv.hpp"
 #include "analysis/experiment.hpp"
-#include "analysis/lifecycle_export.hpp"
 #include "common/cancellation.hpp"
 #include "exec/wire_codec.hpp"
 #include "topology/presets.hpp"
@@ -317,43 +316,6 @@ TEST(SweepLifecycle, GarbageCheckpointQuarantinesAndStartsFresh) {
 
   std::filesystem::remove(path);
   std::filesystem::remove(path + ".corrupt");
-}
-
-TEST(SweepLifecycle, FailureExportsCarryLifecycleKinds) {
-  SweepResult sweep;
-  sweep.failures.push_back({1, 2, "boom, with \"quotes\"", false, 4,
-                            RunFailureKind::kException, 0, "", "", ""});
-  sweep.failures.push_back({2, 1, "over budget", false, 4,
-                            RunFailureKind::kTimeout, 0, "", "", ""});
-  sweep.failures.push_back({3, 1, "ctrl-c", false, 4,
-                            RunFailureKind::kCancelled, 0, "", "", ""});
-  sweep.failures.push_back({4, 1, "child terminated by signal 6", false, 4,
-                            RunFailureKind::kCrash, 6, "address-space",
-                            "memory budget (RLIMIT_AS) exceeded", ""});
-
-  const std::string csv = failuresToCsv(sweep);
-  EXPECT_NE(csv.find("cores,attempts,recovered,pool_size,kind,signal,"
-                     "rlimit,has_stderr_tail,worker,error"),
-            std::string::npos);
-  EXPECT_NE(csv.find("exception"), std::string::npos);
-  EXPECT_NE(csv.find("timeout"), std::string::npos);
-  EXPECT_NE(csv.find("cancelled"), std::string::npos);
-  // The crash row carries its forensics columns; non-crash rows show the
-  // zero/empty defaults.
-  EXPECT_NE(csv.find("crash,6,address-space,true,"), std::string::npos);
-  EXPECT_NE(csv.find("exception,0,,false,"), std::string::npos);
-  EXPECT_NE(csv.find("\"boom, with \"\"quotes\"\"\""), std::string::npos)
-      << csv;
-
-  const std::string trace = lifecycleToChromeTraceJson(sweep);
-  EXPECT_NE(trace.find("\"lifecycle\""), std::string::npos);
-  EXPECT_NE(trace.find("sweep.failures.timeout"), std::string::npos);
-  EXPECT_NE(trace.find("sweep.failures.crash"), std::string::npos);
-  EXPECT_NE(trace.find("signal 6"), std::string::npos);
-  EXPECT_NE(trace.find("rlimit address-space"), std::string::npos);
-  EXPECT_NE(trace.find("over budget"), std::string::npos);
-  // Deterministic: same result, same bytes.
-  EXPECT_EQ(lifecycleToChromeTraceJson(sweep), trace);
 }
 
 TEST(CancellationPrimitives, TokenSourceAndDeadlineSemantics) {

@@ -73,13 +73,13 @@ int dial(int port) {
 /// Turns until `done` holds or two seconds pass.
 template <typename Done>
 bool turnUntil(Reactor& reactor, const Reactor::EventHandler& onEvent,
-               Done done, const Reactor::ReapHandler& onReap = {}) {
+               Done done) {
   const auto deadline = std::chrono::steady_clock::now() + 2s;
   while (!done()) {
     if (std::chrono::steady_clock::now() > deadline) {
       return false;
     }
-    if (!reactor.turn(std::nullopt, onEvent, onReap)) {
+    if (!reactor.turn(std::nullopt, onEvent)) {
       return false;
     }
   }
@@ -192,27 +192,22 @@ TEST(FrameReactor, CorruptStreamIsOneEventThenReapedAndClosed) {
     return seen.frames == 1;
   }));
   EXPECT_EQ(reactor.connections().begin()->second.state.frames, 1);
+  const int serverFd = reactor.connections().begin()->second.fd;
 
   std::string bad = encodeFrame("bad");
   bad.back() ^= 0x01;  // CRC trailer
   bad += encodeFrame("never delivered");
   ASSERT_EQ(::send(client, bad.data(), bad.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(bad.size()));
-  int reaped = 0;
-  int reapedFd = -1;
-  const Reactor::ReapHandler onReap = [&](Reactor::Connection& conn) {
-    ++reaped;
-    reapedFd = conn.fd;
-  };
-  ASSERT_TRUE(turnUntil(
-      reactor, record(seen), [&] { return reaped == 1; }, onReap));
+  ASSERT_TRUE(turnUntil(reactor, record(seen), [&] {
+    return reactor.connections().empty();
+  }));
   EXPECT_EQ(seen.frames, 1);
   EXPECT_EQ(seen.corrupt, 1);
   EXPECT_EQ(seen.closed + seen.errors, 0);
-  EXPECT_TRUE(reactor.connections().empty());
   // The transport closed the server side: the fd is gone and the peer
   // sees the connection end.
-  EXPECT_EQ(::fcntl(reapedFd, F_GETFD), -1);
+  EXPECT_EQ(::fcntl(serverFd, F_GETFD), -1);
   EXPECT_TRUE(peerClosed(client, 2'000));
   ::close(client);
 }
@@ -413,16 +408,14 @@ TEST(FrameReactor, PeerThatNeverReadsIsDroppedNotBuffered) {
   // The reply that finds the socket full stalls for one unwritable
   // window and then fails: the link dies, and no reply waits anywhere
   // but in the kernel's bounded buffers.
-  int reaped = 0;
   const auto t0 = std::chrono::steady_clock::now();
-  while (reaped == 0 && msSince(t0) < 30'000) {
-    ASSERT_TRUE(reactor.turn(std::nullopt, echoBack,
-                             [&](Reactor::Connection&) { ++reaped; }));
+  while (!reactor.connections().empty() && msSince(t0) < 30'000) {
+    ASSERT_TRUE(reactor.turn(std::nullopt, echoBack));
   }
   stop = true;
   flood.join();
   ::close(clientFd);
-  EXPECT_EQ(reaped, 1);
+  EXPECT_TRUE(reactor.connections().empty());
   EXPECT_EQ(failed, 1);
   EXPECT_GT(sent, 0);
   EXPECT_EQ(seen.closed + seen.corrupt + seen.errors, 0);

@@ -174,14 +174,9 @@ TEST(PoolTelemetry, SweepReportsPoolStats) {
     // The diagnostics line surfaces the pool without a Chrome trace.
     EXPECT_NE(sweep.diagnostics().find("pool: 3 task(s) over 2 worker(s)"),
               std::string::npos);
-    const std::string csv = analysis::poolStatsToCsv(sweep.poolStats);
-    EXPECT_NE(csv.find("pool,submitted,3"), std::string::npos);
-    EXPECT_NE(csv.find("worker1,tasks,"), std::string::npos);
   } else {
     // Obs compiled out: the pool takes no clock reads and ships no stats.
     EXPECT_TRUE(sweep.poolStats.workers.empty());
-    EXPECT_EQ(analysis::poolStatsToCsv(sweep.poolStats),
-              "scope,metric,value\n");
   }
   // Serial sweeps never carry pool telemetry, obs on or off.
   const analysis::SweepResult serial = analysis::runSweep(smallSweep());
