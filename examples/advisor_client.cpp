@@ -10,10 +10,12 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <thread>
 
 #include "common/backoff.hpp"
+#include "example_args.hpp"
 #include "exec/chaos/chaos_transport.hpp"
 #include "exec/frame_transport.hpp"
 #include "serve/protocol.hpp"
@@ -113,12 +115,12 @@ Args parseArgs(int argc, char** argv) {
         die("--tier wants auto|0|1, got \"" + arg + "\"");
       }
     } else if (flag == "--efficiency") {
-      char* end = nullptr;
-      args.efficiency = std::strtod(value.c_str(), &end);
-      if (value.empty() || *end != '\0' || args.efficiency <= 0.0 ||
-          args.efficiency > 1.0) {
+      const std::optional<double> efficiency =
+          occm::examples::efficiencyArg(value);
+      if (!efficiency.has_value()) {
         die("bad value in \"" + arg + "\" (want a number in (0, 1])");
       }
+      args.efficiency = *efficiency;
     } else if (flag == "--count") {
       args.count = static_cast<int>(intValue(1, 1 << 16));
     } else if (flag == "--connect-retries") {

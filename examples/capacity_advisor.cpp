@@ -13,10 +13,12 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "analysis/advisor.hpp"
 #include "core/occm.hpp"
+#include "example_args.hpp"
 #include "topology/presets.hpp"
 
 namespace {
@@ -67,12 +69,12 @@ Args parseArgs(int argc, char** argv) {
     } else if (flag == "--machine") {
       args.machine = value;
     } else if (flag == "--efficiency") {
-      char* end = nullptr;
-      args.efficiency = std::strtod(value.c_str(), &end);
-      if (value.empty() || *end != '\0' || args.efficiency <= 0.0 ||
-          args.efficiency > 1.0) {
+      const std::optional<double> efficiency =
+          occm::examples::efficiencyArg(value);
+      if (!efficiency.has_value()) {
         die("bad value in \"" + arg + "\" (want a number in (0, 1])");
       }
+      args.efficiency = *efficiency;
     } else if (flag == "--workers") {
       char* end = nullptr;
       const long workers = std::strtol(value.c_str(), &end, 10);

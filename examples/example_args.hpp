@@ -4,8 +4,8 @@
 // count or duration is rejected here with one "error:" line on stderr and
 // exit status 1, before any simulation starts — the library would
 // otherwise abort on the contract violation, and atof would silently read
-// garbage as 0. nonNegativeArg only parses, for CLIs that reject with
-// their own usage and exit status.
+// garbage as 0. nonNegativeArg and efficiencyArg only parse, for CLIs
+// that reject with their own usage and exit status.
 
 #include <charconv>
 #include <cmath>
@@ -80,6 +80,16 @@ inline std::optional<double> nonNegativeArg(const std::string& text) {
   const auto [end, ec] = std::from_chars(text.data(), last, value);
   if (ec != std::errc{} || end != last || !std::isfinite(value) ||
       value < 0.0) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+/// The whole text as a finite number in (0, 1], or nullopt (empty text,
+/// trailing junk, a value outside the range, nan or inf).
+inline std::optional<double> efficiencyArg(const std::string& text) {
+  const std::optional<double> value = nonNegativeArg(text);
+  if (!value.has_value() || *value == 0.0 || *value > 1.0) {
     return std::nullopt;
   }
   return value;

@@ -18,7 +18,6 @@ cd "$repo"
 ALLOWLIST=(
   queueing/models.hpp
   queueing/single_queue_sim.hpp
-  trace/stream_analysis.hpp
 )
 
 allowed() {

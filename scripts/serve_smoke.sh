@@ -4,7 +4,8 @@
 # refused:
 #
 #   0. Bad knobs: --min-slack-ms / --max-ewma-ms set to nan, inf, -1 or
-#      abc must exit 2 before a port is bound.
+#      abc must exit 2 before a port is bound, and the client's
+#      --efficiency set to nan, inf or 2 must exit 2 before it connects.
 #   1. Overload: a healthy tier-1 answer, then a cold pipelined burst
 #      against a 3-slot admission queue — the overflow must shed with a
 #      typed queue-full reason and the admitted requests must still be
@@ -40,7 +41,7 @@ wait_for_port() {  # wait_for_port <logfile> -> echoes the bound port
   echo "$port"
 }
 
-# --- Act 0: non-finite, negative or garbled knobs never bind a port -------
+# --- Act 0: non-finite, negative or garbled knobs are refused -------------
 
 for flag in --min-slack-ms --max-ewma-ms; do
   for bad in nan inf -1 abc; do
@@ -55,6 +56,15 @@ for flag in --min-slack-ms --max-ewma-ms; do
       exit 1
     fi
   done
+done
+
+for bad in nan inf 2; do
+  status=0
+  timeout 10 "$client" --port=1 --efficiency="$bad" \
+    >"$workdir/badknob.log" 2>&1 || status=$?
+  [ "$status" -eq 2 ] || {
+    echo "FAIL: client --efficiency=$bad exited $status, want 2" >&2
+    cat "$workdir/badknob.log" >&2; exit 1; }
 done
 
 # --- Act 1: healthy answer, then typed queue-full sheds -------------------

@@ -26,36 +26,28 @@ SetAssocCache::SetAssocCache(Bytes size, Bytes lineSize, std::uint32_t ways)
                    "line size must be a power of two");
   OCCM_REQUIRE_MSG(size % lineSize == 0, "size must be a line multiple");
   OCCM_REQUIRE_MSG(ways >= 1, "need at least one way");
-  OCCM_REQUIRE_MSG(ways <= 32, "dirty bitmask supports up to 32 ways");
+  OCCM_REQUIRE_MSG(ways <= 16, "the recency word holds up to 16 ways");
   const Bytes lines = size / lineSize;
   OCCM_REQUIRE_MSG(lines % ways == 0, "lines must divide into whole sets");
   lineShift_ = log2Exact(lineSize);
   sets_ = static_cast<std::size_t>(lines / ways);
   setDiv_ = FastDiv(sets_);
-  lanes_ = (ways_ + 7) / 8;
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    realMsb_[w >> 3] |= std::uint64_t{0x80} << ((w & 7) * 8);
-  }
+  lruShift_ = 4 * (ways_ - 1);
+  full_ = ways_ == 16 ? ~std::uint64_t{0}
+                     : (std::uint64_t{1} << (4 * ways_)) - 1;
   tags_.assign(sets_ * ways_, kNoLine);
   dirty_.assign(sets_, 0);
-  ranks_.resize(sets_ * lanes_);
+  order_.resize(sets_);
   flush();
 }
 
 void SetAssocCache::flush() {
   std::fill(tags_.begin(), tags_.end(), kNoLine);
   std::fill(dirty_.begin(), dirty_.end(), 0u);
-  // Identity rank permutation: way w starts at rank w (all ways invalid,
-  // so inserts consume ways from the highest way downwards, exactly like
-  // the previous MRU-list layout filled its back slots first). Padding
-  // bytes keep their way index too — always above every real rank, inert
-  // under the realMsb_-masked SWAR updates.
-  for (std::size_t set = 0; set < sets_; ++set) {
-    for (std::uint32_t j = 0; j < lanes_; ++j) {
-      ranks_[set * lanes_ + j] =
-          kLane01 * 8 * j + 0x0706050403020100ULL;
-    }
-  }
+  // Identity permutation: way w starts at rank w (all ways invalid, so
+  // fills consume ways from the highest way downwards, the way an MRU
+  // list fills its back slots first). Nibbles above the real ways are 0.
+  std::fill(order_.begin(), order_.end(), 0xFEDCBA9876543210ULL & full_);
 }
 
 }  // namespace occm::cache

@@ -5,19 +5,25 @@
 // presence, dirtiness and recency — all the simulator needs for timing
 // and traffic.
 //
-// Layout (DESIGN.md §14): struct-of-arrays with *fixed tag slots* and
-// rank-encoded LRU. Tags live in one flat cache-line-aligned
-// std::uint64_t array, one slot per way, and never move; each way also
-// has a 1-byte recency rank (0 = MRU, ways-1 = LRU) packed eight ways to
-// a 64-bit lane so the "age everything newer than the touched line"
-// update is a couple of branchless SWAR instructions instead of a tag
-// memmove. Dirty bits are a per-set bitmask with fixed way positions.
-// The rank permutation is exactly the position of the line in the MRU
-// list the previous layout materialised, so hit/miss decisions, LRU
-// victims and every stat are bit-identical (pinned by the golden corpus):
-// invalid ways always occupy the highest ranks (they start there, are
-// never hit, and inserts replace the top rank first), hence "evict rank
-// ways-1" picks an empty way exactly when the set is not yet full.
+// Layout (DESIGN.md §14): struct-of-arrays with *fixed tag slots* and a
+// per-set recency word. Tags live in one flat cache-line-aligned
+// std::uint64_t array, one slot per way, and never move. The set's
+// recency order is one std::uint64_t: nibble k holds the way at rank k
+// (0 = MRU, ways-1 = LRU), so at most 16 ways. Every recency update is
+// constant-time word arithmetic:
+//   victim      (order >> 4*(ways-1)) & 15 — no search;
+//   fill        ((order << 4) & full) | victim;
+//   hit         a SWAR nibble-equality finds the way's rank, then two
+//               masks move that nibble to the front;
+//   invalidate  the way's nibble moves to the back.
+// Dirty bits are a per-set bitmask with fixed way positions. The word is
+// the permutation an MRU list of the set's lines spells out, so hit/miss
+// decisions, LRU victims and every stat match that list exactly (pinned
+// by the golden corpus and an MRU-list oracle test): invalid ways always
+// occupy the highest ranks (they start there, are never hit, fills
+// consume the last rank first and invalidation sends a way to the back),
+// hence the rank ways-1 victim is an empty way exactly when the set is
+// not yet full.
 //
 // Line math is a shift (line sizes are powers of two) and the set mapping
 // uses a precomputed FastDiv reciprocal — set counts need not be powers
@@ -60,7 +66,7 @@ struct Eviction {
 class SetAssocCache {
  public:
   /// `size` bytes, `lineSize` bytes per line, `ways` associativity
-  /// (at most 32 ways).
+  /// (at most 16 ways: one nibble of the recency word each).
   SetAssocCache(Bytes size, Bytes lineSize, std::uint32_t ways);
 
   // The per-access methods are defined inline below the class: they run
@@ -110,9 +116,8 @@ class SetAssocCache {
   /// "valid && tag == line" collapses to one compare.
   static constexpr Addr kNoLine = ~Addr{0};
 
-  // SWAR lane constants: 8 rank bytes per 64-bit word.
-  static constexpr std::uint64_t kLane01 = 0x0101010101010101ULL;
-  static constexpr std::uint64_t kLaneMsb = kLane01 * 0x80;
+  /// A 1 in every nibble: way * kNibbles repeats `way` in each nibble.
+  static constexpr std::uint64_t kNibbles = 0x1111111111111111ULL;
 
   [[nodiscard]] std::size_t setIndex(Addr lineAddr) const noexcept {
     // Mix the upper bits so power-of-two strides don't all land in one set
@@ -129,69 +134,37 @@ class SetAssocCache {
   [[nodiscard]] const Addr* setBase(std::size_t set) const noexcept {
     return &tags_[set * ways_];
   }
-  /// Rank lanes of a set (`lanes_` words, 8 rank bytes each).
-  [[nodiscard]] std::uint64_t* rankBase(std::size_t set) noexcept {
-    return &ranks_[set * lanes_];
+  /// Rank of `way` in a recency word: the lowest nibble of
+  /// order ^ (way * kNibbles) that is zero. The real nibbles are a
+  /// permutation of the ways, so exactly one of them matches, and the
+  /// zero padding above them (which matches way 0) is never reached first.
+  [[nodiscard]] static unsigned findRank(std::uint64_t order,
+                                         std::uint32_t way) noexcept {
+    std::uint64_t x = order ^ (way * kNibbles);
+    x |= x >> 1;
+    x |= x >> 2;  // bit 0 of each nibble: OR of that nibble's four bits
+    return static_cast<unsigned>(std::countr_zero(~x & kNibbles)) >> 2;
   }
 
-  [[nodiscard]] static std::uint8_t rankOf(const std::uint64_t* lanes,
-                                           std::uint32_t way) noexcept {
-    return static_cast<std::uint8_t>(lanes[way >> 3] >> ((way & 7) * 8));
-  }
-  static void setRank(std::uint64_t* lanes, std::uint32_t way,
-                      std::uint8_t rank) noexcept {
-    const unsigned shift = (way & 7) * 8;
-    std::uint64_t& lane = lanes[way >> 3];
-    lane = (lane & ~(std::uint64_t{0xFF} << shift)) |
-           (std::uint64_t{rank} << shift);
-  }
-
-  /// Ages every way whose rank is strictly below `limit` by one (SWAR
-  /// increment-if-less; padding bytes are masked out via realMsb_). All
-  /// rank bytes stay <= 127, which keeps the byte-wise compares
-  /// borrow-free.
-  void bumpBelow(std::uint64_t* lanes, std::uint32_t limit) noexcept {
-    if (limit == 0) {
-      return;
-    }
-    const std::uint64_t threshold =
-        static_cast<std::uint64_t>(limit - 1) * kLane01 | kLaneMsb;
-    for (std::uint32_t j = 0; j < lanes_; ++j) {
-      // MSB of each byte set iff rank <= limit-1, i.e. rank < limit.
-      const std::uint64_t le = (threshold - lanes[j]) & realMsb_[j];
-      lanes[j] += le >> 7;
-    }
-  }
-
-  /// Way currently holding rank `rank` (ranks are a permutation, so it is
-  /// unique): SWAR byte-equality search.
-  [[nodiscard]] std::uint32_t wayWithRank(const std::uint64_t* lanes,
-                                          std::uint32_t rank) const noexcept {
-    const std::uint64_t target = static_cast<std::uint64_t>(rank) * kLane01;
-    for (std::uint32_t j = 0; j < lanes_; ++j) {
-      const std::uint64_t diff = lanes[j] ^ target;
-      // MSB of each byte set iff the byte matched (diff byte == 0).
-      const std::uint64_t eq = (kLaneMsb - diff) & realMsb_[j];
-      if (eq != 0) {
-        return j * 8 + static_cast<std::uint32_t>(
-                           std::countr_zero(eq) >> 3);
-      }
-    }
-    OCCM_ASSERT(false);  // ranks are a permutation of 0..ways-1
-    return ways_ - 1;
+  /// The recency word with the way at `rank` moved to rank 0: the ranks
+  /// below it age by one, the ones above keep their place.
+  [[nodiscard]] static std::uint64_t toFront(std::uint64_t order,
+                                             unsigned rank) noexcept {
+    const std::uint64_t newer = (std::uint64_t{1} << (4 * rank)) - 1;
+    const std::uint64_t self = std::uint64_t{15} << (4 * rank);
+    return (order & ~(newer | self)) | ((order & newer) << 4) |
+           ((order & self) >> (4 * rank));
   }
 
   Bytes lineSize_;
   unsigned lineShift_ = 0;  ///< log2(lineSize_)
   std::uint32_t ways_;
-  std::uint32_t lanes_ = 1;  ///< rank words per set: ceil(ways / 8)
+  unsigned lruShift_ = 0;  ///< 4 * (ways_ - 1): the LRU nibble's offset
+  std::uint64_t full_ = 0;  ///< the ways_ real nibbles of a recency word
   std::size_t sets_ = 0;
   FastDiv setDiv_;  ///< reciprocal for `% sets_`
-  /// Per-lane mask of the MSB of each *real* way's rank byte; padding
-  /// bytes (ways that don't exist) never match and never age.
-  std::uint64_t realMsb_[4] = {0, 0, 0, 0};
   CacheAlignedVector<Addr> tags_;  ///< sets_ * ways_, fixed slot per way
-  CacheAlignedVector<std::uint64_t> ranks_;  ///< sets_ * lanes_
+  CacheAlignedVector<std::uint64_t> order_;  ///< per-set recency word
   CacheAlignedVector<std::uint32_t> dirty_;  ///< per-set mask (bit = way)
   CacheStats stats_;
 };
@@ -203,14 +176,10 @@ OCCM_FORCE_INLINE bool SetAssocCache::access(Addr addr, bool write) {
   const Addr* base = setBase(set);
   for (std::uint32_t i = 0; i < ways_; ++i) {
     if (base[i] == line) {
-      std::uint64_t* lanes = rankBase(set);
-      const std::uint8_t rank = rankOf(lanes, i);
-      if (rank != 0) {
-        // Everything more recent than the hit line ages by one; the hit
-        // line becomes MRU. Tags and dirty bits stay in place.
-        bumpBelow(lanes, rank);
-        setRank(lanes, i, 0);
-      }
+      // Everything more recent than the hit line ages by one; the hit
+      // line becomes MRU. Tags and dirty bits stay in place.
+      std::uint64_t& order = order_[set];
+      order = toFront(order, findRank(order, i));
       if (write) {
         dirty_[set] |= std::uint32_t{1} << i;
       }
@@ -241,12 +210,8 @@ OCCM_FORCE_INLINE std::optional<Eviction> SetAssocCache::insert(Addr addr,
   // If already present (e.g. racing fills), just refresh recency/dirty.
   for (std::uint32_t i = 0; i < ways_; ++i) {
     if (base[i] == line) {
-      std::uint64_t* lanes = rankBase(set);
-      const std::uint8_t rank = rankOf(lanes, i);
-      if (rank != 0) {
-        bumpBelow(lanes, rank);
-        setRank(lanes, i, 0);
-      }
+      std::uint64_t& order = order_[set];
+      order = toFront(order, findRank(order, i));
       if (write) {
         dirty_[set] |= std::uint32_t{1} << i;
       }
@@ -261,12 +226,12 @@ OCCM_FORCE_INLINE std::optional<Eviction> SetAssocCache::insertAbsent(
   const Addr line = addr >> lineShift_;
   const std::size_t set = setIndex(line);
   Addr* base = setBase(set);
-  std::uint64_t* lanes = rankBase(set);
+  std::uint64_t& order = order_[set];
   std::uint32_t& dirty = dirty_[set];
   // The way at the bottom of the recency order: the LRU valid line, or an
   // invalid way when the set is not yet full (invalid ways always hold
   // the highest ranks — see the header comment).
-  const std::uint32_t victimWay = wayWithRank(lanes, ways_ - 1);
+  const auto victimWay = static_cast<std::uint32_t>(order >> lruShift_) & 15u;
   const Addr victim = base[victimWay];
   const bool victimDirty = ((dirty >> victimWay) & 1u) != 0;
   std::optional<Eviction> evicted;
@@ -278,8 +243,7 @@ OCCM_FORCE_INLINE std::optional<Eviction> SetAssocCache::insertAbsent(
     }
   }
   // Every other way ages by one; the new line takes the slot as MRU.
-  bumpBelow(lanes, ways_ - 1);
-  setRank(lanes, victimWay, 0);
+  order = ((order << 4) & full_) | victimWay;
   base[victimWay] = line;
   const std::uint32_t bit = std::uint32_t{1} << victimWay;
   dirty = write ? (dirty | bit) : (dirty & ~bit);
@@ -306,22 +270,16 @@ OCCM_FORCE_INLINE SetAssocCache::InvalidateResult SetAssocCache::invalidate(
   Addr* base = setBase(set);
   for (std::uint32_t i = 0; i < ways_; ++i) {
     if (base[i] == line) {
-      std::uint64_t* lanes = rankBase(set);
+      std::uint64_t& order = order_[set];
       std::uint32_t& dirty = dirty_[set];
       InvalidateResult result{true, ((dirty >> i) & 1u) != 0};
       // Ways older than the removed line move up one rank; the freed way
-      // drops to LRU, keeping invalid ways at the highest ranks.
-      const std::uint8_t rank = rankOf(lanes, i);
-      const std::uint64_t threshold =
-          (static_cast<std::uint64_t>(rank) * kLane01) | kLaneMsb;
-      for (std::uint32_t j = 0; j < lanes_; ++j) {
-        // MSB of each byte set iff rank <= `rank`; invert within the real
-        // ways for strictly-greater, then subtract one from those bytes.
-        const std::uint64_t gt =
-            ((threshold - lanes[j]) ^ kLaneMsb) & realMsb_[j];
-        lanes[j] -= gt >> 7;
-      }
-      setRank(lanes, i, static_cast<std::uint8_t>(ways_ - 1));
+      // drops to LRU, keeping invalid ways at the highest ranks. The
+      // top nibble of order >> 4 is zero, so the freed way fills it.
+      const std::uint64_t newer =
+          (std::uint64_t{1} << (4 * findRank(order, i))) - 1;
+      order = (order & newer) | ((order >> 4) & ~newer) |
+              (std::uint64_t{i} << lruShift_);
       base[i] = kNoLine;
       dirty &= ~(std::uint32_t{1} << i);
       ++stats_.invalidations;

@@ -138,21 +138,6 @@ bool LeaseTable::completeTask(std::uint64_t taskId) {
   return true;
 }
 
-void LeaseTable::settleLocal(std::uint64_t taskId) {
-  OCCM_REQUIRE_MSG(taskId < tasks_.size(), "settle for unknown task id");
-  Task& task = tasks_[taskId];
-  if (task.state == TaskState::kSettled) {
-    return;
-  }
-  task.leases.clear();
-  if (task.state == TaskState::kAbandoned) {
-    --abandonedCount_;
-    --stats_.tasksAbandoned;
-  }
-  task.state = TaskState::kSettled;
-  ++settled_;
-}
-
 LeaseTable::TickEvents LeaseTable::tick(std::uint64_t nowMs) {
   TickEvents events;
   // Evictions first, so a dead worker's leases expire this same tick.

@@ -6,7 +6,10 @@
 // the task back in the queue behind a capped-exponential backoff with
 // deterministic jitter (common/backoff). Tail stragglers are
 // speculatively re-dispatched; the first valid result wins and
-// duplicates are discarded by task id.
+// duplicates are discarded by task id. Only a fleet result settles a
+// task: checkpoint-restored runs never enter the table (the sweep leases
+// unsettled runs only), and the local fallback runs after the fleet
+// phase has ended.
 //
 // Deliberately a pure state machine over an injected clock (milliseconds
 // since an arbitrary epoch): every timed transition takes `nowMs`, so the
@@ -101,10 +104,6 @@ class LeaseTable {
   /// and discarded.
   bool completeTask(std::uint64_t taskId);
 
-  /// Marks a task settled outside the fleet (restored from a checkpoint
-  /// before dispatch, or finished by the local fallback).
-  void settleLocal(std::uint64_t taskId);
-
   // -- clock ---------------------------------------------------------------
 
   struct TickEvents {
@@ -139,7 +138,7 @@ class LeaseTable {
   enum class TaskState : std::uint8_t {
     kPending,   ///< waiting for a worker (possibly backed off)
     kLeased,    ///< at least one live lease
-    kSettled,   ///< a valid result (or local settle) landed
+    kSettled,   ///< a valid result landed
     kAbandoned  ///< exhausted maxExpiries; reported as worker-lost
   };
 

@@ -282,11 +282,10 @@ perf::RunProfile MachineSim::run(std::span<const trace::RefStreamPtr> streams,
         static_cast<double>(config_.sched.quantum) * jitter);
   };
 
-  // Calendar queue (sim/event_queue.hpp): pops in exactly the (time, seq)
-  // order of the binary heap it replaced — pinned by the golden corpus
-  // and the CalendarEventQueue property suite.
-  CalendarEventQueue events;
-  std::uint64_t seq = 0;
+  // Timing wheel (sim/event_queue.hpp): earliest event first, same-cycle
+  // events in push order — pinned by the golden corpus and the EventWheel
+  // property suite.
+  EventWheel events(static_cast<std::size_t>(totalCores));
   for (CoreId c = 0; c < totalCores; ++c) {
     CoreState& core = cores[static_cast<std::size_t>(c)];
     auto threadList = pinning.threadsOn[static_cast<std::size_t>(c)];
@@ -298,7 +297,7 @@ perf::RunProfile MachineSim::run(std::span<const trace::RefStreamPtr> streams,
     core.queue.start();
     core.active = true;
     core.quantumEnd = jitteredQuantum();
-    events.push({0, seq++, c, EventKind::kAdvance});
+    events.push(0, c, EventKind::kAdvance);
   }
   hot.eventsPushed = events.size();
   hot.maxEventQueueDepth = events.size();
@@ -316,7 +315,7 @@ perf::RunProfile MachineSim::run(std::span<const trace::RefStreamPtr> streams,
         return;
       }
       if (core.now >= horizon) {
-        events.push({core.now, seq++, coreId, EventKind::kAdvance});
+        events.push(core.now, coreId, EventKind::kAdvance);
         ++hot.eventsPushed;
         hot.maxEventQueueDepth =
             std::max<std::uint64_t>(hot.maxEventQueueDepth, events.size());
@@ -389,7 +388,7 @@ perf::RunProfile MachineSim::run(std::span<const trace::RefStreamPtr> streams,
         core.pendingCoherence = res.coherenceMiss;
         core.pendingWriteback = res.writeback;
         core.pendingWritebackLine = res.writebackLine;
-        events.push({core.now, seq++, coreId, EventKind::kIssue});
+        events.push(core.now, coreId, EventKind::kIssue);
         ++hot.eventsPushed;
         hot.maxEventQueueDepth =
             std::max<std::uint64_t>(hot.maxEventQueueDepth, events.size());
@@ -417,9 +416,9 @@ perf::RunProfile MachineSim::run(std::span<const trace::RefStreamPtr> streams,
       config_.faultPlan.firstCrash(activeCores);
 
   while (!events.empty()) {
-    // Lifecycle checks fire per event at the same deterministic (time,
-    // seq) boundaries as before the calendar-queue rewrite; an abort
-    // discards the whole run, so checking after the pop is equivalent.
+    // Lifecycle checks fire per event, at the same deterministic event
+    // boundaries on every host; an abort discards the whole run, so
+    // checking after the pop is equivalent.
     const Event ev = events.pop();
     if (crash != nullptr && ev.time >= crash->start) {
       fault::executeInjectedCrash(crash->kind, ev.time);
@@ -490,7 +489,7 @@ perf::RunProfile MachineSim::run(std::span<const trace::RefStreamPtr> streams,
                                   static_cast<double>(timing.queueWait));
           }
         }
-        events.push({core.now, seq++, ev.core, EventKind::kAdvance});
+        events.push(core.now, ev.core, EventKind::kAdvance);
         ++hot.eventsPushed;
         hot.maxEventQueueDepth =
             std::max<std::uint64_t>(hot.maxEventQueueDepth, events.size());

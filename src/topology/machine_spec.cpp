@@ -42,7 +42,9 @@ void MachineSpec::validate() const {
     OCCM_REQUIRE_MSG(c.lineSize > 0 && (c.lineSize & (c.lineSize - 1)) == 0,
                      "line size must be a power of two");
     OCCM_REQUIRE_MSG(c.size % c.lineSize == 0, "size must be a line multiple");
-    OCCM_REQUIRE_MSG(c.associativity >= 1, "associativity must be >= 1");
+    OCCM_REQUIRE_MSG(c.associativity >= 1 && c.associativity <= 16,
+                     "associativity must be 1..16 (a 4-bit recency rank "
+                     "per way)");
     OCCM_REQUIRE_MSG((c.size / c.lineSize) % c.associativity == 0,
                      "lines must divide into whole sets");
     OCCM_REQUIRE_MSG(c.lineSize == caches.front().lineSize,

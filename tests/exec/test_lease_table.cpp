@@ -202,19 +202,5 @@ TEST(LeaseTable, CancelAllClosesEveryLeaseWithoutSettling) {
   EXPECT_EQ(table.nextAssignment("a", 300), 1u);
 }
 
-TEST(LeaseTable, SettleLocalShortCircuitsTheFleet) {
-  LeaseTable table(testConfig(), 2);
-  table.workerJoined("a", 0);
-  table.settleLocal(0);  // restored from a checkpoint before dispatch
-  EXPECT_TRUE(table.taskSettled(0));
-  // The fleet never sees task 0 again.
-  EXPECT_EQ(table.nextAssignment("a", 10), 1u);
-  EXPECT_EQ(table.nextAssignment("a", 10), std::nullopt);
-  // A late fleet result for the locally-settled task is a duplicate.
-  EXPECT_FALSE(table.completeTask(0));
-  table.settleLocal(1);  // local fallback finished the leased task
-  EXPECT_TRUE(table.allSettled());
-}
-
 }  // namespace
 }  // namespace occm::exec::dist

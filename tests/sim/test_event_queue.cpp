@@ -1,14 +1,17 @@
-// Property suite for the calendar event queue: its pop order must be
-// EXACTLY the (time, seq) total order a binary heap produces, under
-// randomized monotone interleavings of pushes and pops — the contract
-// the hot-path rewrite rests on (DESIGN.md §14).
+// Property suite for the event loop's timing wheel: its pop order must be
+// EXACTLY the (time, push order) total order of a binary heap keyed on
+// (time, sequence number), under randomized monotone schedules that keep
+// at most one pending event per core — the contract the event loop keeps
+// and the wheel rests on (DESIGN.md §14).
 
 #include "sim/event_queue.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -17,159 +20,252 @@
 namespace occm::sim {
 namespace {
 
-struct EventLater {
-  bool operator()(const Event& a, const Event& b) const noexcept {
-    return a.time != b.time ? a.time > b.time : a.seq > b.seq;
+/// The wheel's window in cycles: a push this far past the last pop takes
+/// the overflow path.
+constexpr Cycles kWindow = 8192;
+
+struct Sequenced {
+  Event event;
+  std::uint64_t seq = 0;
+};
+
+struct Later {
+  bool operator()(const Sequenced& a, const Sequenced& b) const noexcept {
+    return a.event.time != b.event.time ? a.event.time > b.event.time
+                                        : a.seq > b.seq;
   }
 };
 
-using ReferenceQueue =
-    std::priority_queue<Event, std::vector<Event>, EventLater>;
+/// The reference: a binary heap keyed on (time, push sequence number).
+class ReferenceQueue {
+ public:
+  void push(Cycles time, CoreId core, EventKind kind) {
+    heap_.push({{time, core, kind}, seq_++});
+  }
+  Event pop() {
+    const Event e = heap_.top().event;
+    heap_.pop();
+    return e;
+  }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
+
+ private:
+  std::priority_queue<Sequenced, std::vector<Sequenced>, Later> heap_;
+  std::uint64_t seq_ = 0;
+};
 
 void expectSameEvent(const Event& ref, const Event& got,
                      const std::string& context) {
   EXPECT_EQ(ref.time, got.time) << context;
-  EXPECT_EQ(ref.seq, got.seq) << context;
   EXPECT_EQ(ref.core, got.core) << context;
   EXPECT_EQ(static_cast<int>(ref.kind), static_cast<int>(got.kind))
       << context;
 }
 
-TEST(CalendarEventQueue, StartsEmpty) {
-  CalendarEventQueue q;
+TEST(EventWheel, StartsEmpty) {
+  EventWheel q(4);
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
   EXPECT_THROW((void)q.pop(), ContractViolation);
 }
 
-TEST(CalendarEventQueue, RejectsAbsurdBucketWidth) {
-  EXPECT_THROW(CalendarEventQueue{32}, ContractViolation);
-  EXPECT_NO_THROW(CalendarEventQueue{0});
-  EXPECT_NO_THROW(CalendarEventQueue{31});
+// The wheel's contract: one pending event per core, and no push before
+// the last pop. Both are invariant checks, compiled out with
+// OCCM_DISABLE_ASSERTS; popping an empty wheel is always refused.
+TEST(EventWheel, RejectsContractBreaches) {
+  EventWheel q(2);
+  q.push(100, 0, EventKind::kAdvance);
+#ifndef OCCM_DISABLE_ASSERTS
+  EXPECT_THROW(q.push(200, 0, EventKind::kIssue), ContractViolation);
+#endif
+  EXPECT_EQ(q.pop().time, 100u);
+#ifndef OCCM_DISABLE_ASSERTS
+  EXPECT_THROW(q.push(99, 1, EventKind::kAdvance), ContractViolation);
+#endif
+  q.push(100, 0, EventKind::kAdvance);  // the core is free again
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.pop().core, 0);
+  EXPECT_THROW((void)q.pop(), ContractViolation);
 }
 
-TEST(CalendarEventQueue, PopsInTimeOrder) {
-  CalendarEventQueue q;
-  q.push({300, 0, 1, EventKind::kAdvance});
-  q.push({100, 1, 2, EventKind::kIssue});
-  q.push({200, 2, 3, EventKind::kAdvance});
+TEST(EventWheel, PopsInTimeOrder) {
+  EventWheel q(4);
+  q.push(300, 1, EventKind::kAdvance);
+  q.push(100, 2, EventKind::kIssue);
+  q.push(200, 3, EventKind::kAdvance);
   EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.pop().time, 100u);
+  const Event first = q.pop();
+  EXPECT_EQ(first.time, 100u);
+  EXPECT_EQ(first.core, 2);
+  EXPECT_EQ(first.kind, EventKind::kIssue);
   EXPECT_EQ(q.pop().time, 200u);
   EXPECT_EQ(q.pop().time, 300u);
   EXPECT_TRUE(q.empty());
 }
 
-// Same-cycle events must come out in push (seq) order: the FIFO
-// stability the simulator's tie-break depends on.
-TEST(CalendarEventQueue, SameCycleEventsAreFifoStable) {
-  CalendarEventQueue q;
-  for (std::uint64_t s = 0; s < 32; ++s) {
-    q.push({1000, s, static_cast<CoreId>(s % 7), EventKind::kAdvance});
+// Same-cycle events must come out in push order: the FIFO stability the
+// simulator's tie-break depends on.
+TEST(EventWheel, SameCycleEventsAreFifoStable) {
+  constexpr int kCores = 32;
+  EventWheel q(kCores);
+  for (int i = 0; i < kCores; ++i) {
+    q.push(1000, (i * 7) % kCores, EventKind::kAdvance);
   }
-  for (std::uint64_t s = 0; s < 32; ++s) {
+  for (int i = 0; i < kCores; ++i) {
     const Event e = q.pop();
     EXPECT_EQ(e.time, 1000u);
-    EXPECT_EQ(e.seq, s) << "same-cycle pop order must follow push order";
+    EXPECT_EQ(e.core, (i * 7) % kCores)
+        << "same-cycle pop order must follow push order";
   }
 }
 
-// Events far beyond the 64-bucket window must take the overflow path and
-// still come out in exact order after the window advances.
-TEST(CalendarEventQueue, OverflowEventsKeepExactOrder) {
-  CalendarEventQueue q(/*logWidth=*/0);  // 1-cycle buckets, 64-cycle window
-  q.push({5, 0, 0, EventKind::kAdvance});
-  q.push({1'000'000, 1, 1, EventKind::kIssue});
-  q.push({70, 2, 2, EventKind::kAdvance});      // just past the window
-  q.push({1'000'000, 3, 3, EventKind::kAdvance});
+// Events at or past the window's end take the overflow path and still
+// come out in exact order, same-cycle ties in push order.
+TEST(EventWheel, OverflowEventsKeepExactOrder) {
+  EventWheel q(4);
+  q.push(5, 0, EventKind::kAdvance);
+  q.push(1'000'000, 1, EventKind::kIssue);
+  q.push(kWindow + 5, 2, EventKind::kAdvance);  // just past the window
+  q.push(1'000'000, 3, EventKind::kAdvance);
   EXPECT_EQ(q.pop().time, 5u);
-  EXPECT_EQ(q.pop().time, 70u);
+  EXPECT_EQ(q.pop().time, kWindow + 5);
   const Event a = q.pop();
   const Event b = q.pop();
   EXPECT_EQ(a.time, 1'000'000u);
-  EXPECT_EQ(a.seq, 1u);
-  EXPECT_EQ(b.seq, 3u);
+  EXPECT_EQ(a.core, 1);
+  EXPECT_EQ(b.time, 1'000'000u);
+  EXPECT_EQ(b.core, 3);
   EXPECT_TRUE(q.empty());
 }
 
-// The full equivalence property: randomized monotone interleavings of
-// pushes and pops, compared pop-for-pop against the reference heap the
-// simulator used before the rewrite. Covers several bucket widths so
-// both the in-window and overflow paths are exercised.
-TEST(CalendarEventQueue, MatchesReferenceHeapOnRandomInterleavings) {
+// An overflow event was pushed before any direct push to its cycle can
+// be, so it must come out first even when a later push, made once the
+// window has moved, lands on the very same cycle.
+TEST(EventWheel, OverflowCycleReusedByALaterDirectPush) {
+  EventWheel q(3);
+  const Cycles target = kWindow + 100;
+  q.push(0, 0, EventKind::kAdvance);
+  q.push(target, 1, EventKind::kIssue);  // overflow: past [0, kWindow)
+  q.push(200, 2, EventKind::kAdvance);
+  EXPECT_EQ(q.pop().core, 0);
+  const Event e = q.pop();  // time 200: target is inside the window now
+  ASSERT_EQ(e.core, 2);
+  q.push(target, 2, EventKind::kAdvance);  // direct push, same cycle
+  q.push(target, 0, EventKind::kIssue);
+  const Event first = q.pop();
+  EXPECT_EQ(first.time, target);
+  EXPECT_EQ(first.core, 1) << "the overflow event was pushed first";
+  EXPECT_EQ(q.pop().core, 2);
+  EXPECT_EQ(q.pop().core, 0);
+  EXPECT_TRUE(q.empty());
+}
+
+// With only overflow events left, the window jumps to their minimum, and
+// a later window jump keeps working too.
+TEST(EventWheel, OnlyOverflowLeftJumpsTheWindow) {
+  EventWheel q(4);
+  q.push(50 * kWindow, 0, EventKind::kAdvance);
+  q.push(3 * kWindow + 7, 1, EventKind::kIssue);
+  q.push(3 * kWindow + 7, 2, EventKind::kAdvance);
+  q.push(90 * kWindow + 1, 3, EventKind::kAdvance);
+  EXPECT_EQ(q.pop().core, 1);
+  EXPECT_EQ(q.pop().core, 2);
+  EXPECT_EQ(q.pop().time, 50 * kWindow);
+  q.push(50 * kWindow + kWindow - 1, 0, EventKind::kIssue);  // last slot
+  EXPECT_EQ(q.pop().time, 50 * kWindow + kWindow - 1);
+  EXPECT_EQ(q.pop().time, 90 * kWindow + 1);
+  EXPECT_TRUE(q.empty());
+}
+
+// The full equivalence property. Each round keeps at most one pending
+// event per core and pushes only at or after the last popped time, the
+// event loop's contract, and compares every pop with the reference heap.
+// Push times mix same-cycle ties, short hops, the window's edge, jumps
+// far past it and the cycle of a random pending event — often one that
+// waited in overflow, so a later direct push reuses its cycle. Idle
+// stretches drain the wheel down to overflow only.
+TEST(EventWheel, MatchesReferenceHeapOnRandomSchedules) {
   Rng rng(0xCA1E17DA);
-  for (const unsigned logWidth : {0u, 3u, 6u, 12u}) {
-    for (int round = 0; round < 40; ++round) {
-      CalendarEventQueue calendar(logWidth);
+  for (const int cores : {1, 24, 48, 64}) {
+    for (int round = 0; round < 30; ++round) {
+      EventWheel wheel(static_cast<std::size_t>(cores));
       ReferenceQueue reference;
-      Cycles lastPopTime = 0;
-      std::uint64_t seq = 0;
+      std::vector<CoreId> idle;
+      std::vector<CoreId> busy;  // cores with a pending event
+      std::vector<Cycles> due(static_cast<std::size_t>(cores), 0);
+      for (CoreId c = 0; c < cores; ++c) {
+        idle.push_back(c);
+      }
+      Cycles lastPop = 0;
       std::uint64_t pushes = 0;
       std::uint64_t pops = 0;
-      for (int step = 0; step < 600; ++step) {
-        const bool doPush = reference.empty() || rng.next() % 100 < 55;
+      for (int step = 0; step < 3000; ++step) {
+        const bool doPush =
+            !idle.empty() && (reference.empty() || rng.next() % 100 < 50);
         if (doPush) {
-          // Monotone contract: pushed times never precede the last pop.
-          // Mix short hops (same bucket), medium (window) and rare long
-          // jumps (overflow), plus exact ties for the FIFO property.
-          Cycles delta = 0;
+          const std::size_t pick = rng.next() % idle.size();
+          const CoreId core = idle[pick];
+          idle[pick] = idle.back();
+          idle.pop_back();
           const std::uint64_t shape = rng.next() % 100;
-          if (shape < 30) {
-            delta = 0;  // tie with the frontier
-          } else if (shape < 85) {
-            delta = rng.next() % 200;
-          } else {
-            delta = 10'000 + rng.next() % 100'000;
+          Cycles time = lastPop;  // below 20: a tie with the frontier
+          if (shape >= 82 && !busy.empty()) {
+            time = due[static_cast<std::size_t>(
+                busy[rng.next() % busy.size()])];  // a pending cycle
+          } else if (shape >= 70) {
+            time += kWindow + rng.next() % (4 * kWindow);  // overflow
+          } else if (shape >= 62) {
+            time += kWindow - 2 + rng.next() % 4;  // the window's edge
+          } else if (shape >= 50) {
+            time += rng.next() % kWindow;
+          } else if (shape >= 20) {
+            time += rng.next() % 300;
           }
-          const Event e{lastPopTime + delta, seq++,
-                        static_cast<CoreId>(rng.next() % 24),
-                        (rng.next() & 1) != 0 ? EventKind::kIssue
-                                              : EventKind::kAdvance};
-          calendar.push(e);
-          reference.push(e);
+          const EventKind kind = (rng.next() & 1) != 0 ? EventKind::kIssue
+                                                       : EventKind::kAdvance;
+          wheel.push(time, core, kind);
+          reference.push(time, core, kind);
+          due[static_cast<std::size_t>(core)] = time;
+          busy.push_back(core);
           ++pushes;
-        } else {
-          const Event want = reference.top();
-          reference.pop();
-          const Event got = calendar.pop();
+        } else if (!reference.empty()) {
+          const Event want = reference.pop();
+          const Event got = wheel.pop();
           expectSameEvent(want, got,
-                          "logWidth=" + std::to_string(logWidth) +
-                              " round=" + std::to_string(round) +
-                              " pop#" + std::to_string(pops));
-          lastPopTime = got.time;
+                          "cores=" + std::to_string(cores) + " round=" +
+                              std::to_string(round) + " pop#" +
+                              std::to_string(pops));
+          lastPop = want.time;
+          busy.erase(std::find(busy.begin(), busy.end(), want.core));
+          idle.push_back(want.core);
           ++pops;
         }
-        ASSERT_EQ(calendar.size(), reference.size());
+        ASSERT_EQ(wheel.size(), reference.size());
       }
-      // Drain: every remaining event must match too.
       while (!reference.empty()) {
-        const Event want = reference.top();
-        reference.pop();
-        const Event got = calendar.pop();
-        expectSameEvent(want, got, "drain logWidth=" +
-                                       std::to_string(logWidth));
-        lastPopTime = got.time;
+        expectSameEvent(reference.pop(), wheel.pop(),
+                        "drain cores=" + std::to_string(cores));
         ++pops;
       }
-      EXPECT_TRUE(calendar.empty());
+      EXPECT_TRUE(wheel.empty());
       EXPECT_EQ(pushes, pops) << "push/pop conservation";
     }
   }
 }
 
-// Conservation under a simulated workload shape: one outstanding event
-// per "core", as the event loop maintains — the queue's depth must never
-// exceed the core count and every push must be matched by a pop.
-TEST(CalendarEventQueue, ConservationWithPerCoreOutstandingEvents) {
+// Conservation under the event loop's shape: every popped core pushes
+// its follow-up event right away until its work runs out. The depth
+// never exceeds the core count and every push is matched by a pop.
+TEST(EventWheel, ConservationWithPerCoreOutstandingEvents) {
   Rng rng(7);
   constexpr int kCores = 8;
-  CalendarEventQueue q;
-  std::uint64_t seq = 0;
+  EventWheel q(kCores);
   std::uint64_t pushed = 0;
   std::uint64_t popped = 0;
   std::size_t maxDepth = 0;
   for (CoreId c = 0; c < kCores; ++c) {
-    q.push({0, seq++, c, EventKind::kAdvance});
+    q.push(0, c, EventKind::kAdvance);
     ++pushed;
   }
   std::vector<std::uint64_t> remaining(kCores, 50);
@@ -182,13 +278,13 @@ TEST(CalendarEventQueue, ConservationWithPerCoreOutstandingEvents) {
       continue;  // core done: no follow-up event
     }
     --left;
-    q.push({e.time + 1 + rng.next() % 500, seq++, e.core,
-            e.kind == EventKind::kAdvance ? EventKind::kIssue
-                                          : EventKind::kAdvance});
+    q.push(e.time + 1 + rng.next() % 500, e.core,
+           e.kind == EventKind::kAdvance ? EventKind::kIssue
+                                         : EventKind::kAdvance);
     ++pushed;
   }
   EXPECT_EQ(pushed, popped);
-  EXPECT_EQ(pushed, seq);
+  EXPECT_EQ(pushed, kCores * 51u);
   EXPECT_LE(maxDepth, static_cast<std::size_t>(kCores));
 }
 

@@ -1,4 +1,4 @@
-#include "trace/stream_analysis.hpp"
+#include "support/stream_analysis.hpp"
 
 #include <algorithm>
 #include <unordered_set>

@@ -1,8 +1,8 @@
 #pragma once
 
-// Offline analysis of reference streams, used to characterise and test the
-// workload generators: reference counts, working-set size (distinct cache
-// lines), stride distribution and shared-data fraction.
+// Test support: offline analysis of reference streams, used to characterise
+// and test the workload generators: reference counts, working-set size
+// (distinct cache lines), stride distribution and shared-data fraction.
 
 #include <cstdint>
 #include <map>

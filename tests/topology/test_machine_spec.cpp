@@ -121,5 +121,16 @@ TEST(MachineSpecValidate, RejectsCacheSizeNotLineMultiple) {
   EXPECT_THROW((void)m.validate(), ContractViolation);
 }
 
+TEST(MachineSpecValidate, RejectsMoreThanSixteenWays) {
+  MachineSpec m = testNuma4();
+  CacheLevelSpec& llc = m.caches.back();
+  llc.associativity = 16;
+  llc.size = 16 * 64 * llc.lineSize;
+  EXPECT_NO_THROW((void)m.validate());
+  llc.associativity = 17;
+  llc.size = 17 * 64 * llc.lineSize;  // whole sets, so only the cap fails
+  EXPECT_THROW((void)m.validate(), ContractViolation);
+}
+
 }  // namespace
 }  // namespace occm::topology

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "trace/stream_analysis.hpp"
+#include "support/stream_analysis.hpp"
 #include "workloads/kernels.hpp"
 
 namespace occm::workloads {

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "trace/stream_analysis.hpp"
+#include "support/stream_analysis.hpp"
 #include "workloads/workload.hpp"
 
 namespace occm::workloads {
