@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   Cycles budgetCycles = 0;
   std::string checkpointPath;
   bool isolate = false;
-  std::uint64_t memLimitMb = 0;
+  std::uint64_t memLimitBytes = 0;
   int listenPort = -1;  // -1 = not a coordinator
   std::string connectHost;
   int connectPort = 0;
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--workers=", 0) == 0) {
-      workers = std::max(1, std::atoi(arg.c_str() + 10));
+      workers = examples::integerArg("--workers", arg.substr(10), 1);
       continue;
     }
     if (arg.rfind("--deadline=", 0) == 0) {
@@ -99,7 +99,8 @@ int main(int argc, char** argv) {
       continue;
     }
     if (arg.rfind("--budget-cycles=", 0) == 0) {
-      budgetCycles = std::strtoull(arg.c_str() + 16, nullptr, 10);
+      budgetCycles =
+          examples::integerArg<Cycles>("--budget-cycles", arg.substr(16));
       continue;
     }
     if (arg.rfind("--checkpoint=", 0) == 0) {
@@ -113,12 +114,13 @@ int main(int argc, char** argv) {
     if (arg.rfind("--mem-limit=", 0) == 0) {
       // Per-attempt RLIMIT_AS budget in MiB; only meaningful for a
       // forked child, so it implies --isolate.
-      memLimitMb = std::strtoull(arg.c_str() + 12, nullptr, 10);
+      memLimitBytes = examples::memLimitArg(arg.substr(12));
       isolate = true;
       continue;
     }
     if (arg.rfind("--listen=", 0) == 0) {
-      listenPort = std::atoi(arg.c_str() + 9);  // 0 = ephemeral
+      // 0 = ephemeral
+      listenPort = examples::integerArg("--listen", arg.substr(9), 0, 65535);
       continue;
     }
     if (arg.rfind("--connect=", 0) == 0) {
@@ -130,7 +132,8 @@ int main(int argc, char** argv) {
         return 1;
       }
       connectHost = hostPort.substr(0, colon);
-      connectPort = std::atoi(hostPort.c_str() + colon + 1);
+      connectPort = examples::integerArg("--connect port",
+                                         hostPort.substr(colon + 1), 1, 65535);
       continue;
     }
     if (arg.rfind("--worker-id=", 0) == 0) {
@@ -138,27 +141,30 @@ int main(int argc, char** argv) {
       continue;
     }
     if (arg.rfind("--grace=", 0) == 0) {
-      grace = std::atof(arg.c_str() + 8);
+      grace = examples::secondsArg("--grace", arg.substr(8));
       continue;
     }
     if (arg.rfind("--lease=", 0) == 0) {
-      leaseSeconds = std::atof(arg.c_str() + 8);
+      leaseSeconds = examples::secondsArg("--lease", arg.substr(8));
       continue;
     }
     if (arg.rfind("--max-expiries=", 0) == 0) {
-      maxExpiries = std::atoi(arg.c_str() + 15);
+      maxExpiries = examples::integerArg<int>("--max-expiries", arg.substr(15));
       continue;
     }
     if (arg.rfind("--idle-timeout-ms=", 0) == 0) {
-      idleTimeoutMs = std::strtoull(arg.c_str() + 18, nullptr, 10);
+      idleTimeoutMs = examples::integerArg<std::uint64_t>("--idle-timeout-ms",
+                                                          arg.substr(18));
       continue;
     }
     if (arg.rfind("--straggle-ms=", 0) == 0) {
-      straggleMs = std::strtoull(arg.c_str() + 14, nullptr, 10);
+      straggleMs =
+          examples::integerArg<std::uint64_t>("--straggle-ms", arg.substr(14));
       continue;
     }
     if (arg.rfind("--max-tasks=", 0) == 0) {
-      maxTasks = std::strtoull(arg.c_str() + 12, nullptr, 10);
+      maxTasks =
+          examples::integerArg<std::uint64_t>("--max-tasks", arg.substr(12));
       continue;
     }
     if (arg.rfind("--csv=", 0) == 0) {
@@ -166,7 +172,8 @@ int main(int argc, char** argv) {
       continue;
     }
     if (arg.rfind("--chaos-seed=", 0) == 0) {
-      chaos.seed = std::strtoull(arg.c_str() + 13, nullptr, 10);
+      chaos.seed =
+          examples::integerArg<std::uint64_t>("--chaos-seed", arg.substr(13));
       chaos.plan = exec::chaos::planFromSeed(chaos.seed);
       continue;
     }
@@ -218,7 +225,7 @@ int main(int argc, char** argv) {
     options.port = connectPort;
     options.workerId = workerId;
     options.isolation.enabled = isolate;
-    options.isolation.memoryBytes = memLimitMb << 20;
+    options.isolation.memoryBytes = memLimitBytes;
     options.cancel = gStop.token();
     options.straggleMs = straggleMs;
     options.maxTasks = maxTasks;
@@ -241,7 +248,7 @@ int main(int argc, char** argv) {
   config.limits.cycleBudget = budgetCycles;
   config.checkpointPath = checkpointPath;
   config.isolation.enabled = isolate;
-  config.isolation.memoryBytes = memLimitMb << 20;
+  config.isolation.memoryBytes = memLimitBytes;
   config.cancel = gStop.token();
   if (listenPort >= 0) {
     config.distributed.listen = true;

@@ -1,16 +1,18 @@
 #pragma once
 
 // Argument checks shared by the example CLIs. A bad workload, core
-// count or duration is rejected here with one "error:" line on stderr and
-// exit status 1, before any simulation starts — the library would
-// otherwise abort on the contract violation, and atof would silently read
-// garbage as 0. nonNegativeArg and efficiencyArg only parse, for CLIs
+// count, count or duration is rejected here with one "error:" line on
+// stderr and exit status 1, before any simulation starts — the library
+// would otherwise abort on the contract violation, and atoi/strtoull/atof
+// would silently read garbage as 0 (or "1e9" as 1). nonNegativeArg and efficiencyArg only parse, for CLIs
 // that reject with their own usage and exit status.
 
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
 #include <system_error>
@@ -70,6 +72,33 @@ inline int coresArg(const std::string& text,
               machine.name + ")");
   }
   return value;
+}
+
+/// `--flag=N` as the whole text in decimal, within [minValue, maxValue]
+/// (no sign for an unsigned type, no exponent, no trailing junk).
+template <typename Int>
+Int integerArg(const std::string& flag, const std::string& text,
+               Int minValue = 0,
+               Int maxValue = std::numeric_limits<Int>::max()) {
+  Int value = 0;
+  const char* const last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc{} || end != last || value < minValue ||
+      value > maxValue) {
+    rejectArg("bad " + flag + " '" + text + "' (want an integer in " +
+              std::to_string(minValue) + ".." + std::to_string(maxValue) +
+              ")");
+  }
+  return value;
+}
+
+/// `--mem-limit=MB` as bytes. The MiB count is bounded so the shift to
+/// bytes cannot wrap to 0, which RLIMIT_AS would read as "no limit".
+inline std::uint64_t memLimitArg(const std::string& text) {
+  return integerArg<std::uint64_t>(
+             "--mem-limit", text, 0,
+             std::numeric_limits<std::uint64_t>::max() >> 20)
+         << 20;
 }
 
 /// The whole text as a finite number >= 0, or nullopt (empty text,

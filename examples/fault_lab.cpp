@@ -109,11 +109,11 @@ int main(int argc, char** argv) {
   int workers = 0;  // 0 = OCCM_SWEEP_WORKERS or hardware concurrency
   double deadline = 0.0;
   bool isolate = false;
-  std::uint64_t memLimitMb = 0;
+  std::uint64_t memLimitBytes = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--workers=", 0) == 0) {
-      workers = std::max(1, std::atoi(arg.c_str() + 10));
+      workers = examples::integerArg("--workers", arg.substr(10), 1);
       continue;
     }
     if (arg.rfind("--deadline=", 0) == 0) {
@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
       continue;
     }
     if (arg.rfind("--mem-limit=", 0) == 0) {
-      memLimitMb = std::strtoull(arg.c_str() + 12, nullptr, 10);
+      memLimitBytes = examples::memLimitArg(arg.substr(12));
       isolate = true;
       continue;
     }
@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
   config.parallel.workers = workers;
   config.limits.wallSeconds = deadline;
   config.isolation.enabled = isolate;
-  config.isolation.memoryBytes = memLimitMb << 20;
+  config.isolation.memoryBytes = memLimitBytes;
   config.cancel = gStop.token();
   std::signal(SIGINT, onSigint);
   const model::MachineShape shape = model::shapeOf(config.machine);

@@ -2,7 +2,8 @@
 # Regenerates the chaos seed corpora under fuzz/corpus/ by replaying
 # seeded fault schedules over canonical protocol frames with the
 # gen_chaos_corpus binary. The corpora give fuzz_wire_message and
-# fuzz_serve_message the exact wire shapes the chaos drills produce —
+# fuzz_serve_message the exact wire shapes the chaos drills produce, and
+# fuzz_ipc_frame the outcome payloads an isolated child sends —
 # regenerate when the chaos schedule derivation or the canonical
 # protocol frames change, and say so in the commit. See DESIGN.md §16.
 #
@@ -20,4 +21,4 @@ if [ ! -x "$bin" ]; then
 fi
 
 "$bin" "$repo/fuzz/corpus"
-echo "corpora written under $repo/fuzz/corpus/{wire_message,serve_message}"
+echo "corpora written under $repo/fuzz/corpus/{wire_message,serve_message,ipc_frame}"

@@ -23,32 +23,6 @@ std::uint64_t toMs(double seconds) {
 // Name -> enum parsing lives in workloads/problem.hpp (parseProgram /
 // parseProblemClass), shared with the serve-tier request validation.
 
-RunFailureKind localKind(dist::WireFailureKind kind) {
-  switch (kind) {
-    case dist::WireFailureKind::kException: return RunFailureKind::kException;
-    case dist::WireFailureKind::kTimeout: return RunFailureKind::kTimeout;
-    case dist::WireFailureKind::kCancelled: return RunFailureKind::kCancelled;
-    case dist::WireFailureKind::kCrash: return RunFailureKind::kCrash;
-  }
-  return RunFailureKind::kException;
-}
-
-dist::WireFailureKind wireKind(RunFailureKind kind) {
-  switch (kind) {
-    case RunFailureKind::kTimeout: return dist::WireFailureKind::kTimeout;
-    case RunFailureKind::kCancelled: return dist::WireFailureKind::kCancelled;
-    case RunFailureKind::kCrash: return dist::WireFailureKind::kCrash;
-    case RunFailureKind::kException:
-    case RunFailureKind::kWorkerLost:
-    case RunFailureKind::kHandshake:
-    case RunFailureKind::kFrameCorrupt:
-      // The last three are coordinator-local and cannot come out of the
-      // attempt loop; fold defensively onto the generic kind.
-      return dist::WireFailureKind::kException;
-  }
-  return dist::WireFailureKind::kException;
-}
-
 RunFailureKind incidentKind(dist::WorkerIncident::Kind kind) {
   switch (kind) {
     case dist::WorkerIncident::Kind::kWorkerLost:
@@ -66,10 +40,9 @@ RunFailureKind incidentKind(dist::WorkerIncident::Kind kind) {
 dist::TaskResult failedResult(std::uint64_t taskId, std::string error) {
   dist::TaskResult result;
   result.taskId = taskId;
-  result.hasFailure = true;
-  result.failure.kind = dist::WireFailureKind::kException;
-  result.failure.attempts = 1;
-  result.failure.error = std::move(error);
+  RunFailure& failure = result.outcome.failure.emplace();
+  failure.attempts = 1;
+  failure.error = std::move(error);
   return result;
 }
 
@@ -110,28 +83,16 @@ dist::JobSpec makeJobSpec(const SweepConfig& config,
 
 TaskOutcome resultToOutcome(const dist::TaskResult& result, int cores) {
   TaskOutcome outcome;
-  if (result.hasProfile) {
-    outcome.profile = result.profile;
-  }
-  if (result.hasFailure) {
-    RunFailure failure;
-    failure.cores = cores;
-    failure.attempts = result.failure.attempts;
-    failure.error = result.failure.error;
-    failure.recovered = result.failure.recovered;
-    failure.kind = localKind(result.failure.kind);
-    failure.signal = result.failure.signal;
-    failure.rlimit = result.failure.rlimit;
-    failure.stderrTail = result.failure.stderrTail;
-    outcome.failure = std::move(failure);
-  }
-  if (!result.hasProfile && !result.hasFailure) {
-    RunFailure failure;
-    failure.cores = cores;
+  outcome.profile = result.outcome.profile;
+  outcome.failure = result.outcome.failure;
+  if (!outcome.profile.has_value() && !outcome.failure.has_value()) {
+    RunFailure& failure = outcome.failure.emplace();
     failure.attempts = 1;
     failure.kind = RunFailureKind::kFrameCorrupt;
     failure.error = "task result carried neither profile nor failure";
-    outcome.failure = std::move(failure);
+  }
+  if (outcome.failure.has_value()) {
+    outcome.failure->cores = cores;
   }
   return outcome;
 }
@@ -190,28 +151,14 @@ dist::TaskResult runSweepJob(const dist::JobSpec& job,
   context.maxAttempts = std::max(1, job.maxAttempts);
   context.poolSize = 1;
   TaskOutcome outcome = runCoreCountTask(context, job.cores);
-
-  dist::TaskResult result;
-  result.taskId = job.taskId;
-  if (outcome.profile.has_value()) {
-    result.hasProfile = true;
-    result.profile = std::move(*outcome.profile);
-  }
-  if (outcome.failure.has_value()) {
-    result.hasFailure = true;
-    result.failure.kind = wireKind(outcome.failure->kind);
-    result.failure.attempts = outcome.failure->attempts;
-    result.failure.recovered = outcome.failure->recovered;
-    result.failure.error = outcome.failure->error;
-    result.failure.signal = outcome.failure->signal;
-    result.failure.rlimit = outcome.failure->rlimit;
-    result.failure.stderrTail = outcome.failure->stderrTail;
-  }
-  if (!result.hasProfile && !result.hasFailure) {
+  if (!outcome.profile.has_value() && !outcome.failure.has_value()) {
     // The attempt loop only yields an empty outcome when a sweep-level
     // stop fired, which a worker never arms; keep the invariant anyway.
     return failedResult(job.taskId, "task produced no outcome");
   }
+  dist::TaskResult result;
+  result.taskId = job.taskId;
+  result.outcome = std::move(outcome);
   return result;
 }
 

@@ -3,9 +3,10 @@
 // Failure isolation and resumability for sweep harnesses. A sweep over
 // many core counts is the unit of work the whole methodology hangs on;
 // one crashed or degenerate run must not throw away the survivors. This
-// header holds the structured failure record runSweep emits and the
-// checkpoint that lets an interrupted sweep resume without re-simulating
-// completed core counts.
+// header names the structured failure record runSweep emits (defined in
+// exec/ipc, shared with the isolated child and the fleet wire) and holds
+// the checkpoint that lets an interrupted sweep resume without
+// re-simulating completed core counts.
 //
 // Checkpoint format v3: JSON is only the container. The header names the
 // sweep (program and machine as readable labels, plus "config", a CRC-32
@@ -27,66 +28,15 @@
 #include <vector>
 
 #include "common/expected.hpp"
+#include "exec/ipc.hpp"
 #include "perf/run_profile.hpp"
 
 namespace occm::analysis {
 
-/// How a sweep run came to fail. The first four are outcomes of the run
-/// itself (and the only kinds a distributed worker can put on the wire);
-/// the last three are coordinator-local evidence about the *fleet* —
-/// recorded for diagnosis, always considered recovered once another
-/// dispatch of the same task settles it.
-enum class RunFailureKind : std::uint8_t {
-  kException,     ///< the run (or a beforeRun hook) threw
-  kTimeout,       ///< per-run deadline or cycle budget fired
-  kCancelled,     ///< whole-sweep cancellation observed mid-run
-  kCrash,         ///< isolated child died hard: signal, rlimit, bad frame
-  kWorkerLost,    ///< distributed: lease lost (death, eviction, expiry)
-  kHandshake,     ///< distributed: worker failed the versioned handshake
-  kFrameCorrupt,  ///< distributed: stream failed frame/message validation
-};
-
-[[nodiscard]] constexpr const char* toString(RunFailureKind kind) noexcept {
-  switch (kind) {
-    case RunFailureKind::kException: return "exception";
-    case RunFailureKind::kTimeout: return "timeout";
-    case RunFailureKind::kCancelled: return "cancelled";
-    case RunFailureKind::kCrash: return "crash";
-    case RunFailureKind::kWorkerLost: return "worker-lost";
-    case RunFailureKind::kHandshake: return "handshake";
-    case RunFailureKind::kFrameCorrupt: return "frame-corrupt";
-  }
-  return "unknown";
-}
-
-/// One core count that misbehaved during a sweep: either it eventually
-/// recovered on a seed-perturbed retry, or it exhausted its attempts and
-/// is absent from the results.
-struct RunFailure {
-  int cores = 0;
-  int attempts = 0;        ///< total attempts made (1 = failed first try)
-  std::string error;       ///< what() of the last exception
-  bool recovered = false;  ///< a retry eventually produced a profile
-  /// Resolved sweep pool size when the failure was recorded (1 = serial);
-  /// lets a partially-merged parallel sweep be diagnosed from its records.
-  int poolSize = 1;
-  /// Timeouts and cancellations are lifecycle outcomes, not retried, and
-  /// never persisted to the checkpoint (a resume should re-attempt them).
-  /// Crashes behave like exceptions: retried, and persisted so a resumed
-  /// sweep keeps the evidence.
-  RunFailureKind kind = RunFailureKind::kException;
-  /// kCrash only: signal that terminated the isolated child (0 = the
-  /// child exited with a nonzero status instead).
-  int signal = 0;
-  /// kCrash only: resource limit that explains the death —
-  /// "address-space" (RLIMIT_AS) or "cpu" (RLIMIT_CPU) — or empty.
-  std::string rlimit;
-  /// kCrash only: bounded, printable-ASCII tail of the child's stderr.
-  std::string stderrTail;
-  /// Distributed kinds only: id of the worker the incident names (or
-  /// "peer fd N" for a pre-handshake connection); empty otherwise.
-  std::string worker;
-};
+/// The failure record and its kinds live in exec/ipc, where the
+/// isolated child, the fleet wire and the sweep share them.
+using exec::RunFailure;
+using exec::RunFailureKind;
 
 /// Why a checkpoint failed to load.
 enum class CheckpointErrorKind : std::uint8_t {

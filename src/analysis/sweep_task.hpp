@@ -9,6 +9,13 @@
 // task run in-process, so the deterministic request-order merge cannot
 // tell them apart.
 //
+// One attempt loop classifies every attempt once. An attempt runs here
+// or in a forked child (exec::runInChild) and ends as an exec::RunOutcome
+// either way — in-process exceptions go through the same caughtFailure
+// the child uses. Then one rule applies: a kCancelled attempt whose
+// deadline expired is a kTimeout; a timeout or a cancel ends the task;
+// an exception or a crash is retried under a perturbed seed.
+//
 // Lifecycle control is one token: each attempt arms its wall deadline
 // (RunTaskContext::wallSeconds) onto the sweep-wide stop token, and the
 // simulator (in-process) or the fork supervisor (isolated) polls it. The
@@ -68,9 +75,8 @@ struct SweepLimits {
 };
 
 /// Everything one (core count) task produces; merged in request order.
-struct TaskOutcome {
-  std::optional<perf::RunProfile> profile;
-  std::optional<RunFailure> failure;  ///< recovered retry or permanent
+/// `failure` is a recovered retry's record or the permanent one.
+struct TaskOutcome : exec::RunOutcome {
   bool restored = false;
   /// Sweep-level stop observed before the task started: no attempt was
   /// made, no failure is recorded, and the core count stays pending so a

@@ -130,6 +130,19 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
                      WorkerIncident::Kind::kFrameCorrupt);
           return;
         }
+        // A profile measured at another core count would land in this
+        // task's slot and be checkpointed there.
+        const std::optional<perf::RunProfile>& profile =
+            message.result.outcome.profile;
+        if (profile.has_value() && profile->activeCores != jobs[taskId].cores) {
+          loseWorker(conn, "result for task " + std::to_string(taskId) +
+                               " ran on " +
+                               std::to_string(profile->activeCores) +
+                               " cores, the job asked for " +
+                               std::to_string(jobs[taskId].cores),
+                     WorkerIncident::Kind::kFrameCorrupt);
+          return;
+        }
         std::erase(conn.state.assigned, taskId);
         if (leases.completeTask(taskId)) {
           settled[taskId] = true;

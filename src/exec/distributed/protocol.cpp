@@ -8,6 +8,7 @@ namespace {
 
 using topology::CacheLevelSpec;
 using topology::MachineSpec;
+using wire::putBool;
 using wire::putF64;
 using wire::putI32;
 using wire::putString;
@@ -15,29 +16,6 @@ using wire::putU32;
 using wire::putU64;
 using wire::putU8;
 using wire::Reader;
-
-void putBool(std::string& out, bool value) {
-  putU8(out, value ? 1 : 0);
-}
-
-bool readBool(Reader& in, const char* what) {
-  const std::uint8_t value = in.u8();
-  if (in.ok() && value > 1) {
-    in.fail(std::string(what) + " flag is " + std::to_string(value) +
-            ", expected 0 or 1");
-  }
-  return value == 1;
-}
-
-/// Reads an enum stored as u8 and range-checks it against `maxValue`.
-std::uint8_t readEnum(Reader& in, const char* what, std::uint8_t maxValue) {
-  const std::uint8_t value = in.u8();
-  if (in.ok() && value > maxValue) {
-    in.fail(std::string(what) + " value " + std::to_string(value) +
-            " out of range (max " + std::to_string(maxValue) + ")");
-  }
-  return value;
-}
 
 void putMachine(std::string& out, const MachineSpec& m) {
   putString(out, m.name);
@@ -97,16 +75,16 @@ MachineSpec readMachine(Reader& in) {
     c.lineSize = in.u64();
     c.associativity = in.u32();
     c.hitLatency = in.u64();
-    c.scope = static_cast<topology::CacheScope>(readEnum(
-        in, "cache scope",
+    c.scope = static_cast<topology::CacheScope>(in.enumU8(
+        "cache scope",
         static_cast<std::uint8_t>(topology::CacheScope::kMachine)));
     m.caches.push_back(c);
   }
-  m.memoryArchitecture = static_cast<topology::MemoryArchitecture>(readEnum(
-      in, "memory architecture",
+  m.memoryArchitecture = static_cast<topology::MemoryArchitecture>(in.enumU8(
+      "memory architecture",
       static_cast<std::uint8_t>(topology::MemoryArchitecture::kNuma)));
-  m.controllerScope = static_cast<topology::ControllerScope>(readEnum(
-      in, "controller scope",
+  m.controllerScope = static_cast<topology::ControllerScope>(in.enumU8(
+      "controller scope",
       static_cast<std::uint8_t>(topology::ControllerScope::kPerDie)));
   m.channelsPerController = in.i32();
   m.dramLatency = in.u64();
@@ -173,66 +151,16 @@ JobSpec readJob(Reader& in) {
   // Placement/service enums live in mem::, which exec does not name;
   // range bounds match mem::PlacementPolicy and mem::ServiceDiscipline
   // (re-validated by the analysis glue that rebuilds the SimConfig).
-  job.memPlacement = readEnum(in, "placement policy", 3);
-  job.memService = readEnum(in, "service discipline", 1);
+  job.memPlacement = in.enumU8("placement policy", 3);
+  job.memService = in.enumU8("service discipline", 1);
   job.memSeed = in.u64();
-  job.enableSampler = readBool(in, "sampler");
+  job.enableSampler = in.flag("sampler");
   job.samplerWindowNs = in.f64();
   job.syncHorizon = in.u64();
   job.cycleBudget = in.u64();
   job.simSeed = in.u64();
   job.faultPlanJson = in.str();
   return job;
-}
-
-void putFailure(std::string& out, const TaskFailure& failure) {
-  putU8(out, static_cast<std::uint8_t>(failure.kind));
-  putI32(out, failure.attempts);
-  putBool(out, failure.recovered);
-  putString(out, failure.error);
-  putI32(out, failure.signal);
-  putString(out, failure.rlimit);
-  putString(out, failure.stderrTail);
-}
-
-TaskFailure readFailure(Reader& in) {
-  TaskFailure failure;
-  failure.kind = static_cast<WireFailureKind>(readEnum(
-      in, "failure kind",
-      static_cast<std::uint8_t>(WireFailureKind::kCrash)));
-  failure.attempts = in.i32();
-  failure.recovered = readBool(in, "recovered");
-  failure.error = in.str();
-  failure.signal = in.i32();
-  failure.rlimit = in.str();
-  failure.stderrTail = in.str();
-  return failure;
-}
-
-void putResult(std::string& out, const TaskResult& result) {
-  putU64(out, result.taskId);
-  putBool(out, result.hasProfile);
-  if (result.hasProfile) {
-    wire::putProfile(out, result.profile);
-  }
-  putBool(out, result.hasFailure);
-  if (result.hasFailure) {
-    putFailure(out, result.failure);
-  }
-}
-
-TaskResult readResult(Reader& in) {
-  TaskResult result;
-  result.taskId = in.u64();
-  result.hasProfile = readBool(in, "has-profile");
-  if (in.ok() && result.hasProfile) {
-    result.profile = wire::readProfile(in);
-  }
-  result.hasFailure = readBool(in, "has-failure");
-  if (in.ok() && result.hasFailure) {
-    result.failure = readFailure(in);
-  }
-  return result;
 }
 
 }  // namespace
@@ -256,7 +184,8 @@ std::string encodeMessage(const WireMessage& message) {
       putJob(out, message.job);
       break;
     case WireMessage::Kind::kResult:
-      putResult(out, message.result);
+      putU64(out, message.result.taskId);
+      wire::putOutcome(out, message.result.outcome);
       break;
     case WireMessage::Kind::kPing:
     case WireMessage::Kind::kPong:
@@ -295,7 +224,8 @@ Expected<WireMessage, IpcError> decodeMessage(std::string_view payload) {
       break;
     case static_cast<std::uint8_t>(WireMessage::Kind::kResult):
       message.kind = WireMessage::Kind::kResult;
-      message.result = readResult(in);
+      message.result.taskId = in.u64();
+      message.result.outcome = wire::readOutcome(in);
       break;
     case static_cast<std::uint8_t>(WireMessage::Kind::kPing):
       message.kind = WireMessage::Kind::kPing;

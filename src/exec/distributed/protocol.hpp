@@ -13,10 +13,12 @@
 // as its canonical JSON. The analysis glue (analysis/distributed_sweep)
 // maps JobSpec <-> SweepConfig and injects the task runner.
 //
-// The wire failure enum has exactly the four kinds a *run* can produce
-// (exception / timeout / cancelled / crash). Coordinator-local outcomes —
-// a worker that died mid-lease, a handshake that failed, a corrupt frame
-// — are never on the wire; the coordinator synthesizes them itself.
+// A kResult is the task id followed by the run's outcome in the one
+// outcome encoding (exec/wire_codec putOutcome), so it carries only the
+// four kinds a *run* can produce (exception / timeout / cancelled /
+// crash). Coordinator-local outcomes — a worker that died mid-lease, a
+// handshake that failed, a corrupt frame — are never on the wire; the
+// coordinator synthesizes them itself.
 //
 // Versioned handshake: a worker opens with kHello carrying
 // kProtocolVersion; the coordinator answers kWelcome (same version) or
@@ -73,33 +75,11 @@ struct JobSpec {
   std::string faultPlanJson;
 };
 
-/// The four ways a run itself can fail (mirrors the retained subset of
-/// analysis::RunFailureKind; coordinator-local kinds never appear here).
-enum class WireFailureKind : std::uint8_t {
-  kException = 0,
-  kTimeout = 1,
-  kCancelled = 2,
-  kCrash = 3,
-};
-
-struct TaskFailure {
-  WireFailureKind kind = WireFailureKind::kException;
-  int attempts = 0;
-  bool recovered = false;
-  std::string error;
-  int signal = 0;       ///< kCrash only
-  std::string rlimit;   ///< kCrash only
-  std::string stderrTail;  ///< kCrash only
-};
-
-/// What a worker reports for one finished task: a profile, a failure
-/// record, or both (a recovered retry has a failure *and* a profile).
+/// What a worker reports for one finished task: the task's outcome, the
+/// same record an isolated child reports to its supervisor.
 struct TaskResult {
   std::uint64_t taskId = 0;
-  bool hasProfile = false;
-  perf::RunProfile profile;
-  bool hasFailure = false;
-  TaskFailure failure;
+  RunOutcome outcome;
 };
 
 /// One frame payload in either direction. A tagged union kept flat (the

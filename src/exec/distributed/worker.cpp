@@ -74,11 +74,9 @@ class TaskThread {
         result = runTask_(job);
       } catch (const std::exception& e) {
         // The runner promised not to throw; keep the contract for it.
-        result.taskId = job.taskId;
-        result.hasFailure = true;
-        result.failure.kind = WireFailureKind::kException;
-        result.failure.attempts = 1;
-        result.failure.error = e.what();
+        RunFailure& failure = result.outcome.failure.emplace();
+        failure.attempts = 1;
+        failure.error = e.what();
       }
       result.taskId = job.taskId;
       lock.lock();

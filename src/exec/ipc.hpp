@@ -1,8 +1,8 @@
 #pragma once
 
-// The frame and the isolation message shared by every framed channel in
-// the repo. A frame is magic, u32 payload length, payload, u32 CRC-32 of
-// the payload; encodeFrame builds one, and the one reader of frames is
+// The frame and the outcome record shared by every framed channel in the
+// repo. A frame is magic, u32 payload length, payload, u32 CRC-32 of the
+// payload; encodeFrame builds one, and the one reader of frames is
 // exec/frame_transport's FrameReassembler, which validates magic, length
 // cap and CRC for pipes and sockets alike. The fixed-width little-endian
 // encoding means bytes produced by a forked child or a remote worker
@@ -10,13 +10,15 @@
 // "successful runs are bit-identical to in-process runs" guarantee
 // (DESIGN.md §11).
 //
-// ChildMessage is what an isolated sweep child reports to its supervisor
-// over the result pipe: the full perf::RunProfile on success, or the
-// typed failure the child caught. Its decoder is hardened against
-// arbitrary bytes: every read is bounds-checked, counts and string
-// lengths are capped, and any deviation produces a typed IpcError naming
-// the byte offset — never a throw, never UB. fuzz/fuzz_ipc_frame.cpp
-// drives it with libFuzzer.
+// RunOutcome is how one run ended, wherever it ran: a profile, a
+// RunFailure, or both (a retry that recovered). The isolated child sends
+// it to its supervisor, runInChild returns it, a fleet worker puts it in
+// its kResult, and the sweep merges it. One codec carries it on the pipe
+// and on the fleet wire (exec/wire_codec putOutcome/readOutcome), whose
+// decoder is hardened against arbitrary bytes: every read is
+// bounds-checked, counts and string lengths are capped, and any deviation
+// produces a typed IpcError naming the byte offset — never a throw, never
+// UB. fuzz/fuzz_ipc_frame.cpp drives it with libFuzzer.
 //
 // Not serialized: RunProfile::trace (the observability payload). A child
 // ships counters, per-core sets, controller stats, miss windows and fault
@@ -24,10 +26,10 @@
 // IsolationConfig).
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
-#include "common/expected.hpp"
 #include "perf/run_profile.hpp"
 
 namespace occm::exec {
@@ -56,30 +58,76 @@ struct IpcError {
   [[nodiscard]] std::string message() const;
 };
 
-/// What one isolated attempt reports back over the pipe.
-struct ChildMessage {
-  enum class Kind : std::uint8_t {
-    kProfile = 1,    ///< the run completed; `profile` is the result
-    kException = 2,  ///< the run threw; `error` is what()
-    kAborted = 3,    ///< RunAborted unwound the run (budget/cancel)
-  };
-
-  Kind kind = Kind::kException;
-  perf::RunProfile profile;  ///< kProfile only
-  std::string error;         ///< kException / kAborted
-  /// kAborted only: the AbortReason's numeric value and the cycle it
-  /// fired at, so the parent can rethrow an equivalent RunAborted.
-  std::uint8_t abortReason = 0;
-  std::uint64_t abortCycle = 0;
+/// How a run came to fail. The first four are outcomes of the run itself
+/// and the only kinds the outcome codec carries (their values 0–3 are
+/// wire bytes); the last three are coordinator-local evidence about the
+/// *fleet* — recorded for diagnosis, always considered recovered once
+/// another dispatch of the same task settles it.
+enum class RunFailureKind : std::uint8_t {
+  kException,     ///< the run (or a beforeRun hook) threw
+  kTimeout,       ///< per-run deadline or cycle budget fired
+  kCancelled,     ///< whole-sweep cancellation observed mid-run
+  kCrash,         ///< isolated child died hard: signal, rlimit, bad frame
+  kWorkerLost,    ///< distributed: lease lost (death, eviction, expiry)
+  kHandshake,     ///< distributed: worker failed the versioned handshake
+  kFrameCorrupt,  ///< distributed: stream failed frame/message validation
 };
 
-/// Serializes a message payload (no frame header; see encodeFrame).
-[[nodiscard]] std::string encodeChildMessage(const ChildMessage& message);
+[[nodiscard]] constexpr const char* toString(RunFailureKind kind) noexcept {
+  switch (kind) {
+    case RunFailureKind::kException: return "exception";
+    case RunFailureKind::kTimeout: return "timeout";
+    case RunFailureKind::kCancelled: return "cancelled";
+    case RunFailureKind::kCrash: return "crash";
+    case RunFailureKind::kWorkerLost: return "worker-lost";
+    case RunFailureKind::kHandshake: return "handshake";
+    case RunFailureKind::kFrameCorrupt: return "frame-corrupt";
+  }
+  return "unknown";
+}
 
-/// Decodes what encodeChildMessage produced. Bounds-checked on every
-/// field; arbitrary bytes yield a typed error, never a crash.
-[[nodiscard]] Expected<ChildMessage, IpcError> decodeChildMessage(
-    std::string_view payload);
+/// One core count that misbehaved during a sweep: either it eventually
+/// recovered on a seed-perturbed retry, or it exhausted its attempts and
+/// is absent from the results.
+struct RunFailure {
+  int cores = 0;
+  int attempts = 0;        ///< total attempts made (1 = failed first try)
+  std::string error;       ///< what() of the last exception
+  bool recovered = false;  ///< a retry eventually produced a profile
+  /// Resolved sweep pool size when the failure was recorded (1 = serial);
+  /// lets a partially-merged parallel sweep be diagnosed from its records.
+  int poolSize = 1;
+  /// Timeouts and cancellations are lifecycle outcomes, not retried, and
+  /// never persisted to the checkpoint (a resume should re-attempt them).
+  /// Crashes behave like exceptions: retried, and persisted so a resumed
+  /// sweep keeps the evidence.
+  RunFailureKind kind = RunFailureKind::kException;
+  /// Signal that terminated an isolated child: the death signal of a
+  /// kCrash (0 = the child exited with a nonzero status instead), or
+  /// SIGKILL when the supervisor killed it (kCancelled / kTimeout).
+  int signal = 0;
+  /// kCrash only: resource limit that explains the death —
+  /// "address-space" (RLIMIT_AS) or "cpu" (RLIMIT_CPU) — or empty.
+  std::string rlimit;
+  /// kCrash only: bounded, printable-ASCII tail of the child's stderr.
+  std::string stderrTail;
+  /// Distributed kinds only: id of the worker the incident names (or
+  /// "peer fd N" for a pre-handshake connection); empty otherwise.
+  std::string worker;
+};
+
+/// How one run ended: a profile, a failure, or both (a recovered retry
+/// has a failure record *and* a profile).
+struct RunOutcome {
+  std::optional<perf::RunProfile> profile;
+  std::optional<RunFailure> failure;
+};
+
+/// The failure record of the exception being handled — call it only
+/// inside a catch block. RunAborted is a kTimeout when its reason is
+/// kCycleBudget and a kCancelled otherwise; any other exception is a
+/// kException carrying what(). Only kind and error are filled in.
+[[nodiscard]] RunFailure caughtFailure();
 
 /// Wraps a payload in the wire frame: magic, u32 length, payload bytes,
 /// u32 CRC-32 of the payload.

@@ -16,7 +16,7 @@
 
 #include "common/error.hpp"
 #include "exec/frame_transport.hpp"
-#include "exec/ipc.hpp"
+#include "exec/wire_codec.hpp"
 #include "fault/crash_injection.hpp"
 
 namespace occm::exec {
@@ -56,7 +56,7 @@ void applyLimit(int resource, std::uint64_t value) {
   ::setrlimit(resource, &limit);
 }
 
-/// Child side: apply limits, run the work, frame the outcome, _exit.
+/// Child side: apply limits, run the work, frame its outcome, _exit.
 /// Never returns to the caller's stack; _exit (not exit) skips atexit
 /// handlers and parent-inherited stdio flushes.
 [[noreturn]] void childMain(int resultFd,
@@ -67,25 +67,17 @@ void applyLimit(int resource, std::uint64_t value) {
   if (limits.memoryBytes > 0) {
     std::set_new_handler(oomAbortHandler);
   }
-  ChildMessage message;
+  RunOutcome outcome;
   try {
-    message.profile = work();
-    message.kind = ChildMessage::Kind::kProfile;
-  } catch (const RunAborted& aborted) {
-    message.kind = ChildMessage::Kind::kAborted;
-    message.error = aborted.what();
-    message.abortReason = static_cast<std::uint8_t>(aborted.reason());
-    message.abortCycle = aborted.atCycle();
-  } catch (const std::exception& e) {
-    message.kind = ChildMessage::Kind::kException;
-    message.error = e.what();
+    outcome.profile = work();
   } catch (...) {
-    message.kind = ChildMessage::Kind::kException;
-    message.error = "unknown exception escaped the isolated run";
+    outcome.failure = caughtFailure();
   }
+  std::string payload;
+  wire::putOutcome(payload, outcome);
   // A failed send needs no handling here: the supervisor sees no frame
   // and reports the clean exit as a crash. The transport closes resultFd.
-  makePipeTransport(-1, resultFd)->sendFrame(encodeChildMessage(message));
+  makePipeTransport(-1, resultFd)->sendFrame(payload);
   ::_exit(0);
 }
 
@@ -122,8 +114,8 @@ const char* signalName(int sig) {
 
 }  // namespace
 
-ChildOutcome runInChild(const std::function<perf::RunProfile()>& work,
-                        const ProcessRunnerConfig& config) {
+RunOutcome runInChild(const std::function<perf::RunProfile()>& work,
+                      const ProcessRunnerConfig& config) {
   OCCM_REQUIRE_MSG(static_cast<bool>(work),
                    "runInChild needs a work function");
   int resultPipe[2];
@@ -257,16 +249,17 @@ ChildOutcome runInChild(const std::function<perf::RunProfile()>& work,
     std::this_thread::sleep_for(std::chrono::milliseconds(kPollMillis));
   }
 
-  ChildOutcome outcome;
-  outcome.stderrTail = sanitizeTail(tail);
   const bool exited = WIFEXITED(status);
   const bool signalled = WIFSIGNALED(status);
   const int exitCode = exited ? WEXITSTATUS(status) : -1;
   const int deathSignal = signalled ? WTERMSIG(status) : 0;
 
+  RunOutcome outcome;
+  RunFailure& failure = outcome.failure.emplace();
   if (exited && exitCode == 0) {
-    // Clean exit: exactly one valid frame and nothing after it is
-    // authoritative; anything else is a child lying about success.
+    // Clean exit: exactly one valid frame holding one valid outcome, and
+    // nothing after it, is authoritative; anything else is a child lying
+    // about success.
     if (frameError.empty() && frames != 1) {
       frameError = frames == 0 ? "no result frame before EOF"
                                : std::to_string(frames) +
@@ -276,71 +269,54 @@ ChildOutcome runInChild(const std::function<perf::RunProfile()>& work,
       frameError = std::to_string(partialAtEof) +
                    " byte(s) after the result frame";
     }
+    failure.kind = RunFailureKind::kCrash;
+    failure.stderrTail = sanitizeTail(tail);
     if (!frameError.empty()) {
-      outcome.status = ChildStatus::kCrash;
-      outcome.exitCode = exitCode;
-      outcome.error = "child exited cleanly but its result frame is "
+      failure.error = "child exited cleanly but its result frame is "
                       "invalid: " + frameError;
       return outcome;
     }
-    auto message = decodeChildMessage(payload);
-    if (!message) {
-      outcome.status = ChildStatus::kCrash;
-      outcome.exitCode = exitCode;
-      outcome.error = "child exited cleanly but its result message is "
-                      "invalid: " + message.error().message();
+    auto sent = wire::decodeOutcome(payload);
+    if (!sent) {
+      failure.error = "child exited cleanly but its result message is "
+                      "invalid: " + sent.error().message();
       return outcome;
     }
-    switch (message->kind) {
-      case ChildMessage::Kind::kProfile:
-        outcome.status = ChildStatus::kOk;
-        outcome.profile = std::move(message->profile);
-        break;
-      case ChildMessage::Kind::kException:
-        outcome.status = ChildStatus::kException;
-        outcome.error = std::move(message->error);
-        break;
-      case ChildMessage::Kind::kAborted:
-        outcome.status = ChildStatus::kAborted;
-        outcome.error = std::move(message->error);
-        outcome.abortReason =
-            message->abortReason ==
-                    static_cast<std::uint8_t>(AbortReason::kCycleBudget)
-                ? AbortReason::kCycleBudget
-                : AbortReason::kCancelled;
-        outcome.abortCycle = message->abortCycle;
-        break;
+    if (sent->profile.has_value() == sent->failure.has_value()) {
+      failure.error = "child exited cleanly but its result message is "
+                      "invalid: it must hold a profile or a failure, not "
+                      "both or neither";
+      return outcome;
     }
-    return outcome;
+    return std::move(*sent);
   }
 
   if (killedByUs) {
-    outcome.status = ChildStatus::kKilled;
-    outcome.signal = SIGKILL;
-    outcome.error = "isolated run killed by the supervisor "
+    failure.kind = RunFailureKind::kCancelled;
+    failure.signal = SIGKILL;
+    failure.error = "isolated run killed by the supervisor "
                     "(cancellation or deadline)";
     return outcome;
   }
 
-  outcome.status = ChildStatus::kCrash;
-  outcome.signal = deathSignal;
-  outcome.exitCode = exitCode;
+  failure.kind = RunFailureKind::kCrash;
+  failure.signal = deathSignal;
+  failure.stderrTail = sanitizeTail(tail);
   if (deathSignal == SIGXCPU) {
-    outcome.rlimit = "cpu";
-  } else if (outcome.stderrTail.find(fault::kOutOfMemoryMarker) !=
+    failure.rlimit = "cpu";
+  } else if (failure.stderrTail.find(fault::kOutOfMemoryMarker) !=
              std::string::npos) {
-    outcome.rlimit = "address-space";
+    failure.rlimit = "address-space";
   }
   if (signalled) {
-    outcome.error = "child terminated by signal " +
+    failure.error = "child terminated by signal " +
                     std::to_string(deathSignal) + " (" +
                     signalName(deathSignal) + ")";
   } else {
-    outcome.error =
-        "child exited with status " + std::to_string(exitCode);
+    failure.error = "child exited with status " + std::to_string(exitCode);
   }
-  if (!outcome.rlimit.empty()) {
-    outcome.error += " after exceeding its " + outcome.rlimit + " limit";
+  if (!failure.rlimit.empty()) {
+    failure.error += " after exceeding its " + failure.rlimit + " limit";
   }
   return outcome;
 }

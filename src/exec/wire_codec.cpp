@@ -1,6 +1,7 @@
 #include "exec/wire_codec.hpp"
 
 #include <bit>
+#include <utility>
 
 namespace occm::exec::wire {
 
@@ -34,6 +35,8 @@ void putString(std::string& out, const std::string& value) {
   putU32(out, static_cast<std::uint32_t>(value.size()));
   out += value;
 }
+
+void putBool(std::string& out, bool value) { putU8(out, value ? 1 : 0); }
 
 void Reader::fail(const std::string& detail, bool truncated) {
   if (!ok_) {
@@ -98,6 +101,24 @@ std::string Reader::str() {
   std::string out(bytes_.substr(pos_, length));
   pos_ += length;
   return out;
+}
+
+bool Reader::flag(const char* what) {
+  const std::uint8_t value = u8();
+  if (ok_ && value > 1) {
+    fail(std::string(what) + " flag is " + std::to_string(value) +
+         ", expected 0 or 1");
+  }
+  return value == 1;
+}
+
+std::uint8_t Reader::enumU8(const char* what, std::uint8_t maxValue) {
+  const std::uint8_t value = u8();
+  if (ok_ && value > maxValue) {
+    fail(std::string(what) + " value " + std::to_string(value) +
+         " out of range (max " + std::to_string(maxValue) + ")");
+  }
+  return value;
 }
 
 std::size_t Reader::count(const char* what) {
@@ -265,6 +286,56 @@ perf::RunProfile readProfile(Reader& in) {
   profile.hotPath.issueTurns = in.u64();
   profile.hotPath.controllerTicks = in.u64();
   return profile;
+}
+
+void putOutcome(std::string& out, const RunOutcome& outcome) {
+  putBool(out, outcome.profile.has_value());
+  if (outcome.profile.has_value()) {
+    putProfile(out, *outcome.profile);
+  }
+  putBool(out, outcome.failure.has_value());
+  if (outcome.failure.has_value()) {
+    const RunFailure& failure = *outcome.failure;
+    putU8(out, static_cast<std::uint8_t>(failure.kind));
+    putI32(out, failure.attempts);
+    putBool(out, failure.recovered);
+    putString(out, failure.error);
+    putI32(out, failure.signal);
+    putString(out, failure.rlimit);
+    putString(out, failure.stderrTail);
+  }
+}
+
+RunOutcome readOutcome(Reader& in) {
+  RunOutcome outcome;
+  if (in.flag("has-profile") && in.ok()) {
+    outcome.profile = readProfile(in);
+  }
+  if (in.flag("has-failure") && in.ok()) {
+    RunFailure failure;
+    failure.kind = static_cast<RunFailureKind>(in.enumU8(
+        "failure kind", static_cast<std::uint8_t>(RunFailureKind::kCrash)));
+    failure.attempts = in.i32();
+    failure.recovered = in.flag("recovered");
+    failure.error = in.str();
+    failure.signal = in.i32();
+    failure.rlimit = in.str();
+    failure.stderrTail = in.str();
+    outcome.failure = std::move(failure);
+  }
+  return outcome;
+}
+
+Expected<RunOutcome, IpcError> decodeOutcome(std::string_view payload) {
+  Reader in(payload);
+  RunOutcome outcome = readOutcome(in);
+  if (in.ok() && !in.atEnd()) {
+    in.fail("trailing bytes after the outcome");
+  }
+  if (!in.ok()) {
+    return makeUnexpected(in.error());
+  }
+  return outcome;
 }
 
 }  // namespace occm::exec::wire

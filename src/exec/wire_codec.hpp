@@ -7,11 +7,17 @@
 // bounds-check semantics: every read is checked, counts and string
 // lengths are capped, and the first deviation latches a typed IpcError
 // naming the byte offset — never a throw, never UB on arbitrary bytes.
+//
+// Two records are encoded here because every channel carries them: a
+// run's profile (putProfile, also the checkpoint's run encoding) and a
+// run's outcome (putOutcome — the isolation pipe's whole payload and the
+// body of the fleet's kResult).
 
 #include <cstdint>
 #include <string>
 #include <string_view>
 
+#include "common/expected.hpp"
 #include "exec/ipc.hpp"
 #include "perf/run_profile.hpp"
 
@@ -29,6 +35,7 @@ void putU64(std::string& out, std::uint64_t value);
 void putI32(std::string& out, std::int32_t value);
 void putF64(std::string& out, double value);
 void putString(std::string& out, const std::string& value);
+void putBool(std::string& out, bool value);
 
 /// Bounds-checked cursor over untrusted bytes. The first failed read
 /// latches the error; subsequent reads return zeros so callers can decode
@@ -50,6 +57,10 @@ class Reader {
   std::int32_t i32();
   double f64();
   std::string str();
+  /// A u8 flag that must be 0 or 1; `what` names it in the error.
+  bool flag(const char* what);
+  /// An enum stored as u8, range-checked against `maxValue`.
+  std::uint8_t enumU8(const char* what, std::uint8_t maxValue);
   /// Element count for a vector; capped so corrupt bytes cannot reserve
   /// gigabytes.
   std::size_t count(const char* what);
@@ -68,5 +79,19 @@ class Reader {
 void putProfile(std::string& out, const perf::RunProfile& profile);
 /// Decodes what putProfile produced; deviations latch into the Reader.
 [[nodiscard]] perf::RunProfile readProfile(Reader& in);
+
+/// Serializes a run's outcome: a has-profile flag and the profile, then a
+/// has-failure flag and the failure's kind (u8), attempts, recovered,
+/// error, signal, rlimit and stderr tail. cores, poolSize and worker stay
+/// off the wire: the receiver knows which task it asked for. Only the
+/// four run kinds (kException..kCrash) may be encoded.
+void putOutcome(std::string& out, const RunOutcome& outcome);
+/// Decodes what putOutcome produced; a failure kind above kCrash latches
+/// an error. The caller checks for trailing bytes.
+[[nodiscard]] RunOutcome readOutcome(Reader& in);
+/// A whole payload that is one outcome and nothing more — the isolation
+/// pipe's decoder (readOutcome plus the end-of-payload check).
+[[nodiscard]] Expected<RunOutcome, IpcError> decodeOutcome(
+    std::string_view payload);
 
 }  // namespace occm::exec::wire

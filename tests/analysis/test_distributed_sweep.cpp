@@ -198,12 +198,14 @@ TEST(DistributedSweep, JobRunnerMatchesRunOnceBitForBit) {
   SweepConfig config = baseConfig();
   const exec::dist::JobSpec job = makeJobSpec(config, config.workload, 2, 9);
   const exec::dist::TaskResult result = runSweepJob(job, IsolationConfig{});
-  ASSERT_TRUE(result.hasProfile);
+  ASSERT_TRUE(result.outcome.profile.has_value());
+  EXPECT_FALSE(result.outcome.failure.has_value());
   EXPECT_EQ(result.taskId, 9u);
+  const perf::RunProfile& profile = *result.outcome.profile;
   const perf::RunProfile solo = runOnce(config.machine, config.workload, 2);
-  EXPECT_EQ(result.profile.counters.totalCycles, solo.counters.totalCycles);
-  EXPECT_EQ(result.profile.counters.stallCycles, solo.counters.stallCycles);
-  EXPECT_EQ(result.profile.makespan, solo.makespan);
+  EXPECT_EQ(profile.counters.totalCycles, solo.counters.totalCycles);
+  EXPECT_EQ(profile.counters.stallCycles, solo.counters.stallCycles);
+  EXPECT_EQ(profile.makespan, solo.makespan);
 }
 
 TEST(DistributedSweep, MalformedJobsFailSoftlyInsteadOfThrowing) {
@@ -213,29 +215,30 @@ TEST(DistributedSweep, MalformedJobsFailSoftlyInsteadOfThrowing) {
   exec::dist::JobSpec badProgram = job;
   badProgram.program = "NOT_A_PROGRAM";
   exec::dist::TaskResult result = runSweepJob(badProgram, IsolationConfig{});
-  EXPECT_FALSE(result.hasProfile);
-  ASSERT_TRUE(result.hasFailure);
-  EXPECT_EQ(result.failure.kind, exec::dist::WireFailureKind::kException);
-  EXPECT_NE(result.failure.error.find("NOT_A_PROGRAM"), std::string::npos);
+  EXPECT_FALSE(result.outcome.profile.has_value());
+  ASSERT_TRUE(result.outcome.failure.has_value());
+  EXPECT_EQ(result.outcome.failure->kind, RunFailureKind::kException);
+  EXPECT_NE(result.outcome.failure->error.find("NOT_A_PROGRAM"),
+            std::string::npos);
 
   exec::dist::JobSpec badClass = job;
   badClass.problemClass = "Z9";
   result = runSweepJob(badClass, IsolationConfig{});
-  EXPECT_FALSE(result.hasProfile);
-  ASSERT_TRUE(result.hasFailure);
+  EXPECT_FALSE(result.outcome.profile.has_value());
+  ASSERT_TRUE(result.outcome.failure.has_value());
 
   exec::dist::JobSpec badPlan = job;
   badPlan.faultPlanJson = "{not json";
   result = runSweepJob(badPlan, IsolationConfig{});
-  EXPECT_FALSE(result.hasProfile);
-  ASSERT_TRUE(result.hasFailure);
-  EXPECT_EQ(result.failure.kind, exec::dist::WireFailureKind::kException);
+  EXPECT_FALSE(result.outcome.profile.has_value());
+  ASSERT_TRUE(result.outcome.failure.has_value());
+  EXPECT_EQ(result.outcome.failure->kind, RunFailureKind::kException);
 
   exec::dist::JobSpec badCores = job;
   badCores.cores = 0;
   result = runSweepJob(badCores, IsolationConfig{});
-  EXPECT_FALSE(result.hasProfile);
-  ASSERT_TRUE(result.hasFailure);
+  EXPECT_FALSE(result.outcome.profile.has_value());
+  ASSERT_TRUE(result.outcome.failure.has_value());
 }
 
 }  // namespace

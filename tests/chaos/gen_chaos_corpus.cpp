@@ -4,7 +4,9 @@
 // same seeded fault schedule the chaos transport replays — drops,
 // duplicates, adjacent reorders, bit flips, truncations — so the fuzzers
 // start from the exact wire shapes the chaos drills produce instead of
-// rediscovering them from random bytes.
+// rediscovering them from random bytes. It also writes the seed corpus
+// of fuzz_ipc_frame: the three outcome payloads an isolated child sends
+// (a profile, an exception, a timeout), intact.
 //
 //   gen_chaos_corpus [corpus-root]   (default: fuzz/corpus)
 //
@@ -17,12 +19,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/chaos/chaos_transport.hpp"
 #include "exec/chaos/net_fault_plan.hpp"
 #include "exec/distributed/protocol.hpp"
 #include "exec/ipc.hpp"
+#include "exec/wire_codec.hpp"
 #include "serve/protocol.hpp"
 
 namespace {
@@ -59,9 +63,7 @@ std::vector<std::string> wirePayloads() {
   WireMessage result;
   result.kind = WireMessage::Kind::kResult;
   result.result.taskId = 3;
-  result.result.hasFailure = true;
-  result.result.failure.kind = WireFailureKind::kException;
-  result.result.failure.error = "chaos ate my homework";
+  result.result.outcome.failure.emplace().error = "chaos ate my homework";
   payloads.push_back(encodeMessage(result));
 
   WireMessage ping;
@@ -73,6 +75,45 @@ std::vector<std::string> wirePayloads() {
   shutdown.kind = WireMessage::Kind::kShutdown;
   shutdown.reason = "drain";
   payloads.push_back(encodeMessage(shutdown));
+
+  return payloads;
+}
+
+/// The isolation pipe's payloads, by file name: one outcome of each kind
+/// a child sends.
+std::vector<std::pair<std::string, std::string>> ipcPayloads() {
+  std::vector<std::pair<std::string, std::string>> payloads;
+  const auto add = [&payloads](const char* name,
+                               const exec::RunOutcome& outcome) {
+    std::string payload;
+    exec::wire::putOutcome(payload, outcome);
+    payloads.emplace_back(name, std::move(payload));
+  };
+
+  exec::RunOutcome profile;
+  perf::RunProfile& run = profile.profile.emplace();
+  run.program = "CG.S";
+  run.machine = "test-numa-4";
+  run.threads = 4;
+  run.activeCores = 2;
+  run.counters = {1'000, 400, 2'500, 60};
+  run.perCore = {{500, 200, 1'250, 30}, {500, 200, 1'250, 30}};
+  run.controllerStats.resize(1);
+  run.controllerStats[0].requests = 60;
+  run.channelsPerController = 2;
+  run.missWindows = {3, 0, 5};
+  run.faultEpochs.push_back({"ecc-spike", 0, 100, 200, 0.05});
+  add("profile.bin", profile);
+
+  exec::RunOutcome exception;
+  exception.failure.emplace().error = "workload threw";
+  add("exception.bin", exception);
+
+  exec::RunOutcome timeout;
+  exec::RunFailure& budget = timeout.failure.emplace();
+  budget.kind = exec::RunFailureKind::kTimeout;
+  budget.error = "run exceeded its cycle budget";
+  add("timeout.bin", timeout);
 
   return payloads;
 }
@@ -203,9 +244,11 @@ int main(int argc, char** argv) {
   const std::filesystem::path root = argc > 1 ? argv[1] : "fuzz/corpus";
   const std::filesystem::path wireDir = root / "wire_message";
   const std::filesystem::path serveDir = root / "serve_message";
+  const std::filesystem::path ipcDir = root / "ipc_frame";
   std::error_code ec;
   std::filesystem::create_directories(wireDir, ec);
   std::filesystem::create_directories(serveDir, ec);
+  std::filesystem::create_directories(ipcDir, ec);
 
   const std::vector<std::string> wire = wirePayloads();
   const std::vector<std::string> serve = servePayloads();
@@ -248,6 +291,9 @@ int main(int argc, char** argv) {
     ok = writeFile(serveDir / ("canonical_" + std::to_string(i) + ".bin"),
                    serve[i]) &&
          ok;
+  }
+  for (const auto& [name, payload] : ipcPayloads()) {
+    ok = writeFile(ipcDir / name, payload) && ok;
   }
   return ok ? 0 : 1;
 }

@@ -1,7 +1,7 @@
 // Regression drills for the network-hardening fixes the chaos layer
 // exposed: the coordinator's handshake deadline, admission cap and
 // protocol-violation incidents (wrong version, second hello, unknown task
-// id, bit-flipped frame), a worker reset counted once, the worker's
+// id, a profile for the wrong core count, bit-flipped frame), a worker reset counted once, the worker's
 // asymmetric-partition idle timeout and its budgeted give-up on an
 // undecodable message, and the advisor server's slowloris
 // guard, half-close grace, abrupt-close containment, response count and
@@ -82,9 +82,7 @@ exec::dist::TaskRunner trivialRunner() {
   return [](const exec::dist::JobSpec& job) {
     exec::dist::TaskResult result;
     result.taskId = job.taskId;
-    result.hasFailure = true;
-    result.failure.kind = exec::dist::WireFailureKind::kException;
-    result.failure.error = "synthetic result";
+    result.outcome.failure.emplace().error = "synthetic result";
     return result;
   };
 }
@@ -324,6 +322,47 @@ TEST(NetHardening, CoordinatorFlagsResultForUnknownTaskAsCorrupt) {
   coord.settleWithRealWorker();
   EXPECT_TRUE(coord.sawIncident(
       exec::dist::WorkerIncident::Kind::kFrameCorrupt, "unknown task id 99"));
+}
+
+TEST(NetHardening, CoordinatorFlagsResultForWrongCoreCountAsCorrupt) {
+  CoordinatorHarness coord;
+  coord.start();
+  ASSERT_GT(coord.port, 0);
+
+  auto fd = exec::connectTcp("127.0.0.1", coord.port, 5'000);
+  ASSERT_TRUE(fd) << fd.error();
+  const int rawFd = *fd;
+  auto peer = exec::makeSocketTransport(rawFd);
+  ASSERT_TRUE(peer->sendFrame(exec::dist::encodeMessage(hello("liar"))));
+  const auto welcome = recvWire(*peer);
+  ASSERT_TRUE(welcome.has_value());
+  EXPECT_EQ(welcome->kind, exec::dist::WireMessage::Kind::kWelcome);
+  const auto assign = recvWire(*peer);
+  ASSERT_TRUE(assign.has_value());
+  ASSERT_EQ(assign->kind, exec::dist::WireMessage::Kind::kAssign);
+  ASSERT_EQ(assign->job.cores, 1);
+  // A profile for the right task id, measured on the wrong core count.
+  exec::dist::WireMessage bogus;
+  bogus.kind = exec::dist::WireMessage::Kind::kResult;
+  bogus.result.taskId = assign->job.taskId;
+  bogus.result.outcome.profile.emplace().activeCores = 3;
+  ASSERT_TRUE(peer->sendFrame(exec::dist::encodeMessage(bogus)));
+  EXPECT_TRUE(awaitPeerClose(rawFd, 10'000));
+  peer.reset();
+
+  // The lease goes back to the pool and the real worker settles it.
+  coord.settleWithRealWorker();
+  EXPECT_TRUE(coord.sawIncident(
+      exec::dist::WorkerIncident::Kind::kFrameCorrupt,
+      "ran on 3 cores, the job asked for 1"));
+  bool namedTheTask = false;
+  for (const exec::dist::WorkerIncident& incident : coord.report.incidents) {
+    if (incident.worker == "liar" && incident.taskId.has_value() &&
+        *incident.taskId == 0) {
+      namedTheTask = true;
+    }
+  }
+  EXPECT_TRUE(namedTheTask);
 }
 
 TEST(NetHardening, CoordinatorDropsBitFlippedFrame) {

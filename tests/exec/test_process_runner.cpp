@@ -1,10 +1,11 @@
-// Crash-containment tests for the process isolation runner: the child
-// message codec round-trips a fully populated RunProfile bit-exactly and
-// rejects truncation with typed errors, and runInChild decodes every way
-// a child can end — clean profile, exception, signal death (SIGKILL /
-// SIGSEGV / abort), RLIMIT_AS exhaustion, supervisor kill, a clean exit
-// with a missing, trailing or oversized result frame — into a structured
-// ChildOutcome without ever crashing the parent.
+// Crash-containment tests for the process isolation runner: the outcome
+// codec round-trips a fully populated RunProfile bit-exactly and every
+// run failure kind field by field, and rejects truncation and unknown
+// kinds with typed errors; runInChild returns every way a child can end —
+// clean profile, exception, abort, signal death (SIGKILL / SIGSEGV /
+// abort), RLIMIT_AS exhaustion, supervisor kill, a clean exit with a
+// missing, trailing or oversized result frame — as one RunOutcome without
+// ever crashing the parent.
 //
 // Sanitizers change crash signatures (asan intercepts SIGSEGV and turns
 // it into a nonzero exit; RLIMIT_AS fights the shadow mappings), so
@@ -24,12 +25,14 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/cancellation.hpp"
 #include "exec/frame_transport.hpp"
 #include "exec/ipc.hpp"
 #include "exec/process_runner.hpp"
+#include "exec/wire_codec.hpp"
 #include "fault/crash_injection.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -181,121 +184,181 @@ std::function<perf::RunProfile()> exitCleanlyAfterWriting(std::string bytes) {
   };
 }
 
+/// Encodes an outcome the way the child does; wire::decodeOutcome is the
+/// supervisor's decoder.
+std::string encodeOutcome(const RunOutcome& outcome) {
+  std::string payload;
+  wire::putOutcome(payload, outcome);
+  return payload;
+}
+
 std::string profileFrame() {
-  ChildMessage message;
-  message.kind = ChildMessage::Kind::kProfile;
-  message.profile = sampleProfile();
-  return encodeFrame(encodeChildMessage(message));
+  RunOutcome outcome;
+  outcome.profile = sampleProfile();
+  return encodeFrame(encodeOutcome(outcome));
 }
 
-TEST(IpcCodec, ChildMessageRoundTripsFullProfile) {
-  ChildMessage message;
-  message.kind = ChildMessage::Kind::kProfile;
-  message.profile = sampleProfile();
-  const auto back = decodeChildMessage(encodeChildMessage(message));
+/// The record a run failure leaves on its own, before the sweep fills in
+/// cores, attempts and pool size.
+RunFailure runFailure(RunFailureKind kind, std::string error) {
+  RunFailure failure;
+  failure.kind = kind;
+  failure.error = std::move(error);
+  return failure;
+}
+
+TEST(IpcCodec, OutcomeRoundTripsFullProfile) {
+  RunOutcome outcome;
+  outcome.profile = sampleProfile();
+  const auto back = wire::decodeOutcome(encodeOutcome(outcome));
   ASSERT_TRUE(back.hasValue()) << back.error().message();
-  EXPECT_EQ(back->kind, ChildMessage::Kind::kProfile);
-  expectProfilesEq(back->profile, message.profile);
+  ASSERT_TRUE(back->profile.has_value());
+  EXPECT_FALSE(back->failure.has_value());
+  expectProfilesEq(*back->profile, *outcome.profile);
 }
 
-TEST(IpcCodec, ChildMessageRoundTripsExceptionAndAbort) {
-  ChildMessage error;
-  error.kind = ChildMessage::Kind::kException;
-  error.error = "what() with\nnewlines and \"quotes\"";
-  auto back = decodeChildMessage(encodeChildMessage(error));
-  ASSERT_TRUE(back.hasValue());
-  EXPECT_EQ(back->kind, ChildMessage::Kind::kException);
-  EXPECT_EQ(back->error, error.error);
-
-  ChildMessage aborted;
-  aborted.kind = ChildMessage::Kind::kAborted;
-  aborted.error = "budget blown";
-  aborted.abortReason = static_cast<std::uint8_t>(AbortReason::kCycleBudget);
-  aborted.abortCycle = 123'456'789ULL;
-  back = decodeChildMessage(encodeChildMessage(aborted));
-  ASSERT_TRUE(back.hasValue());
-  EXPECT_EQ(back->kind, ChildMessage::Kind::kAborted);
-  EXPECT_EQ(back->abortReason, aborted.abortReason);
-  EXPECT_EQ(back->abortCycle, aborted.abortCycle);
-}
-
-TEST(IpcCodec, ChildMessageRejectsTruncationEverywhere) {
-  ChildMessage message;
-  message.kind = ChildMessage::Kind::kProfile;
-  message.profile = sampleProfile();
-  const std::string payload = encodeChildMessage(message);
-  for (std::size_t len = 0; len < payload.size(); ++len) {
-    const auto r = decodeChildMessage(payload.substr(0, len));
-    EXPECT_FALSE(r.hasValue()) << "prefix of " << len << " bytes";
+TEST(IpcCodec, OutcomeRoundTripsEveryRunFailureKind) {
+  for (const RunFailureKind kind :
+       {RunFailureKind::kException, RunFailureKind::kTimeout,
+        RunFailureKind::kCancelled, RunFailureKind::kCrash}) {
+    RunOutcome outcome;
+    RunFailure& failure = outcome.failure.emplace(
+        runFailure(kind, "what() with\nnewlines and \"quotes\""));
+    failure.attempts = 2;
+    failure.recovered = true;
+    failure.signal = SIGSEGV;
+    failure.rlimit = "address-space";
+    failure.stderrTail = "dying\n";
+    const std::string payload = encodeOutcome(outcome);
+    // The kind byte follows the has-profile and has-failure flags; the
+    // four run kinds keep the wire values 0-3.
+    ASSERT_GE(payload.size(), 3u);
+    EXPECT_EQ(static_cast<std::uint8_t>(payload[2]),
+              static_cast<std::uint8_t>(kind));
+    const auto back = wire::decodeOutcome(payload);
+    ASSERT_TRUE(back.hasValue()) << back.error().message();
+    EXPECT_FALSE(back->profile.has_value());
+    ASSERT_TRUE(back->failure.has_value());
+    EXPECT_EQ(back->failure->kind, kind);
+    EXPECT_EQ(back->failure->attempts, 2);
+    EXPECT_TRUE(back->failure->recovered);
+    EXPECT_EQ(back->failure->error, failure.error);
+    EXPECT_EQ(back->failure->signal, SIGSEGV);
+    EXPECT_EQ(back->failure->rlimit, "address-space");
+    EXPECT_EQ(back->failure->stderrTail, "dying\n");
   }
 }
 
+TEST(IpcCodec, OutcomeRejectsCoordinatorLocalKinds) {
+  RunOutcome outcome;
+  outcome.failure = runFailure(RunFailureKind::kException, "x");
+  std::string payload = encodeOutcome(outcome);
+  for (const RunFailureKind kind :
+       {RunFailureKind::kWorkerLost, RunFailureKind::kHandshake,
+        RunFailureKind::kFrameCorrupt}) {
+    payload[2] = static_cast<char>(kind);
+    const auto back = wire::decodeOutcome(payload);
+    ASSERT_FALSE(back.hasValue()) << toString(kind);
+    EXPECT_NE(back.error().message().find("failure kind"), std::string::npos)
+        << back.error().message();
+  }
+}
+
+TEST(IpcCodec, OutcomeRejectsTruncationEverywhere) {
+  RunOutcome outcome;
+  outcome.profile = sampleProfile();
+  outcome.failure = runFailure(RunFailureKind::kCrash, "boom");
+  const std::string payload = encodeOutcome(outcome);
+  for (std::size_t len = 0; len < payload.size(); ++len) {
+    const auto r = wire::decodeOutcome(payload.substr(0, len));
+    EXPECT_FALSE(r.hasValue()) << "prefix of " << len << " bytes";
+  }
+  const auto trailing = wire::decodeOutcome(payload + "x");
+  ASSERT_FALSE(trailing.hasValue());
+  EXPECT_NE(trailing.error().message().find("trailing bytes"),
+            std::string::npos);
+}
+
+/// The failure record of an outcome that must have failed.
+RunFailure failureOf(const RunOutcome& outcome) {
+  EXPECT_FALSE(outcome.profile.has_value());
+  EXPECT_TRUE(outcome.failure.has_value());
+  return outcome.failure.value_or(RunFailure{});
+}
+
 TEST(ProcessRunner, ShipsProfileBackBitExact) {
-  const ChildOutcome outcome =
-      runInChild([] { return sampleProfile(); });
-  ASSERT_EQ(outcome.status, ChildStatus::kOk) << outcome.error;
-  expectProfilesEq(outcome.profile, sampleProfile());
-  EXPECT_EQ(outcome.signal, 0);
+  const RunOutcome outcome = runInChild([] { return sampleProfile(); });
+  ASSERT_TRUE(outcome.profile.has_value())
+      << (outcome.failure ? outcome.failure->error : "");
+  EXPECT_FALSE(outcome.failure.has_value());
+  expectProfilesEq(*outcome.profile, sampleProfile());
 }
 
 TEST(ProcessRunner, PropagatesExceptionsAsData) {
-  const ChildOutcome outcome = runInChild([]() -> perf::RunProfile {
+  const RunFailure failure = failureOf(runInChild([]() -> perf::RunProfile {
     throw std::runtime_error("boom in the child");
-  });
-  EXPECT_EQ(outcome.status, ChildStatus::kException);
-  EXPECT_NE(outcome.error.find("boom in the child"), std::string::npos);
+  }));
+  EXPECT_EQ(failure.kind, RunFailureKind::kException);
+  EXPECT_EQ(failure.error, "boom in the child");
+  EXPECT_EQ(failure.signal, 0);
 }
 
 TEST(ProcessRunner, PropagatesRunAbortedAsData) {
-  const ChildOutcome outcome = runInChild([]() -> perf::RunProfile {
+  // The abort reason becomes the failure kind: a cycle budget is a
+  // timeout, any other abort a cancel.
+  RunFailure failure = failureOf(runInChild([]() -> perf::RunProfile {
     throw RunAborted(AbortReason::kCycleBudget, 4242, "over budget");
-  });
-  EXPECT_EQ(outcome.status, ChildStatus::kAborted);
-  EXPECT_EQ(outcome.abortReason, AbortReason::kCycleBudget);
-  EXPECT_EQ(outcome.abortCycle, 4242u);
-  EXPECT_NE(outcome.error.find("over budget"), std::string::npos);
+  }));
+  EXPECT_EQ(failure.kind, RunFailureKind::kTimeout);
+  EXPECT_EQ(failure.error, "over budget");
+
+  failure = failureOf(runInChild([]() -> perf::RunProfile {
+    throw RunAborted(AbortReason::kCancelled, 7, "stopped");
+  }));
+  EXPECT_EQ(failure.kind, RunFailureKind::kCancelled);
+  EXPECT_EQ(failure.error, "stopped");
+  EXPECT_EQ(failure.signal, 0);
 }
 
 TEST(ProcessRunner, ReportsSigkillDeath) {
   // SIGKILL cannot be caught by any runtime (sanitizers included), so the
   // expectation holds everywhere.
-  const ChildOutcome outcome = runInChild([]() -> perf::RunProfile {
+  const RunFailure failure = failureOf(runInChild([]() -> perf::RunProfile {
     std::raise(SIGKILL);
     return {};
-  });
-  EXPECT_EQ(outcome.status, ChildStatus::kCrash);
-  EXPECT_EQ(outcome.signal, SIGKILL);
-  EXPECT_TRUE(outcome.rlimit.empty()) << outcome.rlimit;
-  EXPECT_NE(outcome.error.find("SIGKILL"), std::string::npos)
-      << outcome.error;
+  }));
+  EXPECT_EQ(failure.kind, RunFailureKind::kCrash);
+  EXPECT_EQ(failure.signal, SIGKILL);
+  EXPECT_TRUE(failure.rlimit.empty()) << failure.rlimit;
+  EXPECT_NE(failure.error.find("SIGKILL"), std::string::npos) << failure.error;
 }
 
 TEST(ProcessRunner, ReportsSegfaultDeath) {
-  const ChildOutcome outcome = runInChild([]() -> perf::RunProfile {
+  const RunFailure failure = failureOf(runInChild([]() -> perf::RunProfile {
     // Through a volatile so no compiler proves (and rejects) the trap.
     volatile int* target = nullptr;
     *target = 42;
     return {};
-  });
-  EXPECT_EQ(outcome.status, ChildStatus::kCrash) << outcome.error;
+  }));
+  EXPECT_EQ(failure.kind, RunFailureKind::kCrash) << failure.error;
 #if !OCCM_UNDER_SANITIZER
-  EXPECT_EQ(outcome.signal, SIGSEGV) << outcome.error;
+  EXPECT_EQ(failure.signal, SIGSEGV) << failure.error;
 #endif
 }
 
 TEST(ProcessRunner, ReportsAbortDeath) {
-  const ChildOutcome outcome = runInChild([]() -> perf::RunProfile {
+  const RunFailure failure = failureOf(runInChild([]() -> perf::RunProfile {
     std::fprintf(stderr, "dying on purpose\n");
     std::abort();
-  });
-  EXPECT_EQ(outcome.status, ChildStatus::kCrash);
+  }));
+  EXPECT_EQ(failure.kind, RunFailureKind::kCrash);
 #if !OCCM_UNDER_SANITIZER
-  EXPECT_EQ(outcome.signal, SIGABRT) << outcome.error;
+  EXPECT_EQ(failure.signal, SIGABRT) << failure.error;
 #endif
   // abort() without the OOM marker must not read as a memory-budget kill.
-  EXPECT_TRUE(outcome.rlimit.empty()) << outcome.rlimit;
-  EXPECT_NE(outcome.stderrTail.find("dying on purpose"), std::string::npos)
-      << outcome.stderrTail;
+  EXPECT_TRUE(failure.rlimit.empty()) << failure.rlimit;
+  EXPECT_NE(failure.stderrTail.find("dying on purpose"), std::string::npos)
+      << failure.stderrTail;
 }
 
 TEST(ProcessRunner, MemoryBudgetDeathIsClassifiedAsAddressSpace) {
@@ -304,7 +367,7 @@ TEST(ProcessRunner, MemoryBudgetDeathIsClassifiedAsAddressSpace) {
 #else
   ProcessRunnerConfig config;
   config.limits.memoryBytes = std::uint64_t{256} << 20;
-  const ChildOutcome outcome = runInChild(
+  const RunFailure failure = failureOf(runInChild(
       []() -> perf::RunProfile {
         // Touch every allocation so the address space genuinely fills.
         std::vector<char*> hoard;
@@ -314,19 +377,19 @@ TEST(ProcessRunner, MemoryBudgetDeathIsClassifiedAsAddressSpace) {
           hoard.push_back(block);
         }
       },
-      config);
-  EXPECT_EQ(outcome.status, ChildStatus::kCrash) << outcome.error;
-  EXPECT_EQ(outcome.rlimit, "address-space") << outcome.error;
-  EXPECT_NE(outcome.stderrTail.find(fault::kOutOfMemoryMarker),
+      config));
+  EXPECT_EQ(failure.kind, RunFailureKind::kCrash) << failure.error;
+  EXPECT_EQ(failure.rlimit, "address-space") << failure.error;
+  EXPECT_NE(failure.stderrTail.find(fault::kOutOfMemoryMarker),
             std::string::npos)
-      << outcome.stderrTail;
+      << failure.stderrTail;
 #endif
 }
 
 TEST(ProcessRunner, StderrTailKeepsLastBytesSanitized) {
   ProcessRunnerConfig config;
   config.stderrTailBytes = 64;
-  const ChildOutcome outcome = runInChild(
+  const RunFailure failure = failureOf(runInChild(
       []() -> perf::RunProfile {
         for (int i = 0; i < 1000; ++i) {
           std::fprintf(stderr, "line %04d\n", i);
@@ -335,17 +398,17 @@ TEST(ProcessRunner, StderrTailKeepsLastBytesSanitized) {
         std::fflush(stderr);
         std::abort();
       },
-      config);
-  EXPECT_EQ(outcome.status, ChildStatus::kCrash);
-  EXPECT_LE(outcome.stderrTail.size(), 64u);
+      config));
+  EXPECT_EQ(failure.kind, RunFailureKind::kCrash);
+  EXPECT_LE(failure.stderrTail.size(), 64u);
   // The tail keeps the *last* bytes written...
-  EXPECT_NE(outcome.stderrTail.find("the final words"), std::string::npos)
-      << outcome.stderrTail;
+  EXPECT_NE(failure.stderrTail.find("the final words"), std::string::npos)
+      << failure.stderrTail;
   // ...not the first, and control bytes arrive sanitized to '.'.
-  EXPECT_EQ(outcome.stderrTail.find("line 0000"), std::string::npos);
-  EXPECT_EQ(outcome.stderrTail.find('\x01'), std::string::npos);
-  EXPECT_NE(outcome.stderrTail.find(". the final words"), std::string::npos)
-      << outcome.stderrTail;
+  EXPECT_EQ(failure.stderrTail.find("line 0000"), std::string::npos);
+  EXPECT_EQ(failure.stderrTail.find('\x01'), std::string::npos);
+  EXPECT_NE(failure.stderrTail.find(". the final words"), std::string::npos)
+      << failure.stderrTail;
 }
 
 TEST(ProcessRunner, SupervisorKillsChildWhenTokenFires) {
@@ -356,50 +419,65 @@ TEST(ProcessRunner, SupervisorKillsChildWhenTokenFires) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     stop.requestStop();
   });
-  const ChildOutcome outcome = runInChild(
+  const RunFailure failure = failureOf(runInChild(
       []() -> perf::RunProfile {
         // Without the supervisor's SIGKILL this child would outlive any
         // reasonable test timeout.
         std::this_thread::sleep_for(std::chrono::seconds(300));
         return {};
       },
-      config);
+      config));
   trigger.join();
-  EXPECT_EQ(outcome.status, ChildStatus::kKilled) << outcome.error;
-  EXPECT_EQ(outcome.signal, SIGKILL);
+  EXPECT_EQ(failure.kind, RunFailureKind::kCancelled) << failure.error;
+  EXPECT_EQ(failure.signal, SIGKILL);
+  EXPECT_NE(failure.error.find("killed by the supervisor"), std::string::npos)
+      << failure.error;
 }
 
+// A clean exit (status 0) with a bad frame reads "child exited cleanly":
+// the error text is what tells it apart from a death.
 TEST(ProcessRunner, CleanExitWithoutAFrameIsACrash) {
-  const ChildOutcome outcome = runInChild(exitCleanlyAfterWriting(""));
-  EXPECT_EQ(outcome.status, ChildStatus::kCrash);
-  EXPECT_EQ(outcome.exitCode, 0) << outcome.error;
-  EXPECT_NE(outcome.error.find("child exited cleanly but its result frame "
+  const RunFailure failure =
+      failureOf(runInChild(exitCleanlyAfterWriting("")));
+  EXPECT_EQ(failure.kind, RunFailureKind::kCrash);
+  EXPECT_EQ(failure.signal, 0);
+  EXPECT_NE(failure.error.find("child exited cleanly but its result frame "
                                "is invalid: no result frame"),
             std::string::npos)
-      << outcome.error;
+      << failure.error;
 }
 
 TEST(ProcessRunner, TrailingBytesAfterTheFrameAreACrash) {
   // Control: the same raw write of exactly one frame is accepted.
-  const ChildOutcome exact = runInChild(exitCleanlyAfterWriting(profileFrame()));
-  ASSERT_EQ(exact.status, ChildStatus::kOk) << exact.error;
-  expectProfilesEq(exact.profile, sampleProfile());
+  const RunOutcome exact = runInChild(exitCleanlyAfterWriting(profileFrame()));
+  ASSERT_TRUE(exact.profile.has_value())
+      << (exact.failure ? exact.failure->error : "");
+  expectProfilesEq(*exact.profile, sampleProfile());
 
-  const ChildOutcome stray =
-      runInChild(exitCleanlyAfterWriting(profileFrame() + "x"));
-  EXPECT_EQ(stray.status, ChildStatus::kCrash);
-  EXPECT_EQ(stray.exitCode, 0) << stray.error;
-  EXPECT_NE(stray.error.find("result frame is invalid: 1 byte(s) after"),
+  const RunFailure stray =
+      failureOf(runInChild(exitCleanlyAfterWriting(profileFrame() + "x")));
+  EXPECT_EQ(stray.kind, RunFailureKind::kCrash);
+  EXPECT_NE(stray.error.find("child exited cleanly but its result frame is "
+                             "invalid: 1 byte(s) after"),
             std::string::npos)
       << stray.error;
 
-  const ChildOutcome twice =
-      runInChild(exitCleanlyAfterWriting(profileFrame() + profileFrame()));
-  EXPECT_EQ(twice.status, ChildStatus::kCrash);
-  EXPECT_EQ(twice.exitCode, 0) << twice.error;
-  EXPECT_NE(twice.error.find("result frame is invalid: 2 result frames"),
+  const RunFailure twice = failureOf(
+      runInChild(exitCleanlyAfterWriting(profileFrame() + profileFrame())));
+  EXPECT_EQ(twice.kind, RunFailureKind::kCrash);
+  EXPECT_NE(twice.error.find("child exited cleanly but its result frame is "
+                             "invalid: 2 result frames"),
             std::string::npos)
       << twice.error;
+
+  // A valid frame around an outcome with neither profile nor failure.
+  const RunFailure empty = failureOf(runInChild(
+      exitCleanlyAfterWriting(encodeFrame(encodeOutcome(RunOutcome{})))));
+  EXPECT_EQ(empty.kind, RunFailureKind::kCrash);
+  EXPECT_NE(empty.error.find("child exited cleanly but its result message "
+                             "is invalid"),
+            std::string::npos)
+      << empty.error;
 }
 
 TEST(ProcessRunner, OversizedResultIsDrainedAndRejected) {
@@ -409,16 +487,17 @@ TEST(ProcessRunner, OversizedResultIsDrainedAndRejected) {
   std::string bytes(kFrameMagic, sizeof kFrameMagic);
   bytes += std::string("\x00\x00\x00\x80", 4);  // u32 LE 2^31
   bytes += std::string(std::size_t{4} << 20, 'x');
-  const ChildOutcome outcome = runInChild(exitCleanlyAfterWriting(bytes));
-  EXPECT_EQ(outcome.status, ChildStatus::kCrash);
-  EXPECT_EQ(outcome.exitCode, 0) << outcome.error;
-  EXPECT_NE(outcome.error.find("result frame is invalid"), std::string::npos)
-      << outcome.error;
-  EXPECT_NE(outcome.error.find("exceeds the " +
+  const RunFailure failure = failureOf(runInChild(exitCleanlyAfterWriting(bytes)));
+  EXPECT_EQ(failure.kind, RunFailureKind::kCrash);
+  EXPECT_NE(failure.error.find("child exited cleanly but its result frame is "
+                               "invalid"),
+            std::string::npos)
+      << failure.error;
+  EXPECT_NE(failure.error.find("exceeds the " +
                                std::to_string(kMaxFramePayload) +
                                "-byte cap"),
             std::string::npos)
-      << outcome.error;
+      << failure.error;
 }
 
 }  // namespace

@@ -188,50 +188,51 @@ TEST(WireProtocol, ResultRoundTripsProfileAndFailure) {
   WireMessage m;
   m.kind = WireMessage::Kind::kResult;
   m.result.taskId = 42;
-  m.result.hasProfile = true;
-  m.result.profile = sampleProfile();
-  m.result.hasFailure = true;
-  m.result.failure.kind = WireFailureKind::kCrash;
-  m.result.failure.attempts = 2;
-  m.result.failure.recovered = true;
-  m.result.failure.error = "signal 9";
-  m.result.failure.signal = 9;
-  m.result.failure.rlimit = "RLIMIT_AS";
-  m.result.failure.stderrTail = "out of memory\n";
+  m.result.outcome.profile = sampleProfile();
+  RunFailure& failure = m.result.outcome.failure.emplace();
+  failure.kind = RunFailureKind::kCrash;
+  failure.attempts = 2;
+  failure.recovered = true;
+  failure.error = "signal 9";
+  failure.signal = 9;
+  failure.rlimit = "RLIMIT_AS";
+  failure.stderrTail = "out of memory\n";
   const auto back = decodeMessage(encodeMessage(m));
   ASSERT_TRUE(back.hasValue()) << back.error().message();
   ASSERT_EQ(back->kind, WireMessage::Kind::kResult);
   EXPECT_EQ(back->result.taskId, 42u);
-  ASSERT_TRUE(back->result.hasProfile);
-  EXPECT_EQ(back->result.profile.program, "CG.S");
-  EXPECT_EQ(back->result.profile.counters.totalCycles, 101u);
-  EXPECT_EQ(back->result.profile.perCore.size(), 2u);
-  EXPECT_EQ(back->result.profile.controllerStats.size(), 1u);
-  EXPECT_EQ(back->result.profile.faultEpochs.size(), 1u);
-  EXPECT_EQ(back->result.profile.throttledCycles, 24u);
-  ASSERT_TRUE(back->result.hasFailure);
-  EXPECT_EQ(back->result.failure.kind, WireFailureKind::kCrash);
-  EXPECT_EQ(back->result.failure.attempts, 2);
-  EXPECT_TRUE(back->result.failure.recovered);
-  EXPECT_EQ(back->result.failure.error, "signal 9");
-  EXPECT_EQ(back->result.failure.signal, 9);
-  EXPECT_EQ(back->result.failure.rlimit, "RLIMIT_AS");
-  EXPECT_EQ(back->result.failure.stderrTail, "out of memory\n");
+  ASSERT_TRUE(back->result.outcome.profile.has_value());
+  const perf::RunProfile& profile = *back->result.outcome.profile;
+  EXPECT_EQ(profile.program, "CG.S");
+  EXPECT_EQ(profile.counters.totalCycles, 101u);
+  EXPECT_EQ(profile.perCore.size(), 2u);
+  EXPECT_EQ(profile.controllerStats.size(), 1u);
+  EXPECT_EQ(profile.faultEpochs.size(), 1u);
+  EXPECT_EQ(profile.throttledCycles, 24u);
+  ASSERT_TRUE(back->result.outcome.failure.has_value());
+  const RunFailure& got = *back->result.outcome.failure;
+  EXPECT_EQ(got.kind, RunFailureKind::kCrash);
+  EXPECT_EQ(got.attempts, 2);
+  EXPECT_TRUE(got.recovered);
+  EXPECT_EQ(got.error, "signal 9");
+  EXPECT_EQ(got.signal, 9);
+  EXPECT_EQ(got.rlimit, "RLIMIT_AS");
+  EXPECT_EQ(got.stderrTail, "out of memory\n");
 }
 
 TEST(WireProtocol, ResultWithFailureOnlyRoundTrips) {
   WireMessage m;
   m.kind = WireMessage::Kind::kResult;
   m.result.taskId = 7;
-  m.result.hasFailure = true;
-  m.result.failure.kind = WireFailureKind::kTimeout;
-  m.result.failure.attempts = 1;
-  m.result.failure.error = "deadline";
+  RunFailure& failure = m.result.outcome.failure.emplace();
+  failure.kind = RunFailureKind::kTimeout;
+  failure.attempts = 1;
+  failure.error = "deadline";
   const auto back = decodeMessage(encodeMessage(m));
   ASSERT_TRUE(back.hasValue());
-  EXPECT_FALSE(back->result.hasProfile);
-  ASSERT_TRUE(back->result.hasFailure);
-  EXPECT_EQ(back->result.failure.kind, WireFailureKind::kTimeout);
+  EXPECT_FALSE(back->result.outcome.profile.has_value());
+  ASSERT_TRUE(back->result.outcome.failure.has_value());
+  EXPECT_EQ(back->result.outcome.failure->kind, RunFailureKind::kTimeout);
 }
 
 TEST(WireProtocol, UnknownKindRejected) {
@@ -266,10 +267,9 @@ TEST(WireProtocol, TruncationAtEveryPrefixRejected) {
   WireMessage m;
   m.kind = WireMessage::Kind::kResult;
   m.result.taskId = 42;
-  m.result.hasProfile = true;
-  m.result.profile = sampleProfile();
-  m.result.hasFailure = true;
-  m.result.failure.error = "boom";
+  m.result.outcome.profile = sampleProfile();
+  RunFailure& failure = m.result.outcome.failure.emplace();
+  failure.error = "boom";
   const std::string payload = encodeMessage(m);
   for (std::size_t len = 0; len < payload.size(); ++len) {
     const auto r = decodeMessage(payload.substr(0, len));
@@ -291,21 +291,24 @@ TEST(WireProtocol, OutOfRangeEnumsRejected) {
   WireMessage m;
   m.kind = WireMessage::Kind::kResult;
   m.result.taskId = 1;
-  m.result.hasFailure = true;
-  m.result.failure.kind = WireFailureKind::kException;
+  m.result.outcome.failure.emplace().kind = RunFailureKind::kException;
   std::string payload = encodeMessage(m);
   // kind byte is the first byte after: msg kind (1) + taskId (8) +
   // hasProfile (1) + hasFailure (1) = offset 11.
   ASSERT_EQ(payload[11], '\x00');
-  payload[11] = '\x09';  // beyond kCrash = 3
-  auto r = decodeMessage(payload);
-  ASSERT_FALSE(r.hasValue());
-  EXPECT_NE(r.error().message().find("failure kind"), std::string::npos);
+  // Beyond kCrash = 3: garbage, and the coordinator-local kinds, which
+  // never travel on the wire.
+  for (const char kind : {'\x09', '\x04', '\x05', '\x06'}) {
+    payload[11] = kind;
+    const auto r = decodeMessage(payload);
+    ASSERT_FALSE(r.hasValue());
+    EXPECT_NE(r.error().message().find("failure kind"), std::string::npos);
+  }
 
   // Boolean flags must be 0 or 1.
   payload = encodeMessage(m);
   payload[9] = '\x02';  // hasProfile flag
-  r = decodeMessage(payload);
+  const auto r = decodeMessage(payload);
   ASSERT_FALSE(r.hasValue());
   EXPECT_NE(r.error().message().find("flag"), std::string::npos);
 }
