@@ -24,11 +24,11 @@ using namespace occm;
 void BM_CacheAccessHit(benchmark::State& state) {
   cache::SetAssocCache cache(32 * kKiB, 64, 8);
   for (Addr a = 0; a < 16 * kKiB; a += 64) {
-    (void)cache.insert(a, false);
+    (void)cache.fill(cache.probe(a), false);
   }
   Addr addr = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.access(addr, false));
+    benchmark::DoNotOptimize(cache.lookup(cache.probe(addr), false));
     addr = (addr + 64) % (16 * kKiB);
   }
   state.SetItemsProcessed(state.iterations());
@@ -39,8 +39,9 @@ void BM_CacheAccessMissInsert(benchmark::State& state) {
   cache::SetAssocCache cache(32 * kKiB, 64, 8);
   Addr addr = 0;
   for (auto _ : state) {
-    if (!cache.access(addr, false)) {
-      (void)cache.insert(addr, false);
+    const cache::SetAssocCache::Probe probe = cache.probe(addr);
+    if (!cache.lookup(probe, false)) {
+      (void)cache.fill(probe, false);
     }
     addr += 64;  // endless stream: every access a miss after warmup
   }

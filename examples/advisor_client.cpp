@@ -6,6 +6,7 @@
 //   advisor_client --port=7077 --workload=EP.S --machine=test-numa4
 //   advisor_client --port=7077 --count=32 --deadline-ms=50   # force sheds
 
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -73,13 +74,20 @@ Args parseArgs(int argc, char** argv) {
     const std::string flag = arg.substr(0, eq);
     const std::string value =
         eq == std::string::npos ? "" : arg.substr(eq + 1);
-    const auto intValue = [&](long lo, long hi) {
-      char* end = nullptr;
-      const long v = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || *end != '\0' || v < lo || v > hi) {
+    // The whole text in decimal, within [lo, hi]: no sign or blank in
+    // front, no trailing junk, and a value too large for a long is
+    // rejected rather than clamped.
+    const auto intIn = [&](const std::string& text, long lo, long hi) {
+      long v = 0;
+      const char* const last = text.data() + text.size();
+      const auto [end, ec] = std::from_chars(text.data(), last, v);
+      if (ec != std::errc{} || end != last || v < lo || v > hi) {
         die("bad value in \"" + arg + "\"");
       }
       return v;
+    };
+    const auto intValue = [&](long lo, long hi) {
+      return intIn(value, lo, hi);
     };
     if (flag == "--help" || flag == "-h") {
       usage(stdout, argv[0]);
@@ -97,9 +105,11 @@ Args parseArgs(int argc, char** argv) {
       if (dash == std::string::npos) {
         die("--cores wants A-B, got \"" + arg + "\"");
       }
-      args.coreMin = std::atoi(value.substr(0, dash).c_str());
-      args.coreMax = std::atoi(value.substr(dash + 1).c_str());
-      if (args.coreMin < 1 || args.coreMax < args.coreMin) {
+      args.coreMin =
+          static_cast<int>(intIn(value.substr(0, dash), 1, 1 << 16));
+      args.coreMax =
+          static_cast<int>(intIn(value.substr(dash + 1), 1, 1 << 16));
+      if (args.coreMax < args.coreMin) {
         die("bad core range in \"" + arg + "\"");
       }
     } else if (flag == "--deadline-ms") {

@@ -23,6 +23,7 @@ CacheHierarchy::CacheHierarchy(const topology::TopologyMap& topo)
     levels_.push_back(std::move(level));
     hitLatency_.push_back(levelSpec.hitLatency);
   }
+  probes_.resize(levels_.size());
   // Resolve every (core, level) pair to its instance once; access() then
   // pays a single pointer load per level.
   const int cores = spec.logicalCores();

@@ -14,6 +14,10 @@
 // Shared-area addresses additionally consult the MESI-lite directory;
 // a remote write invalidates this core's copies so its next access misses
 // (coherence miss), which the caller treats like an off-chip request.
+//
+// An access probes each level on the core's path exactly once
+// (SetAssocCache::probe, DESIGN.md §14): the probe answers the
+// invalidation drop, the hit-or-miss lookup and the fill of that level.
 
 #include <bit>
 #include <memory>
@@ -93,6 +97,9 @@ class CacheHierarchy {
   std::vector<SetAssocCache*> corePath_;
   /// Per-level hit latency, contiguous (mirrors levels_[l].spec.hitLatency).
   std::vector<Cycles> hitLatency_;
+  /// One probe per level, reused by each access: the walk's lookup of a
+  /// level is also where its fill goes.
+  std::vector<SetAssocCache::Probe> probes_;
 
   /// Cost of a write-upgrade broadcast (invalidating remote sharers).
   static constexpr Cycles kUpgradeCycles = 24;
@@ -119,44 +126,54 @@ inline AccessResult CacheHierarchy::access(CoreId core, Addr addr,
   }
   const CoreId owner = handle.invalidatingOwner;
   const bool invalidated = owner >= 0;
-  if (invalidated) {
-    // A remote write since our last access invalidated our copies — but
-    // only in cache instances we do *not* share with the writing owner (a
-    // shared LLC still holds the writer's copy). Dropping exactly those
-    // copies makes within-socket false sharing a cheap LLC hit and
-    // cross-socket false sharing a full off-chip miss, as on real
-    // invalidation-based hardware.
-    SetAssocCache* const* ownerPath =
-        &corePath_[static_cast<std::size_t>(owner) * nLevels];
-    for (std::size_t l = 0; l < nLevels; ++l) {
-      if (path[l] != ownerPath[l]) {
-        path[l]->invalidate(line);
-      }
-    }
-  }
+  // A remote write since our last access invalidated our copies — but
+  // only in cache instances we do *not* share with the writing owner (a
+  // shared LLC still holds the writer's copy). Dropping exactly those
+  // copies makes within-socket false sharing a cheap LLC hit and
+  // cross-socket false sharing a full off-chip miss, as on real
+  // invalidation-based hardware. With no such owner the owner's path is
+  // our own, so no level differs and nothing is dropped.
+  SetAssocCache* const* ownerPath =
+      invalidated ? &corePath_[static_cast<std::size_t>(owner) * nLevels]
+                  : path;
 
-  // Search the hierarchy top-down.
+  // Search the hierarchy top-down, probing each level once: drop the copy
+  // a remote write invalidated, then hit or count a miss on that probe.
+  SetAssocCache::Probe* probes = probes_.data();
   std::size_t hitIdx = nLevels;
   for (std::size_t l = 0; l < nLevels; ++l) {
+    probes[l] = path[l]->probe(addr);
+    if (path[l] != ownerPath[l]) {
+      path[l]->invalidate(probes[l]);
+    }
     result.latency += hitLatency_[l];
-    if (path[l]->access(addr, write)) {
+    if (path[l]->lookup(probes[l], write)) {
       result.hitLevel = static_cast<int>(l) + 1;
       hitIdx = l;
       break;
     }
   }
 
-  // Fill (on a full miss) or promote (on an outer-level hit) the line
-  // into the levels above the hit on this core's path. insertAbsent skips
-  // the presence rescan: the walk above just missed at each filled level,
-  // and nothing since could have inserted the line there.
-  const std::size_t fillBelow = result.hitLevel == 0 ? nLevels : hitIdx;
   if (result.hitLevel == 0) {
     result.offChip = true;
     result.coherenceMiss = invalidated;
+  } else {
+    // Levels past the hit were not walked; drop their invalidated copies
+    // too. Sharing only widens outwards, so with the hit level shared
+    // with the owner no preset reaches this, but the invalidation is
+    // owed all the same.
+    for (std::size_t l = hitIdx + 1; l < nLevels; ++l) {
+      if (path[l] != ownerPath[l]) {
+        path[l]->invalidate(line);
+      }
+    }
   }
-  for (std::size_t l = 0; l < fillBelow; ++l) {
-    auto evicted = path[l]->insertAbsent(addr, write);
+
+  // Fill (on a full miss) or promote (on an outer-level hit) the line
+  // into the levels above the hit on this core's path, from the walk's
+  // probes: each missed there, and nothing since has filled the line.
+  for (std::size_t l = 0; l < hitIdx; ++l) {
+    auto evicted = path[l]->fill(probes[l], write);
     if (!evicted.has_value() || !evicted->dirty) {
       continue;
     }

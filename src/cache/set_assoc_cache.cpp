@@ -26,7 +26,8 @@ SetAssocCache::SetAssocCache(Bytes size, Bytes lineSize, std::uint32_t ways)
                    "line size must be a power of two");
   OCCM_REQUIRE_MSG(size % lineSize == 0, "size must be a line multiple");
   OCCM_REQUIRE_MSG(ways >= 1, "need at least one way");
-  OCCM_REQUIRE_MSG(ways <= 16, "the recency word holds up to 16 ways");
+  OCCM_REQUIRE_MSG(ways <= kRowBytes,
+                   "the recency word and fingerprint row hold up to 16 ways");
   const Bytes lines = size / lineSize;
   OCCM_REQUIRE_MSG(lines % ways == 0, "lines must divide into whole sets");
   lineShift_ = log2Exact(lineSize);
@@ -35,14 +36,16 @@ SetAssocCache::SetAssocCache(Bytes size, Bytes lineSize, std::uint32_t ways)
   lruShift_ = 4 * (ways_ - 1);
   full_ = ways_ == 16 ? ~std::uint64_t{0}
                      : (std::uint64_t{1} << (4 * ways_)) - 1;
-  tags_.assign(sets_ * ways_, kNoLine);
-  dirty_.assign(sets_, 0);
+  tags_.assign(sets_ * ways_, 0);
+  fingerprints_.resize(sets_ * kRowBytes);
+  dirty_.resize(sets_);
   order_.resize(sets_);
   flush();
 }
 
 void SetAssocCache::flush() {
-  std::fill(tags_.begin(), tags_.end(), kNoLine);
+  // A zero fingerprint marks a way invalid; its stale tag is never read.
+  std::fill(fingerprints_.begin(), fingerprints_.end(), std::uint8_t{0});
   std::fill(dirty_.begin(), dirty_.end(), 0u);
   // Identity permutation: way w starts at rank w (all ways invalid, so
   // fills consume ways from the highest way downwards, the way an MRU

@@ -6,6 +6,7 @@ namespace occm::serve {
 
 namespace {
 
+using exec::wire::putBool;
 using exec::wire::putF64;
 using exec::wire::putI32;
 using exec::wire::putString;
@@ -13,28 +14,6 @@ using exec::wire::putU32;
 using exec::wire::putU64;
 using exec::wire::putU8;
 using exec::wire::Reader;
-
-void putBool(std::string& out, bool value) {
-  putU8(out, value ? 1 : 0);
-}
-
-bool readBool(Reader& in, const char* what) {
-  const std::uint8_t value = in.u8();
-  if (in.ok() && value > 1) {
-    in.fail(std::string(what) + " flag is " + std::to_string(value) +
-            ", expected 0 or 1");
-  }
-  return value == 1;
-}
-
-std::uint8_t readEnum(Reader& in, const char* what, std::uint8_t maxValue) {
-  const std::uint8_t value = in.u8();
-  if (in.ok() && value > maxValue) {
-    in.fail(std::string(what) + " value " + std::to_string(value) +
-            " out of range (max " + std::to_string(maxValue) + ")");
-  }
-  return value;
-}
 
 void putRequest(std::string& out, const AdvisorRequest& request) {
   putU32(out, request.protocolVersion);
@@ -60,8 +39,8 @@ AdvisorRequest readRequest(Reader& in) {
   request.coreMax = in.i32();
   request.deadlineMs = in.u32();
   request.tier = static_cast<TierPreference>(
-      readEnum(in, "tier preference",
-               static_cast<std::uint8_t>(TierPreference::kTier1)));
+      in.enumU8("tier preference",
+                static_cast<std::uint8_t>(TierPreference::kTier1)));
   request.efficiencyThreshold = in.f64();
   return request;
 }
@@ -93,17 +72,16 @@ void putResponse(std::string& out, const AdvisorResponse& response) {
 AdvisorResponse readResponse(Reader& in) {
   AdvisorResponse response;
   response.requestId = in.u64();
-  response.status = static_cast<ResponseStatus>(readEnum(
-      in, "response status",
-      static_cast<std::uint8_t>(ResponseStatus::kError)));
-  response.shedReason = static_cast<ShedReason>(readEnum(
-      in, "shed reason", static_cast<std::uint8_t>(ShedReason::kBadRequest)));
-  response.tier = readEnum(in, "tier", 1);
-  response.degraded = readBool(in, "degraded");
+  response.status = static_cast<ResponseStatus>(in.enumU8(
+      "response status", static_cast<std::uint8_t>(ResponseStatus::kError)));
+  response.shedReason = static_cast<ShedReason>(in.enumU8(
+      "shed reason", static_cast<std::uint8_t>(ShedReason::kBadRequest)));
+  response.tier = in.enumU8("tier", 1);
+  response.degraded = in.flag("degraded");
   response.degradeReason = static_cast<DegradeReason>(
-      readEnum(in, "degrade reason",
-               static_cast<std::uint8_t>(DegradeReason::kDeadlineMiss)));
-  response.cacheHit = readBool(in, "cache-hit");
+      in.enumU8("degrade reason",
+                static_cast<std::uint8_t>(DegradeReason::kDeadlineMiss)));
+  response.cacheHit = in.flag("cache-hit");
   response.queueDepth = in.u32();
   const std::size_t rowCount = in.count("advisor rows");
   response.rows.clear();
@@ -115,7 +93,7 @@ AdvisorResponse readResponse(Reader& in) {
     row.omega = in.f64();
     row.speedup = in.f64();
     row.efficiency = in.f64();
-    row.measured = readBool(in, "row measured");
+    row.measured = in.flag("row measured");
     response.rows.push_back(row);
   }
   response.bestCores = in.i32();

@@ -4,11 +4,11 @@
 
 #include <bit>
 #include <cstdint>
-#include <map>
 #include <random>
 #include <vector>
 
 #include "common/error.hpp"
+#include "support/cache_reference.hpp"
 #include "trace/address_space.hpp"
 
 namespace occm::cache {
@@ -141,80 +141,6 @@ TEST(CoherenceDirectory, RejectsPrivateAreaLines) {
   EXPECT_THROW((void)CoherenceDirectory(2, 48), ContractViolation);
 }
 
-// Reference model: the header's MESI-lite rules over a std::map, one
-// entry per tracked line.
-struct RefLine {
-  std::uint64_t sharers = 0;
-  CoreId owner = -1;
-  bool modified = false;
-};
-
-class ReferenceDirectory {
- public:
-  CoreId invalidatingOwner(Addr line, CoreId core) const {
-    const auto it = lines_.find(line);
-    if (it == lines_.end()) {
-      return -1;
-    }
-    const RefLine& ref = it->second;
-    const bool holds = ((ref.sharers >> core) & 1) != 0;
-    return ref.owner >= 0 && ref.owner != core && !holds ? ref.owner : -1;
-  }
-
-  CoreId ownerOf(Addr line) const {
-    const auto it = lines_.find(line);
-    return it == lines_.end() ? -1 : it->second.owner;
-  }
-
-  std::uint64_t access(Addr line, CoreId core, bool write) {
-    RefLine& ref = lines_[line];
-    const std::uint64_t bit = std::uint64_t{1} << core;
-    if (!write) {
-      if (ref.modified && ref.owner != core) {
-        ++stats.coherenceMisses;
-        ref.modified = false;
-      }
-      ref.sharers |= bit;
-      return 0;
-    }
-    const std::uint64_t others = ref.sharers & ~bit;
-    if (others != 0) {
-      ++stats.upgrades;
-      stats.invalidationsSent += static_cast<std::uint64_t>(
-          std::popcount(others));
-    }
-    ref = RefLine{bit, core, true};
-    return others;
-  }
-
-  void evict(Addr line, CoreId core) {
-    const auto it = lines_.find(line);
-    if (it == lines_.end()) {
-      return;
-    }
-    it->second.sharers &= ~(std::uint64_t{1} << core);
-    if (it->second.sharers == 0) {
-      lines_.erase(it);
-    }
-  }
-
-  void dropLines() { lines_.clear(); }
-
-  std::size_t size() const { return lines_.size(); }
-  const std::map<Addr, RefLine>& lines() const { return lines_; }
-
-  CoherenceStats stats;
-
- private:
-  std::map<Addr, RefLine> lines_;
-};
-
-void expectSameStats(const CoherenceStats& got, const CoherenceStats& want) {
-  EXPECT_EQ(got.upgrades, want.upgrades);
-  EXPECT_EQ(got.invalidationsSent, want.invalidationsSent);
-  EXPECT_EQ(got.coherenceMisses, want.coherenceMisses);
-}
-
 TEST(CoherenceDirectory, MatchesReferenceModel) {
   constexpr Addr kLine = 64;
   constexpr Addr kPage = 4096;  // directory entries per page
@@ -279,7 +205,7 @@ TEST(CoherenceDirectory, MatchesReferenceModel) {
       ASSERT_EQ(dir.ownerOf(line), ref.ownerOf(line)) << "step " << step;
     }
 
-    expectSameStats(dir.stats(), ref.stats);
+    expectSameStats(ref.stats, dir.stats());
     if (cores > 1) {
       // The mix must actually exercise invalidations and coherence misses.
       EXPECT_GT(ref.stats.upgrades, 1000u);

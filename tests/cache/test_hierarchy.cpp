@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "support/cache_reference.hpp"
 #include "topology/presets.hpp"
 #include "topology/topology_map.hpp"
 #include "trace/address_space.hpp"
@@ -163,6 +168,109 @@ TEST(HierarchyEpPattern, MissesGrowWithWriterSpread) {
       coherenceMisses += res.coherenceMiss ? 1 : 0;
     }
     EXPECT_GT(coherenceMisses, 90u);
+  }
+}
+
+void expectSameHierarchyStats(const topology::TopologyMap& topo,
+                               const ReferenceHierarchy& want,
+                               const CacheHierarchy& got,
+                               const std::string& context) {
+  for (const auto& level : topo.spec().caches) {
+    for (int inst = 0; inst < topo.cacheInstanceCount(level); ++inst) {
+      expectSameStats(want.stats(level.level, inst),
+                      got.stats(level.level, inst),
+                      context + " L" + std::to_string(level.level) + "#" +
+                          std::to_string(inst));
+    }
+  }
+  expectSameStats(want.coherenceStats(), got.coherenceStats(), context);
+}
+
+/// testNuma4 with SMT pairs and the sharing inverted: a socket-shared L1
+/// over per-physical-core L2s. A read that hits the L1 it shares with the
+/// last writer can still find the line in an L2 that an SMT sibling
+/// filled, which the walk never reached.
+topology::MachineSpec sharedL1OverPrivateL2() {
+  topology::MachineSpec m = topology::testNuma4();
+  m.name = "test NUMA, SMT, socket-shared L1 over private L2";
+  m.smtPerCore = 2;
+  m.caches[0].scope = topology::CacheScope::kPerSocket;
+  m.caches[1].scope = topology::CacheScope::kPerPhysicalCore;
+  m.validate();
+  return m;
+}
+
+// The one-pass walk (one probe per level, fills from the walk's probes)
+// against ReferenceHierarchy, which steps MRU-list caches and the
+// std::map directory in the original order: drop every copy a remote
+// write invalidated, walk, fill and sink dirty victims, then invalidate
+// the sharers of a write. Random multi-core streams mix each core's hot
+// and wide private lines with hot and wide shared lines, a third of them
+// writes, on the paper machines and the test presets, plus a test
+// machine with a socket-shared L1 over private L2s (sharedL1OverPrivateL2),
+// the one shape where a level past the hit still owes an invalidation. Every AccessResult
+// must match; every instance's CacheStats and the CoherenceStats must
+// match along the way and at the end.
+TEST(HierarchyOracle, OnePassWalkMatchesReferenceOrder) {
+  const std::vector<topology::MachineSpec> machines = {
+      topology::intelNuma24(), topology::amdNuma48(), topology::testNuma4(),
+      topology::testUma4(), sharedL1OverPrivateL2()};
+  Rng rng(0x0E1A55);
+  for (const topology::MachineSpec& spec : machines) {
+    SCOPED_TRACE(spec.name);
+    const topology::TopologyMap topo(spec);
+    CacheHierarchy hierarchy(topo);
+    ReferenceHierarchy reference(topo);
+    const int cores = spec.logicalCores();
+    constexpr Addr kLine = 64;
+    constexpr Addr kPrivate = trace::AddressSpace::kPrivateBase;
+    std::uint64_t writebacks = 0;
+    std::uint64_t coherenceMisses = 0;
+    std::vector<std::uint64_t> levelHits(spec.caches.size() + 1, 0);
+    for (int step = 0; step < 200'000; ++step) {
+      const auto core =
+          static_cast<CoreId>(rng.next() % static_cast<unsigned>(cores));
+      const std::uint64_t pool = rng.next() % 10;
+      Addr addr = 0;
+      if (pool < 3) {  // hot private lines: L1 hits
+        addr = kPrivate + static_cast<Addr>(core) *
+                              trace::AddressSpace::kPrivateWindow +
+               (rng.next() % 48) * kLine;
+      } else if (pool < 6) {  // wide private lines: L2 and LLC traffic
+        addr = kPrivate + static_cast<Addr>(core) *
+                              trace::AddressSpace::kPrivateWindow +
+               (rng.next() % 1024) * kLine;
+      } else if (pool < 8) {  // hot shared lines: false sharing
+        addr = (rng.next() % 24) * kLine;
+      } else {  // wide shared lines
+        addr = (rng.next() % 8192) * kLine;
+      }
+      addr += rng.next() % kLine;
+      const bool write = rng.next() % 3 == 0;
+      const std::string at = "step " + std::to_string(step);
+      const AccessResult want = reference.access(core, addr, write);
+      const AccessResult got = hierarchy.access(core, addr, write);
+      ASSERT_EQ(want.hitLevel, got.hitLevel) << at;
+      ASSERT_EQ(want.latency, got.latency) << at;
+      ASSERT_EQ(want.offChip, got.offChip) << at;
+      ASSERT_EQ(want.coherenceMiss, got.coherenceMiss) << at;
+      ASSERT_EQ(want.writeback, got.writeback) << at;
+      ASSERT_EQ(want.writebackLine, got.writebackLine) << at;
+      writebacks += got.writeback ? 1 : 0;
+      coherenceMisses += got.coherenceMiss ? 1 : 0;
+      ++levelHits[static_cast<std::size_t>(got.hitLevel)];
+      if (step % 20'000 == 0) {
+        expectSameHierarchyStats(topo, reference, hierarchy, at);
+      }
+    }
+    expectSameHierarchyStats(topo, reference, hierarchy, "end");
+    // The streams must reach every level, dirty LLC evictions and
+    // coherence misses.
+    for (std::size_t level = 0; level < levelHits.size(); ++level) {
+      EXPECT_GT(levelHits[level], 0u) << "level " << level;
+    }
+    EXPECT_GT(writebacks, 0u);
+    EXPECT_GT(coherenceMisses, 0u);
   }
 }
 
