@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -15,6 +16,7 @@
 #include "analysis/experiment.hpp"
 #include "analysis/text_table.hpp"
 #include "core/occm.hpp"
+#include "example_args.hpp"
 #include "exec/thread_pool.hpp"
 
 namespace occm::bench {
@@ -62,14 +64,12 @@ inline BenchArgs parseBenchArgs(int argc, char** argv) {
       if (eq == std::string::npos) {
         die("\"" + arg + "\" needs a value: --workers=...");
       }
-      // Positive integer; dies on garbage, zero or trailing bytes.
-      const std::string digits = arg.substr(eq + 1);
-      char* end = nullptr;
-      const long value = std::strtol(digits.c_str(), &end, 10);
-      if (digits.empty() || *end != '\0' || value < 1 || value > 1 << 20) {
+      const std::optional<int> value =
+          examples::wholeInteger(arg.substr(eq + 1), 1, 1 << 20);
+      if (!value.has_value()) {
         die("bad value in \"" + arg + "\" (want an integer >= 1)");
       }
-      args.workers = static_cast<int>(value);
+      args.workers = *value;
     } else {
       die("unrecognized argument \"" + arg + "\"");
     }

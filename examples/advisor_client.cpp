@@ -6,7 +6,6 @@
 //   advisor_client --port=7077 --workload=EP.S --machine=test-numa4
 //   advisor_client --port=7077 --count=32 --deadline-ms=50   # force sheds
 
-#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -74,17 +73,13 @@ Args parseArgs(int argc, char** argv) {
     const std::string flag = arg.substr(0, eq);
     const std::string value =
         eq == std::string::npos ? "" : arg.substr(eq + 1);
-    // The whole text in decimal, within [lo, hi]: no sign or blank in
-    // front, no trailing junk, and a value too large for a long is
-    // rejected rather than clamped.
     const auto intIn = [&](const std::string& text, long lo, long hi) {
-      long v = 0;
-      const char* const last = text.data() + text.size();
-      const auto [end, ec] = std::from_chars(text.data(), last, v);
-      if (ec != std::errc{} || end != last || v < lo || v > hi) {
+      const std::optional<long> v =
+          occm::examples::wholeInteger(text, lo, hi);
+      if (!v.has_value()) {
         die("bad value in \"" + arg + "\"");
       }
-      return v;
+      return *v;
     };
     const auto intValue = [&](long lo, long hi) {
       return intIn(value, lo, hi);

@@ -85,12 +85,12 @@ Args parseArgs(int argc, char** argv) {
     const std::string value =
         eq == std::string::npos ? "" : arg.substr(eq + 1);
     const auto intValue = [&](long lo, long hi) {
-      char* end = nullptr;
-      const long v = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || *end != '\0' || v < lo || v > hi) {
+      const std::optional<long> v =
+          occm::examples::wholeInteger(value, lo, hi);
+      if (!v.has_value()) {
         die("bad value in \"" + arg + "\"");
       }
-      return v;
+      return *v;
     };
     const auto doubleValue = [&]() {
       const std::optional<double> v = occm::examples::nonNegativeArg(value);

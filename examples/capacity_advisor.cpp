@@ -76,12 +76,12 @@ Args parseArgs(int argc, char** argv) {
       }
       args.efficiency = *efficiency;
     } else if (flag == "--workers") {
-      char* end = nullptr;
-      const long workers = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || *end != '\0' || workers < 1 || workers > 1024) {
+      const std::optional<int> workers =
+          occm::examples::wholeInteger(value, 1, 1024);
+      if (!workers.has_value()) {
         die("bad value in \"" + arg + "\" (want an integer >= 1)");
       }
-      args.workers = static_cast<int>(workers);
+      args.workers = *workers;
     } else {
       die("unrecognized argument \"" + arg + "\"");
     }

@@ -1,11 +1,12 @@
 #pragma once
 
-// Argument checks shared by the example CLIs. A bad workload, core
-// count, count or duration is rejected here with one "error:" line on
-// stderr and exit status 1, before any simulation starts — the library
-// would otherwise abort on the contract violation, and atoi/strtoull/atof
-// would silently read garbage as 0 (or "1e9" as 1). nonNegativeArg and efficiencyArg only parse, for CLIs
-// that reject with their own usage and exit status.
+// Argument checks shared by the example CLIs and the bench drivers. A
+// bad workload, core count, count or duration is rejected here with one
+// "error:" line on stderr and exit status 1, before any simulation starts
+// — the library would otherwise abort on the contract violation, and
+// atoi/strtol/atof would silently read garbage as 0, "1e9" as 1 or
+// " +2" as 2. wholeInteger, nonNegativeArg and efficiencyArg only parse,
+// for CLIs that reject with their own usage and exit status.
 
 #include <charconv>
 #include <cmath>
@@ -74,22 +75,34 @@ inline int coresArg(const std::string& text,
   return value;
 }
 
-/// `--flag=N` as the whole text in decimal, within [minValue, maxValue]
-/// (no sign for an unsigned type, no exponent, no trailing junk).
+/// The whole text in decimal within [minValue, maxValue], or nullopt: no
+/// blank or '+' in front, no exponent, no trailing junk, and a value too
+/// large for Int is rejected rather than clamped.
 template <typename Int>
-Int integerArg(const std::string& flag, const std::string& text,
-               Int minValue = 0,
-               Int maxValue = std::numeric_limits<Int>::max()) {
+std::optional<Int> wholeInteger(const std::string& text, Int minValue,
+                                Int maxValue) {
   Int value = 0;
   const char* const last = text.data() + text.size();
   const auto [end, ec] = std::from_chars(text.data(), last, value);
   if (ec != std::errc{} || end != last || value < minValue ||
       value > maxValue) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+/// `--flag=N` by the wholeInteger rule; exits 1 on a bad value.
+template <typename Int>
+Int integerArg(const std::string& flag, const std::string& text,
+               Int minValue = 0,
+               Int maxValue = std::numeric_limits<Int>::max()) {
+  const std::optional<Int> value = wholeInteger(text, minValue, maxValue);
+  if (!value.has_value()) {
     rejectArg("bad " + flag + " '" + text + "' (want an integer in " +
               std::to_string(minValue) + ".." + std::to_string(maxValue) +
               ")");
   }
-  return value;
+  return *value;
 }
 
 /// `--mem-limit=MB` as bytes. The MiB count is bounded so the shift to

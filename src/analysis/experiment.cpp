@@ -216,8 +216,8 @@ std::string SweepResult::diagnostics() const {
   }
   if (!poolStats.workers.empty() && poolStats.totalTasks() > 0) {
     // Parallel-efficiency one-liner: how evenly the pool shared the load
-    // and whether producers ever hit backpressure — readable without
-    // opening a Chrome trace.
+    // and how deep the queue got — readable without opening a Chrome
+    // trace.
     std::uint64_t busiest = 0;
     std::uint64_t totalBusyNs = 0;
     for (const exec::WorkerStats& w : poolStats.workers) {
@@ -235,10 +235,6 @@ std::string SweepResult::diagnostics() const {
           << std::defaultfloat << std::setprecision(6);
     }
     out << ", peak queue depth " << poolStats.maxQueueDepth;
-    if (poolStats.submitBlockNs > 0) {
-      out << ", submit blocked "
-          << poolStats.submitBlockNs / 1'000'000 << " ms";
-    }
   }
   if (dist.used) {
     out << "\n  distributed: " << dist.workersSeen << " worker(s), "
@@ -405,7 +401,7 @@ SweepResult runSweep(const SweepConfig& config) {
       checkpoint.commit(i);
     }
   } else {
-    exec::ThreadPool pool({workers, pendingTasks.size()});
+    exec::ThreadPool pool(workers);
     std::vector<std::future<void>> joins;
     joins.reserve(pendingTasks.size());
     for (const std::size_t i : pendingTasks) {

@@ -163,9 +163,8 @@ struct SweepResult {
   /// trusted (CheckpointError::message()); the bad file was quarantined
   /// to `<path>.corrupt` and the sweep started fresh.
   std::string checkpointWarning;
-  /// End-of-sweep pool telemetry (tasks per worker, queue-wait/busy time,
-  /// submit backpressure, peak queue depth) captured just before the pool
-  /// is torn down. workers is empty on the serial path and when the
+  /// End-of-sweep pool telemetry (tasks and busy time per worker, peak
+  /// queue depth) captured just before the pool is torn down. workers is empty on the serial path and when the
   /// observability layer is compiled out. Host-time only — two sweeps with
   /// identical simulated output may differ here.
   exec::ThreadPoolStats poolStats;

@@ -181,16 +181,9 @@ AdvisorServerStats runAdvisorServer(const AdvisorServerConfig& config) {
   std::mutex completionsMutex;
   std::vector<Completion> completions;
 
-  // Pool sized so submit() can never block the loop: outstanding jobs are
-  // bounded by the admission queue, which is itself bounded.
-  exec::ThreadPoolConfig poolConfig;
-  poolConfig.workers = config.workers;
-  poolConfig.queueCapacity = config.degrade.queueCapacity +
-                             static_cast<std::size_t>(config.workers > 0
-                                                          ? config.workers
-                                                          : 0) +
-                             4;
-  auto pool = std::make_unique<exec::ThreadPool>(poolConfig);
+  // Outstanding pool jobs are bounded by the admission queue
+  // (degrade.queueCapacity), so the pool's own queue needs no bound.
+  auto pool = std::make_unique<exec::ThreadPool>(config.workers);
 
   auto postCompletion = [&](Completion&& done) {
     {

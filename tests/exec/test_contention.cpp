@@ -62,7 +62,7 @@ TEST(ThreadPoolContention, WorkerSlotCountsAreExactAcrossTwoWorkers) {
   // while the main thread polls stats() concurrently. Total task counts
   // must come out exact; the concurrent reads must be race-free (tsan).
   constexpr int kTasks = 2'000;
-  exec::ThreadPool pool({.workers = 2, .queueCapacity = 64});
+  exec::ThreadPool pool(2);
   std::atomic<std::uint64_t> ran{0};
   std::vector<std::future<void>> futures;
   futures.reserve(kTasks);

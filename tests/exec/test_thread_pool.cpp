@@ -1,5 +1,6 @@
 // Executor unit tests: lifecycle edge cases, per-task exception capture,
-// bounded-queue backpressure and a multi-producer stress run.
+// the destructor's drain-then-join guarantee and a multi-producer stress
+// run.
 
 #include "exec/thread_pool.hpp"
 
@@ -7,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <future>
 #include <memory>
@@ -16,25 +18,20 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "obs/run_trace.hpp"
 
 namespace occm::exec {
 namespace {
 
 TEST(ThreadPool, ZeroTasksConstructsAndDestructsCleanly) {
-  ThreadPool pool({4, 8});
+  ThreadPool pool(4);
   EXPECT_EQ(pool.workers(), 4);
-  EXPECT_EQ(pool.queueCapacity(), 8u);
-  EXPECT_EQ(pool.queued(), 0u);
+  EXPECT_EQ(pool.stats().maxQueueDepth, 0u);
   // Destructor joins idle workers without a task ever being submitted.
 }
 
-TEST(ThreadPool, DefaultQueueCapacityIsTwicePoolSize) {
-  ThreadPool pool({3, 0});
-  EXPECT_EQ(pool.queueCapacity(), 6u);
-}
-
 TEST(ThreadPool, SingleWorkerRunsEveryTaskInSubmissionOrder) {
-  ThreadPool pool({1, 64});
+  ThreadPool pool(1);
   std::vector<int> order;
   std::vector<std::future<void>> futures;
   for (int i = 0; i < 16; ++i) {
@@ -52,7 +49,7 @@ TEST(ThreadPool, SingleWorkerRunsEveryTaskInSubmissionOrder) {
 }
 
 TEST(ThreadPool, TaskExceptionPropagatesThroughFuture) {
-  ThreadPool pool({2, 4});
+  ThreadPool pool(2);
   std::future<void> bad =
       pool.submit([] { throw std::runtime_error("task boom"); });
   std::future<void> good = pool.submit([] {});
@@ -67,59 +64,40 @@ TEST(ThreadPool, TaskExceptionPropagatesThroughFuture) {
   EXPECT_NO_THROW(pool.submit([] {}).get());
 }
 
-TEST(ThreadPool, BoundedQueueRefusesTrySubmitWhenFull) {
-  ThreadPool pool({1, 1});
+TEST(ThreadPool, DestructorRunsQueuedTasksBeforeJoining) {
+  // The advisor server's teardown relies on this: destroying the pool
+  // runs every task still queued, then joins — nothing is dropped.
+  constexpr int kQueued = 8;
   std::promise<void> release;
   std::shared_future<void> gate = release.get_future().share();
-  // Occupy the only worker...
-  std::future<void> running = pool.submit([gate] { gate.wait(); });
-  // ...then fill the queue's single slot. The worker may not have picked
-  // up the first task yet, so allow one displacement retry.
-  std::future<void> queuedFuture;
-  while (!pool.trySubmit([gate] { gate.wait(); }, &queuedFuture)) {
-  }
-  // Deterministically full now: the worker is parked inside the first
-  // task, so the queued one cannot drain until the gate opens.
-  ASSERT_EQ(pool.queued(), 1u);
-  int extraRan = 0;
-  ASSERT_FALSE(pool.trySubmit([&extraRan] { ++extraRan; }));
-  release.set_value();
-  running.get();
-  queuedFuture.get();
-  // After the backlog drains, submission works again.
-  std::future<void> after;
-  ASSERT_TRUE(pool.trySubmit([&extraRan] { ++extraRan; }, &after));
-  after.get();
-  EXPECT_EQ(extraRan, 1);
-}
-
-TEST(ThreadPool, SubmitBlocksUntilQueueSpaceFreesUp) {
-  ThreadPool pool({1, 1});
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  std::future<void> running = pool.submit([gate] { gate.wait(); });
-  std::future<void> queuedTask;
-  while (!pool.trySubmit([gate] { gate.wait(); }, &queuedTask)) {
-  }
-  // The queue is full; a blocking submit from a producer thread must park
-  // until the gate opens, then complete.
-  std::atomic<bool> submitted{false};
-  std::thread producer([&] {
-    std::future<void> f = pool.submit([] {});
-    submitted.store(true);
-    f.get();
+  std::promise<void> startedPromise;
+  std::future<void> started = startedPromise.get_future();
+  std::atomic<int> ran{0};
+  auto pool = std::make_unique<ThreadPool>(1);
+  (void)pool->submit([gate, &startedPromise] {
+    startedPromise.set_value();
+    gate.wait();
   });
-  release.set_value();
-  producer.join();
-  EXPECT_TRUE(submitted.load());
-  running.get();
-  queuedTask.get();
+  started.wait();  // the only worker is parked inside the gated task
+  for (int i = 0; i < kQueued; ++i) {
+    (void)pool->submit([&ran] { ran.fetch_add(1); });
+  }
+  EXPECT_EQ(ran.load(), 0);
+  // Open the gate from another thread once the destructor is under way;
+  // the queued tasks can only run after it.
+  std::thread opener([&release] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    release.set_value();
+  });
+  pool.reset();
+  opener.join();
+  EXPECT_EQ(ran.load(), kQueued);
 }
 
 TEST(ThreadPool, MultiProducerStressRunsEveryTaskExactlyOnce) {
   constexpr int kProducers = 4;
   constexpr int kTasksPerProducer = 500;
-  ThreadPool pool({3, 8});  // small queue => constant backpressure
+  ThreadPool pool(3);
   std::atomic<int> ran{0};
   std::vector<std::thread> producers;
   producers.reserve(kProducers);
@@ -140,134 +118,23 @@ TEST(ThreadPool, MultiProducerStressRunsEveryTaskExactlyOnce) {
     producer.join();
   }
   EXPECT_EQ(ran.load(), kProducers * kTasksPerProducer);
-  EXPECT_EQ(pool.queued(), 0u);
+  if constexpr (obs::kCompiledIn) {
+    // Every future joined: no task is left queued or running.
+    EXPECT_EQ(pool.stats().totalTasks(),
+              static_cast<std::uint64_t>(kProducers * kTasksPerProducer));
+  }
 }
 
 TEST(ThreadPool, NullTaskIsAContractViolation) {
-  ThreadPool pool({1, 2});
+  ThreadPool pool(1);
   EXPECT_THROW((void)pool.submit(nullptr), ContractViolation);
-  EXPECT_THROW((void)pool.trySubmit(nullptr), ContractViolation);
+  // The refusal leaves the pool usable.
+  EXPECT_NO_THROW(pool.submit([] {}).get());
 }
 
 TEST(ResolveWorkerCount, PositiveRequestPassesThrough) {
   EXPECT_EQ(resolveWorkerCount(3), 3);
   EXPECT_EQ(resolveWorkerCount(1), 1);
-}
-
-TEST(ThreadPoolCancel, CancelDiscardsQueuedTasksAsBrokenPromise) {
-  ThreadPool pool({1, 4});
-  std::promise<void> gatePromise;
-  std::shared_future<void> gate = gatePromise.get_future().share();
-  std::atomic<bool> ranQueued{false};
-
-  std::future<void> running = pool.submit([gate] { gate.wait(); });
-  // Wait for the worker to pick up the gated task so the next submit is
-  // guaranteed to sit in the queue, not on a worker.
-  while (pool.queued() != 0) {
-    std::this_thread::yield();
-  }
-  std::future<void> queued = pool.submit([&ranQueued] { ranQueued = true; });
-
-  pool.cancel();
-  EXPECT_TRUE(pool.cancelled());
-  try {
-    queued.get();
-    FAIL() << "expected broken_promise";
-  } catch (const std::future_error& e) {
-    EXPECT_EQ(e.code(), std::make_error_code(std::future_errc::broken_promise));
-  }
-  EXPECT_FALSE(ranQueued.load());
-
-  // The in-flight task is allowed to finish normally.
-  gatePromise.set_value();
-  running.get();
-}
-
-TEST(ThreadPoolCancel, CancelWakesBlockedSubmitterWithoutDeadlock) {
-  // Regression for the shutdown-ordering race: a submitter blocked on
-  // backpressure while cancel() runs must observe the cancellation, throw
-  // a typed error and fully leave the pool before cancel() returns —
-  // otherwise a cancel() -> destroy sequence joins workers while the
-  // submitter still touches pool state (tsan catches the use-after-free).
-  auto pool = std::make_unique<ThreadPool>(ThreadPoolConfig{1, 1});
-  std::promise<void> gatePromise;
-  std::shared_future<void> gate = gatePromise.get_future().share();
-
-  std::future<void> running = pool->submit([gate] { gate.wait(); });
-  while (pool->queued() != 0) {
-    std::this_thread::yield();  // worker holds the gated task
-  }
-  std::future<void> queued = pool->submit([] {});  // fills capacity-1 queue
-
-  std::atomic<bool> submitterThrew{false};
-  std::thread producer([&] {
-    try {
-      (void)pool->submit([] {});  // blocks: queue full
-    } catch (const ContractViolation& e) {
-      EXPECT_NE(std::string(e.what()).find("cancelled"), std::string::npos);
-      submitterThrew = true;
-    }
-  });
-  // Let the producer reach the backpressure wait before cancelling. The
-  // sleep only widens the race window; correctness never depends on it.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-
-  pool->cancel();  // must wake the producer and wait for it to leave
-  producer.join();
-  EXPECT_TRUE(submitterThrew.load());
-
-  EXPECT_THROW((void)queued.get(), std::future_error);
-  EXPECT_FALSE(pool->trySubmit([] {}));
-
-  gatePromise.set_value();
-  running.get();
-  pool.reset();  // destroy immediately after cancel: the race under test
-}
-
-TEST(ThreadPoolCancel, CancelIsIdempotentAndSubmitAfterCancelThrows) {
-  ThreadPool pool({2, 4});
-  pool.cancel();
-  pool.cancel();  // second cancel is a no-op
-  EXPECT_TRUE(pool.cancelled());
-  try {
-    (void)pool.submit([] {});
-    FAIL() << "expected ContractViolation";
-  } catch (const ContractViolation& e) {
-    EXPECT_NE(std::string(e.what()).find("cancelled"), std::string::npos);
-  }
-  EXPECT_FALSE(pool.trySubmit([] {}));
-}
-
-TEST(ThreadPoolCancel, ManyProducersAllObserveCancellation) {
-  // Stress the cancel/backpressure interaction: several producers hammer
-  // a tiny queue while cancel() lands; every producer must exit via a
-  // completed future or a typed throw — never hang.
-  auto pool = std::make_unique<ThreadPool>(ThreadPoolConfig{2, 2});
-  std::atomic<int> typedThrows{0};
-  std::atomic<int> submitted{0};
-  std::vector<std::thread> producers;
-  producers.reserve(4);
-  for (int t = 0; t < 4; ++t) {
-    producers.emplace_back([&] {
-      for (int i = 0; i < 64; ++i) {
-        try {
-          (void)pool->submit(
-              [] { std::this_thread::sleep_for(std::chrono::microseconds(50)); });
-          submitted.fetch_add(1);
-        } catch (const ContractViolation&) {
-          typedThrows.fetch_add(1);
-          return;
-        }
-      }
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  pool->cancel();
-  for (std::thread& p : producers) {
-    p.join();
-  }
-  EXPECT_GE(submitted.load(), 0);
-  pool.reset();  // destruction right after cancel must not deadlock
 }
 
 TEST(ResolveWorkerCount, ZeroFallsBackToEnvThenHardware) {
