@@ -401,7 +401,11 @@ SweepResult runSweep(const SweepConfig& config) {
       checkpoint.commit(i);
     }
   } else {
-    exec::ThreadPool pool(workers);
+    // No more threads than tasks: a resolved pool size far above the
+    // grid (a user's --workers) must not start idle OS threads.
+    // requestedWorkers and RunFailure::poolSize keep the resolved size.
+    exec::ThreadPool pool(
+        std::min(workers, static_cast<int>(pendingTasks.size())));
     std::vector<std::future<void>> joins;
     joins.reserve(pendingTasks.size());
     for (const std::size_t i : pendingTasks) {

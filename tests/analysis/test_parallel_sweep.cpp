@@ -17,6 +17,7 @@
 #include "common/error.hpp"
 #include "exec/thread_pool.hpp"
 #include "exec/wire_codec.hpp"
+#include "obs/run_trace.hpp"
 #include "topology/presets.hpp"
 
 namespace occm::analysis {
@@ -150,6 +151,26 @@ std::string wireBytes(const perf::RunProfile& profile) {
   std::string out;
   exec::wire::putProfile(out, profile);
   return out;
+}
+
+TEST(ParallelSweepDeterminism, PoolStartsNoMoreThreadsThanTasks) {
+  // A pool size far above the grid starts one worker per pending task,
+  // while the sweep still reports the resolved size and the serial bytes.
+  SweepConfig config = presetConfig(topology::testNuma4(), false);
+  config.coreCounts = {1, 2, 4};
+  config.parallel.workers = 1;
+  const SweepResult serial = runSweep(config);
+  config.parallel.workers = 16;
+  const SweepResult wide = runSweep(config);
+  EXPECT_EQ(wide.requestedWorkers, 16);
+  if constexpr (obs::kCompiledIn) {
+    EXPECT_EQ(wide.poolStats.workers.size(), 3u);
+  }
+  ASSERT_EQ(wide.profiles.size(), serial.profiles.size());
+  for (std::size_t i = 0; i < serial.profiles.size(); ++i) {
+    EXPECT_EQ(wireBytes(wide.profiles[i]), wireBytes(serial.profiles[i]))
+        << "core count " << serial.profiles[i].activeCores;
+  }
 }
 
 TEST(ParallelSweepCheckpoint, InterruptedSweepResumesToUninterruptedResult) {

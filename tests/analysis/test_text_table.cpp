@@ -1,10 +1,10 @@
-#include "analysis/text_table.hpp"
+#include "text_table.hpp"
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 
-namespace occm::analysis {
+namespace occm::bench {
 namespace {
 
 TEST(TextTable, AlignsColumns) {
@@ -38,4 +38,4 @@ TEST(Fmt, FixedPrecision) {
 }
 
 }  // namespace
-}  // namespace occm::analysis
+}  // namespace occm::bench

@@ -108,7 +108,7 @@ inline fault::FaultPlan goldenFaultPlan() {
 /// paper's three machines follow, at one, half and all of their cores:
 /// their shared areas and sharer sets are large enough to exercise the
 /// coherence directory the way perfbench's sweeps do (CG.W's spans more
-/// than one directory page).
+/// than one directory page). A serial x264 point closes the grid.
 inline std::vector<GoldenPoint> goldenGrid() {
   std::vector<GoldenPoint> grid;
   const std::vector<std::pair<workloads::Program, workloads::ProblemClass>>
@@ -148,6 +148,9 @@ inline std::vector<GoldenPoint> goldenGrid() {
                   {1, 4, 8}});
   grid.push_back({Program::kCG, ProblemClass::kW, "intelNuma24", false, 1,
                   numa24Cores});
+  // x264's frame pipeline, the one workload unlike the NPB kernels.
+  grid.push_back({Program::kX264, ProblemClass::kSimSmall, "testNuma4",
+                  false, 1});
   return grid;
 }
 
