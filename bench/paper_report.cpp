@@ -21,8 +21,8 @@
 #include <vector>
 
 #include "analysis/experiment.hpp"
+#include "common/whole_integer.hpp"
 #include "core/occm.hpp"
-#include "example_args.hpp"
 #include "exec/thread_pool.hpp"
 #include "text_table.hpp"
 
@@ -92,7 +92,7 @@ int parseWorkers(int argc, char** argv) {
     } else if (flag != "--workers") {
       why = "unrecognized argument \"" + arg + "\"";
     } else if (const std::optional<int> value =
-                   examples::wholeInteger(arg.substr(eq + 1), 1, 1 << 20)) {
+                   wholeInteger(arg.substr(eq + 1), 1, 1 << 20)) {
       workers = *value;
     } else {
       why = "bad value in \"" + arg + "\" (want an integer >= 1)";

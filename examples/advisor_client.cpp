@@ -75,7 +75,7 @@ Args parseArgs(int argc, char** argv) {
         eq == std::string::npos ? "" : arg.substr(eq + 1);
     const auto intIn = [&](const std::string& text, long lo, long hi) {
       const std::optional<long> v =
-          occm::examples::wholeInteger(text, lo, hi);
+          occm::wholeInteger(text, lo, hi);
       if (!v.has_value()) {
         die("bad value in \"" + arg + "\"");
       }

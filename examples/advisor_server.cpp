@@ -86,7 +86,7 @@ Args parseArgs(int argc, char** argv) {
         eq == std::string::npos ? "" : arg.substr(eq + 1);
     const auto intValue = [&](long lo, long hi) {
       const std::optional<long> v =
-          occm::examples::wholeInteger(value, lo, hi);
+          occm::wholeInteger(value, lo, hi);
       if (!v.has_value()) {
         die("bad value in \"" + arg + "\"");
       }

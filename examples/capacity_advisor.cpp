@@ -77,7 +77,7 @@ Args parseArgs(int argc, char** argv) {
       args.efficiency = *efficiency;
     } else if (flag == "--workers") {
       const std::optional<int> workers =
-          occm::examples::wholeInteger(value, 1, 1024);
+          occm::wholeInteger(value, 1, 1024);
       if (!workers.has_value()) {
         die("bad value in \"" + arg + "\" (want an integer >= 1)");
       }

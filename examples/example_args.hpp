@@ -5,8 +5,10 @@
 // "error:" line on stderr and exit status 1, before any simulation starts
 // — the library would otherwise abort on the contract violation, and
 // atoi/strtol/atof would silently read garbage as 0, "1e9" as 1 or
-// " +2" as 2. wholeInteger, nonNegativeArg and efficiencyArg only parse,
-// for CLIs that reject with their own usage and exit status.
+// " +2" as 2. Integers follow occm::wholeInteger (common/whole_integer),
+// the rule the OCCM_SWEEP_WORKERS variable follows too. nonNegativeArg
+// and efficiencyArg only parse, for CLIs that reject with their own usage
+// and exit status.
 
 #include <charconv>
 #include <cmath>
@@ -18,6 +20,7 @@
 #include <string>
 #include <system_error>
 
+#include "common/whole_integer.hpp"
 #include "core/occm.hpp"
 
 namespace occm::examples {
@@ -71,22 +74,6 @@ inline int coresArg(const std::string& text,
     rejectArg("bad core count '" + text + "' (want 1.." +
               std::to_string(machine.logicalCores()) + " on " +
               machine.name + ")");
-  }
-  return value;
-}
-
-/// The whole text in decimal within [minValue, maxValue], or nullopt: no
-/// blank or '+' in front, no exponent, no trailing junk, and a value too
-/// large for Int is rejected rather than clamped.
-template <typename Int>
-std::optional<Int> wholeInteger(const std::string& text, Int minValue,
-                                Int maxValue) {
-  Int value = 0;
-  const char* const last = text.data() + text.size();
-  const auto [end, ec] = std::from_chars(text.data(), last, value);
-  if (ec != std::errc{} || end != last || value < minValue ||
-      value > maxValue) {
-    return std::nullopt;
   }
   return value;
 }

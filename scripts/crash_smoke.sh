@@ -2,7 +2,7 @@
 # Crash-containment smoke test: run an isolated (--isolate) checkpointed
 # sweep, SIGKILL one of its forked attempt children mid-run, and assert
 # the sweep still finishes with exit 0 — the killed attempt must come back
-# as a recovered RunFailure{crash}, the checkpoint must stay valid JSON,
+# as a recovered RunFailure{crash}, the checkpoint must stay a valid v4 file,
 # and a rerun must resume from it.
 #
 # Usage: crash_smoke.sh <path-to-contention_sweep-binary>
@@ -11,7 +11,7 @@ set -euo pipefail
 bin="${1:?usage: crash_smoke.sh <contention_sweep binary>}"
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
-ckpt="$workdir/sweep.json"
+ckpt="$workdir/sweep.ckpt"
 
 "$bin" CG.S --workers=1 --isolate --checkpoint="$ckpt" \
   >"$workdir/first.log" 2>&1 &
@@ -57,10 +57,10 @@ grep -q "recovered" "$workdir/first.log" || {
   echo "FAIL: no checkpoint flushed at $ckpt" >&2
   exit 1
 }
-# Checkpoint v3 shape: version 3, an 8-hex-digit config digest, and runs
-# that each carry cores, a crc and an even-length hex profile.
-python3 -c "import json,re,sys; c=json.load(open(sys.argv[1])); assert c['version'] == 3; assert re.fullmatch('[0-9a-f]{8}', c['config']); assert all({'cores', 'crc', 'profile'} <= set(r) and len(r['profile']) % 2 == 0 for r in c['runs'])" "$ckpt" 2>/dev/null || {
-  echo "FAIL: flushed checkpoint is not valid v3 JSON" >&2
+# Checkpoint v4 shape: nothing but CRC-checked frames, a version-4
+# header, and as many record frames as the header counts.
+python3 "$(dirname "$0")/check_checkpoint.py" "$ckpt" || {
+  echo "FAIL: flushed checkpoint is not a valid v4 checkpoint" >&2
   exit 1
 }
 

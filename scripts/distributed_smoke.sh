@@ -94,7 +94,7 @@ grep -qE 'fleet: [0-9]+ worker' "$workdir/coord.log" || {
 
 # --- Act 3: coordinator crash + checkpoint resume -------------------------
 
-ckpt="$workdir/dist.json"
+ckpt="$workdir/dist.ckpt"
 "$bin" "$workload" --listen=0 --grace=30 --checkpoint="$ckpt" \
   >"$workdir/coord2.log" 2>&1 &
 coord=$!

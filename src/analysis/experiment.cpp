@@ -97,16 +97,18 @@ TaskOutcome runSweepTask(const SweepConfig& config,
 }
 
 /// Serializes checkpoint writes and keeps their contents deterministic: a
-/// snapshot is rebuilt from the restored state plus the completed
-/// outcomes in request order, so the file never depends on which task
+/// snapshot is the restored state with the record of each core count this
+/// invocation settled replaced, so the file never depends on which task
 /// finished first. Records loaded from a prior checkpoint are preserved
 /// even when this run requested a different core-count subset.
 class CheckpointWriter {
  public:
   CheckpointWriter(const SweepConfig& config, SweepCheckpoint restoredState,
+                   const std::vector<int>& coreCounts,
                    const std::vector<TaskOutcome>& outcomes)
       : path_(config.checkpointPath), base_(std::move(restoredState)),
-        outcomes_(outcomes), done_(outcomes.size(), false) {}
+        coreCounts_(coreCounts), outcomes_(outcomes),
+        done_(outcomes.size(), false) {}
 
   /// Marks task `index` complete and persists the snapshot (no-op without
   /// a checkpoint path). Thread-safe.
@@ -118,23 +120,25 @@ class CheckpointWriter {
     done_[index] = true;
     SweepCheckpoint snapshot = base_;
     for (std::size_t i = 0; i < outcomes_.size(); ++i) {
-      if (!done_[i]) {
-        continue;
-      }
       const TaskOutcome& outcome = outcomes_[i];
       // Restored outcomes are already in the base snapshot.
-      if (outcome.profile.has_value() && !outcome.restored) {
-        snapshot.runs.push_back(*outcome.profile);
+      if (!done_[i] || outcome.restored) {
+        continue;
       }
-      // Timeouts and cancellations are lifecycle outcomes of *this*
-      // invocation: persisting them would pile up stale records across
-      // resumes that are expected to re-attempt those core counts.
-      // Exceptions and crashes are evidence about the run itself, so
-      // both persist.
+      // A new profile, exception or crash is evidence about the run
+      // itself and replaces the core count's record. Timeouts,
+      // cancellations and skips are lifecycle outcomes of *this*
+      // invocation: they leave the earlier record as it was, and a resume
+      // re-attempts the core count.
+      exec::RunOutcome record;
+      record.profile = outcome.profile;
       if (outcome.failure.has_value() &&
           (outcome.failure->kind == RunFailureKind::kException ||
            outcome.failure->kind == RunFailureKind::kCrash)) {
-        snapshot.failures.push_back(*outcome.failure);
+        record.failure = outcome.failure;
+      }
+      if (record.profile.has_value() || record.failure.has_value()) {
+        snapshot.outcomes[coreCounts_[i]] = std::move(record);
       }
     }
     snapshot.save(path_);
@@ -144,6 +148,7 @@ class CheckpointWriter {
   std::mutex mutex_;
   const std::string path_;
   const SweepCheckpoint base_;
+  const std::vector<int>& coreCounts_;
   const std::vector<TaskOutcome>& outcomes_;
   std::vector<bool> done_;
 };
@@ -351,7 +356,7 @@ SweepResult runSweep(const SweepConfig& config) {
   exec::ThreadPoolStats poolStats;
 
   std::vector<TaskOutcome> outcomes(coreCounts.size());
-  CheckpointWriter checkpoint(config, restoredState, outcomes);
+  CheckpointWriter checkpoint(config, restoredState, coreCounts, outcomes);
 
   DistributedStats distStats;
   std::vector<RunFailure> distIncidents;

@@ -108,10 +108,10 @@ struct SweepConfig {
   /// still fails becomes a RunFailure instead of aborting the sweep.
   int maxAttempts = 2;
   /// When non-empty, completed runs are checkpointed here after every
-  /// core count (atomic tmp+rename JSON) and a matching checkpoint is
-  /// restored on the next call, skipping finished runs. A checkpoint
-  /// written under a different configuration — anything that changes
-  /// what a completed run measures — is ignored.
+  /// core count (atomic tmp+rename, analysis/sweep_state) and a matching
+  /// checkpoint is restored on the next call, skipping finished runs. A
+  /// checkpoint written under a different configuration — anything that
+  /// changes what a completed run measures — is ignored.
   std::string checkpointPath;
   /// Test/diagnostics hook, called before every attempt; an exception it
   /// throws is treated exactly like a failed run. With parallel.workers

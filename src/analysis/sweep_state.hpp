@@ -8,24 +8,23 @@
 // the checkpoint that lets an interrupted sweep resume without
 // re-simulating completed core counts.
 //
-// Checkpoint format v3: JSON is only the container. The header names the
-// sweep (program and machine as readable labels, plus "config", a CRC-32
-// of everything that decides what a completed run measures), and each
-// completed run is stored whole: the exec::wire encoding of its
-// RunProfile — the same bytes the isolation pipe and the fleet carry —
-// as lowercase hex, with a CRC-32 over those bytes. A resumed profile is
-// therefore the checkpointed profile itself, bit for bit. Failure records
-// stay JSON fields with a CRC-32 over a canonical field encoding. Loading
-// is tolerant: truncated/garbage/version-skewed/CRC-failed files produce
-// a typed CheckpointError naming the byte offset, and loadOrQuarantine
-// renames the bad file to <path>.corrupt so a fresh start never fights
-// the same bytes twice. Files of older formats (v1, v2) load as version
-// skew: a checkpoint is a cache of work, so dropping one costs a re-run,
-// never a wrong answer.
+// Checkpoint format v4 is a file of exec::encodeFrame frames, read back
+// by exec::FrameReassembler like every other framed channel: a header
+// frame (u32 version, program and machine labels, the u32 config digest
+// and a u32 record count), then one record frame per core count in
+// ascending order (i32 cores, the failure's i32 pool size or 0, then the
+// exec::wire::putOutcome bytes). A resumed profile is therefore the
+// checkpointed profile itself, bit for bit. Loading is tolerant: a bad
+// file yields a typed CheckpointError naming the byte offset, and
+// loadOrQuarantine renames it to <path>.corrupt so a fresh start never
+// fights the same bytes twice. Older formats (v1-v3, all JSON) load as
+// version skew: a checkpoint is a cache of work, so dropping one costs a
+// re-run, never a wrong answer.
 
 #include <cstdint>
+#include <map>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "common/expected.hpp"
 #include "exec/ipc.hpp"
@@ -42,10 +41,10 @@ using exec::RunFailureKind;
 enum class CheckpointErrorKind : std::uint8_t {
   kMissing,      ///< no file at the path — a fresh start, not corruption
   kIoError,      ///< the file exists but could not be read
-  kTruncated,    ///< the bytes end mid-structure
+  kTruncated,    ///< the bytes end mid-frame or before the counted records
   kSyntax,       ///< the bytes deviate from the format
   kVersionSkew,  ///< a format version this build does not understand
-  kCrcMismatch,  ///< a record's CRC-32 does not match its contents
+  kCrcMismatch,  ///< a frame's CRC-32 does not match its payload
 };
 
 [[nodiscard]] constexpr const char* toString(CheckpointErrorKind kind) noexcept {
@@ -74,19 +73,21 @@ struct CheckpointError {
 };
 
 /// On-disk sweep state: an identity header (so a checkpoint from a
-/// different configuration is never silently reused) plus the completed
-/// runs and recorded failures.
+/// different configuration is never silently reused) plus what each
+/// settled core count left.
 struct SweepCheckpoint {
   /// The only format this build reads, and the one it writes.
-  static constexpr int kFormatVersion = 3;
+  static constexpr std::uint32_t kFormatVersion = 4;
 
   std::string program;
   std::string machine;
   /// Digest of the sweep configuration (see runSweep); matches() compares
   /// it, program and machine are labels for a human reading the file.
   std::uint32_t config = 0;
-  std::vector<perf::RunProfile> runs;
-  std::vector<RunFailure> failures;
+  /// One outcome per core count, in ascending core-count order: a
+  /// profile, an exception or crash record, or both. A failure's cores
+  /// and poolSize are its record's.
+  std::map<int, exec::RunOutcome> outcomes;
 
   [[nodiscard]] bool matches(std::uint32_t configDigest) const {
     return config == configDigest;
@@ -94,12 +95,13 @@ struct SweepCheckpoint {
   /// Completed profile for a core count, or nullptr.
   [[nodiscard]] const perf::RunProfile* find(int cores) const;
 
-  [[nodiscard]] std::string toJson() const;
+  [[nodiscard]] std::string encode() const;
 
-  /// Parses what toJson produced. Returns a typed error naming the byte
+  /// Parses what encode() produced. Returns a typed error naming the byte
   /// offset of the first deviation; never throws, never UB on bad bytes.
+  /// A file that parses re-encodes to exactly its own bytes.
   [[nodiscard]] static Expected<SweepCheckpoint, CheckpointError> parseChecked(
-      const std::string& json);
+      std::string_view bytes);
 
   /// Atomic, durable write: temp file in the same directory, fsync,
   /// rename, then fsync of the containing directory — so a machine crash

@@ -85,7 +85,7 @@ struct TaskOutcome : exec::RunOutcome {
 };
 
 /// The outcome of a checkpointed run: the profile the checkpoint stored,
-/// bit for bit, marked restored. nullopt when the checkpoint has no run
+/// bit for bit, marked restored. nullopt when the checkpoint has no profile
 /// for this core count.
 [[nodiscard]] std::optional<TaskOutcome> restoredOutcome(
     const SweepCheckpoint& restoredState, int cores);

@@ -1,7 +1,8 @@
 #pragma once
 
 // CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected) — the integrity
-// check used by the checkpoint format's per-record checksums. Table-driven
+// check of every exec::encodeFrame frame (pipe, fleet, advisor server and
+// checkpoint file) and the checkpoint's config digest. Table-driven
 // with a constexpr-generated table; byte-order independent because it
 // only ever consumes bytes.
 

@@ -1,8 +1,8 @@
 #pragma once
 
-// Minimal recursive-descent reader for the JSON subset our persistence
-// formats emit (objects, arrays, strings, numbers, booleans). Shared by
-// the sweep-checkpoint and fault-plan loaders.
+// Minimal recursive-descent reader for the JSON subset the fault-plan
+// format emits (objects, arrays, strings, numbers); its one user is
+// fault/fault_plan_io.
 //
 // Hardened for untrusted bytes: every primitive bounds-checks, nothing
 // asserts, and the first deviation records a byte offset plus a
@@ -207,23 +207,6 @@ class JsonReader {
       return 0;
     }
     return static_cast<int>(value);
-  }
-
-  bool parseBool() {
-    skipWs();
-    if (!ok_) {
-      return false;
-    }
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return false;
-    }
-    fail("expected true or false");
-    return false;
   }
 
  private:

@@ -77,6 +77,7 @@ bool FrameReassembler::feed(std::string_view bytes) {
     const std::uint32_t storedCrc = trailer.u32();
     if (storedCrc != crc32(payload)) {
       poison(kFrameHeaderSize + length, "payload crc mismatch", false);
+      error_.crcMismatch = true;
       return false;
     }
     ready_.emplace_back(payload);

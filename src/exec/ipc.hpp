@@ -53,6 +53,7 @@ struct IpcError {
   std::size_t byteOffset = 0;  ///< offset of the first deviation
   std::string detail;
   bool truncated = false;  ///< the bytes end mid-structure
+  bool crcMismatch = false;  ///< a frame's payload failed its CRC-32
 
   /// "corrupt ipc frame (truncated) at byte 12: ..."
   [[nodiscard]] std::string message() const;

@@ -82,7 +82,7 @@ void applyLimit(int resource, std::uint64_t value) {
 }
 
 /// Non-printable bytes in a crash tail (sanitizer hex dumps, torn UTF-8)
-/// become '.' so the tail embeds safely in JSON checkpoints and CSV.
+/// become '.' so the tail prints safely in diagnostics and CSV.
 std::string sanitizeTail(const std::string& raw) {
   std::string out;
   out.reserve(raw.size());

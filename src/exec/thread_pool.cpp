@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/whole_integer.hpp"
 #include "obs/profiler.hpp"
 #include "obs/run_trace.hpp"
 
@@ -15,10 +17,8 @@ int resolveWorkerCount(int requested) {
     return requested;
   }
   if (const char* env = std::getenv("OCCM_SWEEP_WORKERS")) {
-    char* end = nullptr;
-    const long value = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && value > 0 && value <= 4096) {
-      return static_cast<int>(value);
+    if (const std::optional<int> value = wholeInteger(env, 1, 4096)) {
+      return *value;
     }
   }
   const unsigned hardware = std::thread::hardware_concurrency();

@@ -34,7 +34,8 @@ namespace occm::exec {
 
 /// Resolves a requested pool size: positive values pass through; zero or
 /// negative fall back to the OCCM_SWEEP_WORKERS environment variable
-/// (when it parses as a positive integer) and then to
+/// (when its whole text is a decimal integer in 1..4096, the
+/// occm::wholeInteger rule of every --workers flag) and then to
 /// std::thread::hardware_concurrency(), never below 1.
 [[nodiscard]] int resolveWorkerCount(int requested);
 

@@ -9,9 +9,9 @@
 // naming the byte offset — never a throw, never UB on arbitrary bytes.
 //
 // Two records are encoded here because every channel carries them: a
-// run's profile (putProfile, also the checkpoint's run encoding) and a
-// run's outcome (putOutcome — the isolation pipe's whole payload and the
-// body of the fleet's kResult).
+// run's profile (putProfile) and a run's outcome (putOutcome — the
+// isolation pipe's whole payload, the body of the fleet's kResult and of
+// each checkpoint record).
 
 #include <cstdint>
 #include <string>

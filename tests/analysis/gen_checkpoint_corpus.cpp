@@ -1,10 +1,10 @@
 // Regenerates the committed seed corpus of fuzz_checkpoint: a real
 // checkpoint written by an isolated CG.S sweep on testNuma4 whose 3-core
 // run dies on an injected abort at every attempt. The file carries three
-// wire-encoded run profiles and a persisted crash record, so the fuzzer
-// starts inside wire::readProfile instead of rediscovering the format
-// from random bytes. Regenerate after any change to the checkpoint format
-// or to the profile's wire encoding.
+// records with wire-encoded run profiles and one with a persisted crash
+// record, so the fuzzer starts inside wire::readOutcome instead of
+// rediscovering the format from random bytes. Regenerate after any
+// change to the checkpoint format or to the outcome's wire encoding.
 //
 //   gen_checkpoint_corpus [corpus-root]   (default: fuzz/corpus)
 
@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
       std::filesystem::path(argc > 1 ? argv[1] : "fuzz/corpus") /
       "checkpoint";
   std::filesystem::create_directories(dir);
-  const std::string path = (dir / "crash_sweep.json").string();
+  const std::string path = (dir / "crash_sweep.bin").string();
   std::filesystem::remove(path);
 
   analysis::SweepConfig config;

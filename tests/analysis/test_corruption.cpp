@@ -3,22 +3,24 @@
 // two persisted formats the program reads back — sweep checkpoints and
 // serialized fault plans. Every mutated input must produce a typed error
 // or a cleanly parsed value; never a crash, an assert, or an escaped
-// exception. A sample of mutants additionally goes through the on-disk
-// loadOrQuarantine path to audit the quarantine rename.
+// exception. Checkpoints are held to oracles: every single-bit flip and
+// every truncation is a typed error, and a mutant that parses re-encodes
+// to exactly its own bytes. A sample of mutants additionally goes through
+// the on-disk loadOrQuarantine path to audit the quarantine rename.
 
 #include <gtest/gtest.h>
 
-#include <cctype>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "analysis/sweep_state.hpp"
-#include "common/crc32.hpp"
 #include "common/rng.hpp"
+#include "exec/frame_transport.hpp"
 #include "exec/wire_codec.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/fault_plan_io.hpp"
@@ -87,17 +89,66 @@ perf::RunProfile sampleProfile(int cores, Cycles total, Cycles stall,
   return profile;
 }
 
+/// Four records, one of each shape: profiles alone (n = 1, 4), a profile
+/// with the exception record of its recovered retry (n = 2), and a crash
+/// record alone (n = 3).
 SweepCheckpoint sampleCheckpoint() {
   SweepCheckpoint ckpt;
   ckpt.program = "cg.S";
   ckpt.machine = "test-numa-4";
   ckpt.config = 0xC0FFEE42U;
-  ckpt.runs.push_back(sampleProfile(1, 1'250'000, 350'000, 1'250'000));
-  ckpt.runs.push_back(sampleProfile(2, 1'500'000, 500'000, 760'000));
-  ckpt.runs.push_back(sampleProfile(4, 2'250'000, 910'000, 600'000));
-  ckpt.failures.push_back({3, 2, "synthetic \"quoted\" crash\n", true, 4,
-                           RunFailureKind::kException, 0, "", "", ""});
+  ckpt.outcomes[1].profile = sampleProfile(1, 1'250'000, 350'000, 1'250'000);
+  ckpt.outcomes[2].profile = sampleProfile(2, 1'500'000, 500'000, 760'000);
+  ckpt.outcomes[2].failure = RunFailure{2, 2, "synthetic \"quoted\" crash\n",
+                                        true, 4, RunFailureKind::kException,
+                                        0, "", "", ""};
+  ckpt.outcomes[3].failure =
+      RunFailure{3, 2, "child terminated by signal 11", false, 4,
+                 RunFailureKind::kCrash, 11, "address-space",
+                 "occm: injected crash\nSegmentation fault", ""};
+  ckpt.outcomes[4].profile = sampleProfile(4, 2'250'000, 910'000, 600'000);
   return ckpt;
+}
+
+/// A checkpoint file's frame payloads, in file order.
+std::vector<std::string> framesOf(const std::string& file) {
+  exec::FrameReassembler reassembler;
+  EXPECT_TRUE(reassembler.feed(file));
+  EXPECT_EQ(reassembler.buffered(), 0u);
+  std::vector<std::string> payloads;
+  while (std::optional<std::string> payload = reassembler.next()) {
+    payloads.push_back(std::move(*payload));
+  }
+  return payloads;
+}
+
+/// The file of `payloads`, each sealed in its own frame.
+std::string sealAll(const std::vector<std::string>& payloads) {
+  std::string file;
+  for (const std::string& payload : payloads) {
+    file += exec::encodeFrame(payload);
+  }
+  return file;
+}
+
+/// File offset of frame `index` of `payloads`.
+std::size_t frameOffset(const std::vector<std::string>& payloads,
+                        std::size_t index) {
+  std::size_t at = 0;
+  for (std::size_t i = 0; i < index; ++i) {
+    at += exec::kFrameOverhead + payloads[i].size();
+  }
+  return at;
+}
+
+/// A record payload: cores, pool size (0 without a failure), outcome.
+std::string recordPayload(int cores, int poolSize,
+                          const exec::RunOutcome& outcome) {
+  std::string payload;
+  exec::wire::putI32(payload, cores);
+  exec::wire::putI32(payload, poolSize);
+  exec::wire::putOutcome(payload, outcome);
+  return payload;
 }
 
 std::string sampleFaultPlanJson() {
@@ -111,7 +162,7 @@ std::string sampleFaultPlanJson() {
 }
 
 TEST(CorruptionSuite, CheckpointMutationsNeverCrashOrSilentlyMisparse) {
-  const std::string pristine = sampleCheckpoint().toJson();
+  const std::string pristine = sampleCheckpoint().encode();
   ASSERT_TRUE(SweepCheckpoint::parseChecked(pristine).hasValue());
   Rng rng(0x5EED0001);
   int typedErrors = 0;
@@ -120,17 +171,16 @@ TEST(CorruptionSuite, CheckpointMutationsNeverCrashOrSilentlyMisparse) {
     try {
       const auto result = SweepCheckpoint::parseChecked(mutant);
       if (result.hasValue()) {
-        // A mutant that still parses must be internally consistent: its
-        // re-serialization round-trips (no silent half-parsed state).
-        const auto again = SweepCheckpoint::parseChecked(result->toJson());
-        EXPECT_TRUE(again.hasValue()) << "mutation " << i;
+        // A mutant that still parses is a checkpoint in its own right: it
+        // re-encodes to exactly its own bytes (no silent half-parsed
+        // state, no field the encoding drops).
+        EXPECT_EQ(result->encode(), mutant) << "mutation " << i;
       } else {
         ++typedErrors;
         EXPECT_FALSE(result.error().message().empty());
       }
     } catch (...) {
-      ADD_FAILURE() << "parseChecked threw on mutation " << i << ": "
-                    << mutant.substr(0, 120);
+      ADD_FAILURE() << "parseChecked threw on mutation " << i;
     }
   }
   // Structural mutations overwhelmingly break the format; if nearly all
@@ -139,35 +189,52 @@ TEST(CorruptionSuite, CheckpointMutationsNeverCrashOrSilentlyMisparse) {
 }
 
 TEST(CorruptionSuite, CheckpointBitFlipsInValuesAreCaughtByCrc) {
-  // Target digits specifically: flip one numeric character inside a run
-  // record. The JSON stays syntactically valid, so only the per-record
-  // CRC (or, for the core count, its cross-check against the profile)
-  // can catch it.
-  const std::string pristine = sampleCheckpoint().toJson();
-  const std::size_t runsAt = pristine.find("\"runs\"");
-  ASSERT_NE(runsAt, std::string::npos);
-  Rng rng(0x5EED0002);
-  int caught = 0;
-  int attempts = 0;
-  for (std::size_t at = runsAt; at < pristine.size() && attempts < 40; ++at) {
-    const char c = pristine[at];
-    if (c < '0' || c > '9') {
-      continue;
-    }
-    ++attempts;
-    std::string mutant = pristine;
-    mutant[at] = c == '9' ? '0' : static_cast<char>(c + 1);
-    const auto result = SweepCheckpoint::parseChecked(mutant);
-    if (!result.hasValue()) {
-      ++caught;
-      EXPECT_NE(result.error().kind, CheckpointErrorKind::kIoError);
+  // Every single-bit flip of the file is a typed error. A flip inside a
+  // payload or its CRC trailer fails that frame's checksum; a flip in a
+  // magic or length field breaks the framing itself.
+  const std::string pristine = sampleCheckpoint().encode();
+  const std::vector<std::string> payloads = framesOf(pristine);
+  ASSERT_EQ(payloads.size(), 5u);  // header + four records
+  std::vector<bool> checksummed(pristine.size(), false);
+  for (std::size_t f = 0; f < payloads.size(); ++f) {
+    const std::size_t at = frameOffset(payloads, f) + exec::kFrameHeaderSize;
+    for (std::size_t b = 0; b < payloads[f].size() + exec::kFrameTrailerSize;
+         ++b) {
+      checksummed[at + b] = true;
     }
   }
-  // Every single-digit change lands in a core count, a profile byte or a
-  // CRC field: the first no longer names the profile's core count, the
-  // other two fail the record's checksum. Nothing may parse as a
-  // silently different sweep.
-  EXPECT_EQ(caught, attempts);
+  int crcCaught = 0;
+  for (std::size_t at = 0; at < pristine.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string mutant = pristine;
+      mutant[at] = static_cast<char>(static_cast<unsigned char>(mutant[at]) ^
+                                     (1U << bit));
+      const auto result = SweepCheckpoint::parseChecked(mutant);
+      ASSERT_FALSE(result.hasValue()) << "byte " << at << " bit " << bit;
+      EXPECT_NE(result.error().kind, CheckpointErrorKind::kIoError);
+      EXPECT_NE(result.error().kind, CheckpointErrorKind::kMissing);
+      if (checksummed[at]) {
+        EXPECT_EQ(result.error().kind, CheckpointErrorKind::kCrcMismatch)
+            << "byte " << at << " bit " << bit << ": "
+            << result.error().message();
+        ++crcCaught;
+      }
+    }
+  }
+  EXPECT_GT(crcCaught, 0);
+}
+
+TEST(CorruptionSuite, EveryCheckpointCutIsTruncated) {
+  // A cut anywhere — mid-frame, or on a frame boundary before the last
+  // record the header counts — is a truncation, never a shorter sweep.
+  const std::string pristine = sampleCheckpoint().encode();
+  for (std::size_t cut = 0; cut < pristine.size(); ++cut) {
+    const auto result = SweepCheckpoint::parseChecked(pristine.substr(0, cut));
+    ASSERT_FALSE(result.hasValue()) << "cut at byte " << cut;
+    EXPECT_EQ(result.error().kind, CheckpointErrorKind::kTruncated)
+        << "cut at byte " << cut << ": " << result.error().message();
+    EXPECT_LE(result.error().byteOffset, cut);
+  }
 }
 
 TEST(CorruptionSuite, FaultPlanMutationsYieldTypedErrorsOrValidPlans) {
@@ -197,9 +264,9 @@ TEST(CorruptionSuite, FaultPlanMutationsYieldTypedErrorsOrValidPlans) {
 
 TEST(CorruptionSuite, OnDiskMutantsQuarantineAndFreshStart) {
   const std::string path =
-      (std::filesystem::temp_directory_path() / "occm_corrupt_probe.json")
+      (std::filesystem::temp_directory_path() / "occm_corrupt_probe.bin")
           .string();
-  const std::string pristine = sampleCheckpoint().toJson();
+  const std::string pristine = sampleCheckpoint().encode();
   Rng rng(0x5EED0005);
   for (int i = 0; i < 24; ++i) {
     const std::string mutant = mutate(pristine, rng);
@@ -233,64 +300,75 @@ TEST(CorruptionSuite, OnDiskMutantsQuarantineAndFreshStart) {
 }
 
 TEST(CorruptionSuite, CheckpointTypedErrorsNameKindAndOffset) {
-  // Truncation vs garbage vs version skew vs CRC mismatch, each with a
-  // byte offset a human can act on.
-  const std::string pristine = sampleCheckpoint().toJson();
+  // Truncation vs garbage vs version skew vs CRC mismatch vs a record
+  // count that disagrees with the file, each with a byte offset a human
+  // can act on.
+  const std::string pristine = sampleCheckpoint().encode();
+  const std::vector<std::string> payloads = framesOf(pristine);
+  ASSERT_EQ(payloads.size(), 5u);
 
+  // Cut inside the third frame: named at that frame's start.
+  const std::size_t third = frameOffset(payloads, 2);
   const auto truncated =
-      SweepCheckpoint::parseChecked(pristine.substr(0, pristine.size() / 2));
+      SweepCheckpoint::parseChecked(pristine.substr(0, third + 20));
   ASSERT_FALSE(truncated.hasValue());
   EXPECT_EQ(truncated.error().kind, CheckpointErrorKind::kTruncated);
+  EXPECT_EQ(truncated.error().byteOffset, third);
 
   const auto garbage = SweepCheckpoint::parseChecked("][ nonsense");
   ASSERT_FALSE(garbage.hasValue());
   EXPECT_EQ(garbage.error().kind, CheckpointErrorKind::kSyntax);
   EXPECT_EQ(garbage.error().byteOffset, 0u);
+  EXPECT_NE(garbage.error().detail.find("magic"), std::string::npos);
 
-  std::string skewed = pristine;
-  const std::size_t vAt = skewed.find("\"version\": 3");
-  ASSERT_NE(vAt, std::string::npos);
-  skewed.replace(vAt, 12, "\"version\": 9");
-  const auto skew = SweepCheckpoint::parseChecked(skewed);
+  // A sealed header of another version: skew, named at the version.
+  std::vector<std::string> skewed = payloads;
+  skewed[0][0] = 9;
+  const auto skew = SweepCheckpoint::parseChecked(sealAll(skewed));
   ASSERT_FALSE(skew.hasValue());
   EXPECT_EQ(skew.error().kind, CheckpointErrorKind::kVersionSkew);
+  EXPECT_EQ(skew.error().byteOffset, exec::kFrameHeaderSize);
   EXPECT_NE(skew.error().detail.find("version 9"), std::string::npos);
 
+  // A flipped payload byte: the frame's CRC trailer names it.
   std::string flipped = pristine;
-  const std::size_t hexAt = flipped.find("\"profile\": \"") + 12;
-  ASSERT_LT(hexAt, flipped.size());
-  flipped[hexAt] = flipped[hexAt] == '0' ? '1' : '0';
+  const std::size_t second = frameOffset(payloads, 1);
+  flipped[second + exec::kFrameHeaderSize] ^= 0x01;
   const auto crc = SweepCheckpoint::parseChecked(flipped);
   ASSERT_FALSE(crc.hasValue());
   EXPECT_EQ(crc.error().kind, CheckpointErrorKind::kCrcMismatch);
-  EXPECT_GT(crc.error().byteOffset, 0u);
+  EXPECT_EQ(crc.error().byteOffset,
+            second + exec::kFrameHeaderSize + payloads[1].size());
   EXPECT_NE(crc.error().detail.find("crc mismatch"), std::string::npos);
 
-  // Integer fields must hold integers that fit an int: a fraction or an
-  // out-of-range value is a syntax error naming the field, never a
-  // truncated (or undefined) conversion.
-  const auto expectSyntax = [](const std::string& json,
-                               const std::string& field) {
-    const auto result = SweepCheckpoint::parseChecked(json);
-    ASSERT_FALSE(result.hasValue()) << json;
-    EXPECT_EQ(result.error().kind, CheckpointErrorKind::kSyntax) << json;
-    EXPECT_NE(result.error().detail.find(field), std::string::npos)
-        << result.error().detail;
-  };
-  expectSyntax(
-      "{\"version\": 3, \"runs\": [{\"cores\": 1e10, \"profile\": \"\", "
-      "\"crc\": \"00000000\"}]}",
-      "cores");
-  for (const char* version : {"1.5", "1e300"}) {
-    std::string bad = pristine;
-    bad.replace(vAt, 12, std::string("\"version\": ") + version);
-    expectSyntax(bad, "version");
-  }
-  std::string fractional = pristine;
-  const std::size_t attemptsAt = fractional.find("\"attempts\": 2,");
-  ASSERT_NE(attemptsAt, std::string::npos);
-  fractional.replace(attemptsAt, 14, "\"attempts\": 2.5,");
-  expectSyntax(fractional, "attempts");
+  // The header counts every record: one fewer frame is a truncation even
+  // on a frame boundary, one more is a syntax error at the extra frame.
+  const std::vector<std::string> fewer(payloads.begin(), payloads.end() - 1);
+  const auto shortFile = SweepCheckpoint::parseChecked(sealAll(fewer));
+  ASSERT_FALSE(shortFile.hasValue());
+  EXPECT_EQ(shortFile.error().kind, CheckpointErrorKind::kTruncated);
+  EXPECT_EQ(shortFile.error().byteOffset, frameOffset(payloads, 4));
+  EXPECT_NE(shortFile.error().detail.find("3 of 4 records"),
+            std::string::npos)
+      << shortFile.error().detail;
+
+  std::vector<std::string> more = payloads;
+  more.push_back(payloads[4]);
+  const auto longFile = SweepCheckpoint::parseChecked(sealAll(more));
+  ASSERT_FALSE(longFile.hasValue());
+  EXPECT_EQ(longFile.error().kind, CheckpointErrorKind::kSyntax);
+  EXPECT_EQ(longFile.error().byteOffset, pristine.size());
+
+  // Records run in ascending core-count order, each count once.
+  std::vector<std::string> swapped = payloads;
+  std::swap(swapped[2], swapped[3]);
+  const auto order = SweepCheckpoint::parseChecked(sealAll(swapped));
+  ASSERT_FALSE(order.hasValue());
+  EXPECT_EQ(order.error().kind, CheckpointErrorKind::kSyntax);
+  EXPECT_EQ(order.error().byteOffset, frameOffset(swapped, 3));
+  EXPECT_NE(order.error().detail.find("follows the one for 3"),
+            std::string::npos)
+      << order.error().detail;
 }
 
 TEST(CorruptionSuite, FaultPlanVersionMustBeAnInteger) {
@@ -313,86 +391,61 @@ TEST(CorruptionSuite, FaultPlanVersionMustBeAnInteger) {
 }
 
 TEST(CorruptionSuite, CheckpointRunProfileMustDecodeExactly) {
-  // Each run's profile passes three gates — lowercase even-length hex,
-  // its CRC, a wire decode that consumes every byte and names the
-  // record's core count — and a failure at any gate points at the run
-  // record, never a silently different profile.
-  const std::string pristine = sampleCheckpoint().toJson();
-  const std::size_t recordAt = pristine.find("{\"cores\": 1,");
-  ASSERT_NE(recordAt, std::string::npos);
-  const std::size_t hexAt = pristine.find("\"profile\": \"", recordAt) + 12;
-  const std::size_t hexEnd = pristine.find('"', hexAt);
-  const std::string hex = pristine.substr(hexAt, hexEnd - hexAt);
-  const std::size_t crcAt = pristine.find("\"crc\": \"", hexEnd) + 8;
+  // A record whose frame is sound still has to decode exactly: the
+  // outcome consumes every byte, its profile names the record's core
+  // count, and a pool size appears only with a failure. A deviation is a
+  // syntax error inside that record's frame, never a silently different
+  // profile.
+  const SweepCheckpoint sample = sampleCheckpoint();
+  const std::string pristine = sample.encode();
+  const std::vector<std::string> payloads = framesOf(pristine);
+  const std::size_t recordAt = frameOffset(payloads, 1);
+  const std::size_t recordEnd = frameOffset(payloads, 2);
+  const exec::RunOutcome& first = sample.outcomes.at(1);
 
-  // Replaces the first run's profile hex and, when given, its CRC.
-  const auto withRun = [&](const std::string& newHex,
-                           const std::string& newCrc) {
-    std::string json = pristine;
-    if (!newCrc.empty()) {
-      json.replace(crcAt, 8, newCrc);
-    }
-    json.replace(hexAt, hex.size(), newHex);
-    return json;
-  };
-  // Hex of `bytes` with a CRC the loader accepts.
-  const auto sealed = [&](const std::string& bytes) {
-    static constexpr char kDigits[] = "0123456789abcdef";
-    std::string outHex;
-    for (const char ch : bytes) {
-      outHex += kDigits[static_cast<unsigned char>(ch) >> 4];
-      outHex += kDigits[static_cast<unsigned char>(ch) & 0xFU];
-    }
-    char crc[16];
-    std::snprintf(crc, sizeof crc, "%08x", crc32(bytes));
-    return withRun(outHex, crc);
-  };
-  const auto expectRecordError = [&](const std::string& json,
-                                     CheckpointErrorKind kind,
+  const auto expectRecordError = [&](const std::string& payload,
                                      const std::string& detail) {
-    const auto result = SweepCheckpoint::parseChecked(json);
+    std::vector<std::string> edited = payloads;
+    edited[1] = payload;
+    const auto result = SweepCheckpoint::parseChecked(sealAll(edited));
     ASSERT_FALSE(result.hasValue()) << detail;
-    EXPECT_EQ(result.error().kind, kind) << result.error().message();
-    EXPECT_EQ(result.error().byteOffset, recordAt) << result.error().message();
+    EXPECT_EQ(result.error().kind, CheckpointErrorKind::kSyntax)
+        << result.error().message();
+    EXPECT_GE(result.error().byteOffset, recordAt) << result.error().message();
+    EXPECT_LT(result.error().byteOffset, recordEnd)
+        << result.error().message();
     EXPECT_NE(result.error().detail.find(detail), std::string::npos)
         << result.error().detail;
   };
 
-  std::string upper = hex;
-  for (char& ch : upper) {
-    ch = static_cast<char>(std::toupper(static_cast<unsigned char>(ch)));
-  }
-  expectRecordError(withRun(upper, ""), CheckpointErrorKind::kSyntax, "hex");
-  expectRecordError(withRun(hex.substr(1), ""), CheckpointErrorKind::kSyntax,
-                    "hex");
+  expectRecordError(payloads[1] + '\0', "trailing bytes");
+  expectRecordError(payloads[1].substr(0, payloads[1].size() - 8),
+                    "unexpected end of input");
+  expectRecordError(recordPayload(3, 0, first), "holds a profile of 1");
+  expectRecordError(recordPayload(1, 4, first), "pool size but no failure");
 
-  std::string bytes;
-  exec::wire::putProfile(bytes, sampleCheckpoint().runs[0]);
-  expectRecordError(sealed(bytes + '\0'), CheckpointErrorKind::kSyntax,
-                    "trailing bytes");
-  expectRecordError(sealed(bytes.substr(0, bytes.size() - 8)),
-                    CheckpointErrorKind::kSyntax, "unexpected end of input");
-
-  std::string moved = pristine;
-  moved.replace(recordAt, 12, "{\"cores\": 3,");
-  expectRecordError(moved, CheckpointErrorKind::kSyntax,
-                    "holds a profile of 1");
-
-  // The untouched bytes decode to the very profile that was written.
+  // The untouched bytes decode to the very profile that was written, and
+  // a failure takes its cores and pool size from its record.
   const auto back = SweepCheckpoint::parseChecked(pristine);
   ASSERT_TRUE(back.hasValue()) << back.error().message();
   ASSERT_NE(back->find(2), nullptr);
   std::string again;
   exec::wire::putProfile(again, *back->find(2));
   std::string expected;
-  exec::wire::putProfile(expected, sampleCheckpoint().runs[1]);
+  exec::wire::putProfile(expected, *sample.find(2));
   EXPECT_EQ(again, expected);
+  EXPECT_EQ(back->find(3), nullptr);
+  ASSERT_TRUE(back->outcomes.at(2).failure.has_value());
+  EXPECT_EQ(back->outcomes.at(2).failure->cores, 2);
+  EXPECT_EQ(back->outcomes.at(2).failure->poolSize, 4);
 }
 
 TEST(CorruptionSuite, LegacyCheckpointsLoadAsVersionSkewAndQuarantine) {
-  // A v1 file (no version header, per-field runs, no CRCs) and a v2 file
-  // (version header, per-field runs with CRCs) are both caches of work
-  // this build cannot reproduce bit for bit: version skew, quarantined.
+  // A v1 file (no version header, per-field runs, no CRCs), a v2 file
+  // (version header, per-field runs with CRCs) and a v3 file (hex-encoded
+  // wire profiles and JSON failure records, as the v3 writer left it) are
+  // all JSON: caches of work this build no longer reads. Each is version
+  // skew at byte 0, quarantined.
   const std::string v1 =
       "{\n"
       "  \"program\": \"cg.S\",\n"
@@ -418,15 +471,40 @@ TEST(CorruptionSuite, LegacyCheckpointsLoadAsVersionSkewAndQuarantine) {
       "  ],\n"
       "  \"failures\": []\n"
       "}\n";
+  const std::string v3 =
+      "{\n"
+      "  \"version\": 3,\n"
+      "  \"program\": \"cg.S\",\n"
+      "  \"machine\": \"test-numa-4\",\n"
+      "  \"config\": \"0badf00d\",\n"
+      "  \"runs\": [\n"
+      "    {\"cores\": 1, \"profile\": \""
+      "0400000063672e530b000000746573742d6e756d612d34040000000100000064"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000"
+      "\", \"crc\": \"da841c29\"}\n"
+      "  ],\n"
+      "  \"failures\": [\n"
+      "    {\"cores\": 2, \"attempts\": 3, \"recovered\": false, "
+      "\"poolSize\": 1, \"kind\": \"crash\", \"signal\": 6, \"rlimit\": \"\", "
+      "\"stderrTail\": \"abort\", "
+      "\"error\": \"child terminated by signal 6\", \"crc\": \"a3431023\"}\n"
+      "  ]\n"
+      "}\n";
   const std::string path =
-      (std::filesystem::temp_directory_path() / "occm_legacy_probe.json")
+      (std::filesystem::temp_directory_path() / "occm_legacy_probe.bin")
           .string();
-  for (const std::string& legacy : {v1, v2, std::string("{}")}) {
+  for (const std::string& legacy : {v1, v2, v3, std::string("{}")}) {
     const auto parsed = SweepCheckpoint::parseChecked(legacy);
     ASSERT_FALSE(parsed.hasValue()) << legacy;
     EXPECT_EQ(parsed.error().kind, CheckpointErrorKind::kVersionSkew)
         << parsed.error().message();
-    EXPECT_NE(parsed.error().detail.find("reads version 3"),
+    EXPECT_EQ(parsed.error().byteOffset, 0u);
+    EXPECT_NE(parsed.error().detail.find("reads version 4"),
               std::string::npos)
         << parsed.error().detail;
 
@@ -441,35 +519,47 @@ TEST(CorruptionSuite, LegacyCheckpointsLoadAsVersionSkewAndQuarantine) {
     EXPECT_EQ(loaded.error().quarantinedTo, path + ".corrupt");
     EXPECT_FALSE(std::filesystem::exists(path));
   }
-  // v1 is named at its first key, v2 at its version number.
-  EXPECT_EQ(SweepCheckpoint::parseChecked(v1).error().byteOffset,
-            v1.find("\"program\""));
-  EXPECT_EQ(SweepCheckpoint::parseChecked(v2).error().byteOffset,
-            v2.find("2,"));
   std::filesystem::remove(path + ".corrupt");
 }
 
 TEST(CorruptionSuite, CheckpointRoundTripsAllFailureKinds) {
+  // The record carries a failure through the outcome codec, so every run
+  // kind survives with its crash forensics, and cores and pool size come
+  // back from the record.
   SweepCheckpoint ckpt = sampleCheckpoint();
-  ckpt.failures.push_back({5, 1, "over budget", false, 2,
-                           RunFailureKind::kTimeout, 0, "", "", ""});
-  ckpt.failures.push_back({6, 1, "ctrl-c", false, 2,
-                           RunFailureKind::kCancelled, 0, "", "", ""});
-  ckpt.failures.push_back({7, 2, "child terminated by signal 11", false, 2,
-                           RunFailureKind::kCrash, 11, "address-space",
-                           "occm: injected crash\nSegmentation fault", ""});
-  const auto back = SweepCheckpoint::parseChecked(ckpt.toJson());
+  ckpt.outcomes[5].failure = RunFailure{5, 1, "over budget", false, 2,
+                                        RunFailureKind::kTimeout, 0, "", "",
+                                        ""};
+  ckpt.outcomes[6].failure = RunFailure{6, 1, "ctrl-c", false, 2,
+                                        RunFailureKind::kCancelled, 9, "", "",
+                                        ""};
+  const std::string file = ckpt.encode();
+  const auto back = SweepCheckpoint::parseChecked(file);
   ASSERT_TRUE(back.hasValue()) << back.error().message();
-  ASSERT_EQ(back->failures.size(), 4u);
-  EXPECT_EQ(back->failures[0].kind, RunFailureKind::kException);
-  EXPECT_EQ(back->failures[1].kind, RunFailureKind::kTimeout);
-  EXPECT_EQ(back->failures[2].kind, RunFailureKind::kCancelled);
-  EXPECT_EQ(back->failures[3].kind, RunFailureKind::kCrash);
-  EXPECT_EQ(back->failures[3].signal, 11);
-  EXPECT_EQ(back->failures[3].rlimit, "address-space");
-  EXPECT_EQ(back->failures[3].stderrTail,
+  ASSERT_EQ(back->outcomes.size(), 6u);
+  const auto failureAt = [&](int cores) {
+    EXPECT_TRUE(back->outcomes.at(cores).failure.has_value()) << cores;
+    return back->outcomes.at(cores).failure.value_or(RunFailure{});
+  };
+  EXPECT_EQ(failureAt(2).kind, RunFailureKind::kException);
+  EXPECT_TRUE(failureAt(2).recovered);
+  EXPECT_EQ(failureAt(2).error, "synthetic \"quoted\" crash\n");
+  EXPECT_EQ(failureAt(3).kind, RunFailureKind::kCrash);
+  EXPECT_EQ(failureAt(3).attempts, 2);
+  EXPECT_EQ(failureAt(3).signal, 11);
+  EXPECT_EQ(failureAt(3).rlimit, "address-space");
+  EXPECT_EQ(failureAt(3).stderrTail,
             "occm: injected crash\nSegmentation fault");
-  EXPECT_EQ(back->toJson(), ckpt.toJson());
+  EXPECT_EQ(failureAt(5).kind, RunFailureKind::kTimeout);
+  EXPECT_EQ(failureAt(6).kind, RunFailureKind::kCancelled);
+  EXPECT_EQ(failureAt(6).signal, 9);
+  for (const auto& [cores, outcome] : back->outcomes) {
+    if (outcome.failure.has_value()) {
+      EXPECT_EQ(outcome.failure->cores, cores);
+      EXPECT_EQ(outcome.failure->poolSize, cores < 5 ? 4 : 2);
+    }
+  }
+  EXPECT_EQ(back->encode(), file);
 }
 
 }  // namespace

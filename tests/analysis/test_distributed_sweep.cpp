@@ -146,7 +146,7 @@ TEST(DistributedSweep, NoWorkersDegradesToLocalAndStillMatchesSerial) {
 
 TEST(DistributedSweep, ResumesFromCheckpointThroughTheFleet) {
   const std::string path =
-      (std::filesystem::temp_directory_path() / "occm_dist_ckpt.json")
+      (std::filesystem::temp_directory_path() / "occm_dist_ckpt.bin")
           .string();
   std::filesystem::remove(path);
 

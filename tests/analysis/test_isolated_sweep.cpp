@@ -16,6 +16,8 @@
 #include <chrono>
 #include <csignal>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -240,7 +242,7 @@ TEST(IsolatedSweepCrash, OomInjectionClassifiesAsAddressSpace) {
 void expectCrashThenResumeConverges(bool withFaults, int workers) {
   const std::string path = tempPath(
       "occm_isolated_resume_" + std::to_string(withFaults) + "_" +
-      std::to_string(workers) + ".json");
+      std::to_string(workers) + ".bin");
   std::filesystem::remove(path);
 
   // Reference: uninterrupted in-process sweep, no crash, no checkpoint.
@@ -265,10 +267,13 @@ void expectCrashThenResumeConverges(bool withFaults, int workers) {
   // exception record — resumable evidence, not a lifecycle footnote.
   const auto ckpt = SweepCheckpoint::loadChecked(path);
   ASSERT_TRUE(ckpt.hasValue()) << ckpt.error().message();
-  ASSERT_EQ(ckpt->failures.size(), 1u);
-  EXPECT_EQ(ckpt->failures[0].kind, RunFailureKind::kCrash);
-  EXPECT_EQ(ckpt->failures[0].cores, 3);
-  EXPECT_FALSE(ckpt->failures[0].stderrTail.empty());
+  ASSERT_EQ(ckpt->outcomes.count(3), 1u);
+  const exec::RunOutcome& crashed = ckpt->outcomes.at(3);
+  EXPECT_FALSE(crashed.profile.has_value());
+  ASSERT_TRUE(crashed.failure.has_value());
+  EXPECT_EQ(crashed.failure->kind, RunFailureKind::kCrash);
+  EXPECT_EQ(crashed.failure->cores, 3);
+  EXPECT_FALSE(crashed.failure->stderrTail.empty());
 
   // Resume without the crash event ("the bug was fixed"): completed runs
   // restore, the crashed core count simulates, and the merge equals the
@@ -311,6 +316,43 @@ TEST(IsolatedSweepResume, CrashThenResumeConvergesWithFaultPlan) {
   OCCM_SKIP_UNDER_TSAN();
   expectCrashThenResumeConverges(true, 1);
   expectCrashThenResumeConverges(true, 4);
+}
+
+TEST(IsolatedSweepResume, RepeatedCrashesKeepOneRecordPerCoreCount) {
+  OCCM_SKIP_UNDER_TSAN();
+  // The 3-core run crashes on every attempt of every invocation. Each
+  // resume restores the three completed runs, re-attempts n = 3 and
+  // settles it with the same crash, which replaces the earlier record
+  // instead of piling up beside it: the file does not change.
+  const std::string path = tempPath("occm_isolated_crash_pileup.bin");
+  std::filesystem::remove(path);
+  SweepConfig crashing = presetConfig(topology::testNuma4(), false);
+  crashing.parallel.workers = 1;
+  crashing.isolation.enabled = true;
+  crashing.checkpointPath = path;
+  crashing.sim.faultPlan.crashAbort(20'000, 3);
+  (void)runSweep(crashing);
+  const auto readFile = [&path] {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  std::string before = readFile();
+  ASSERT_FALSE(before.empty());
+  for (int resume = 1; resume <= 3; ++resume) {
+    const SweepResult sweep = runSweep(crashing);
+    EXPECT_EQ(sweep.restoredRuns, 3u) << "resume " << resume;
+    const auto ckpt = SweepCheckpoint::loadChecked(path);
+    ASSERT_TRUE(ckpt.hasValue()) << ckpt.error().message();
+    ASSERT_EQ(ckpt->outcomes.size(), 4u) << "resume " << resume;
+    const exec::RunOutcome& crashed = ckpt->outcomes.at(3);
+    ASSERT_TRUE(crashed.failure.has_value()) << "resume " << resume;
+    EXPECT_EQ(crashed.failure->kind, RunFailureKind::kCrash);
+    EXPECT_FALSE(crashed.profile.has_value());
+    const std::string after = readFile();
+    EXPECT_EQ(after, before) << "resume " << resume;
+    before = after;
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(IsolatedSweepLifecycle, CycleBudgetClassifiesAsTimeoutAcrossTheFork) {

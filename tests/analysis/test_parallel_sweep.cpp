@@ -174,7 +174,7 @@ TEST(ParallelSweepDeterminism, PoolStartsNoMoreThreadsThanTasks) {
 }
 
 TEST(ParallelSweepCheckpoint, InterruptedSweepResumesToUninterruptedResult) {
-  const std::string path = tempPath("occm_parallel_ckpt.json");
+  const std::string path = tempPath("occm_parallel_ckpt.bin");
   std::filesystem::remove(path);
 
   // Reference: one uninterrupted serial sweep, no checkpoint.
@@ -222,8 +222,8 @@ TEST(ParallelSweepCheckpoint, InterruptedSweepResumesToUninterruptedResult) {
 }
 
 TEST(ParallelSweepCheckpoint, FinalCheckpointFileIsPoolSizeInvariant) {
-  const std::string serialPath = tempPath("occm_ckpt_serial.json");
-  const std::string parallelPath = tempPath("occm_ckpt_parallel.json");
+  const std::string serialPath = tempPath("occm_ckpt_serial.bin");
+  const std::string parallelPath = tempPath("occm_ckpt_parallel.bin");
   std::filesystem::remove(serialPath);
   std::filesystem::remove(parallelPath);
 
@@ -239,7 +239,7 @@ TEST(ParallelSweepCheckpoint, FinalCheckpointFileIsPoolSizeInvariant) {
   const auto parallelCkpt = SweepCheckpoint::loadChecked(parallelPath);
   ASSERT_TRUE(serialCkpt.hasValue()) << serialCkpt.error().message();
   ASSERT_TRUE(parallelCkpt.hasValue()) << parallelCkpt.error().message();
-  EXPECT_EQ(parallelCkpt->toJson(), serialCkpt->toJson());
+  EXPECT_EQ(parallelCkpt->encode(), serialCkpt->encode());
 
   std::filesystem::remove(serialPath);
   std::filesystem::remove(parallelPath);

@@ -181,7 +181,7 @@ TEST(SweepLifecycle, HugeWallDeadlineNeverFires) {
 }
 
 TEST(SweepLifecycle, GracefulStopFlushesCheckpointAndResumes) {
-  const std::string path = tempPath("occm_lifecycle_stop.json");
+  const std::string path = tempPath("occm_lifecycle_stop.bin");
   std::filesystem::remove(path);
 
   SweepConfig reference = presetConfig(topology::testNuma4(), false);
@@ -217,8 +217,11 @@ TEST(SweepLifecycle, GracefulStopFlushesCheckpointAndResumes) {
   // holds no lifecycle failure records (a resume should re-attempt).
   const auto flushed = SweepCheckpoint::loadChecked(path);
   ASSERT_TRUE(flushed.hasValue()) << flushed.error().message();
-  EXPECT_EQ(flushed->runs.size(), 2u);
-  EXPECT_TRUE(flushed->failures.empty());
+  EXPECT_EQ(flushed->outcomes.size(), 2u);
+  for (const auto& [cores, outcome] : flushed->outcomes) {
+    EXPECT_TRUE(outcome.profile.has_value()) << "n = " << cores;
+    EXPECT_FALSE(outcome.failure.has_value()) << "n = " << cores;
+  }
 
   // Resume without the stop: restores 2 runs, simulates the rest, and
   // lands bit-identical to the uninterrupted sweep.
@@ -248,7 +251,7 @@ TEST(SweepLifecycle, MidWriteKillResumesByteIdentical) {
       const SweepFingerprint wholeFp = SweepFingerprint::of(whole);
 
       // Produce the complete checkpoint once, then replay kills.
-      const std::string path = tempPath("occm_midwrite_ckpt.json");
+      const std::string path = tempPath("occm_midwrite_ckpt.bin");
       std::filesystem::remove(path);
       SweepConfig writer = reference;
       writer.checkpointPath = path;
@@ -294,7 +297,7 @@ TEST(SweepLifecycle, MidWriteKillResumesByteIdentical) {
 }
 
 TEST(SweepLifecycle, GarbageCheckpointQuarantinesAndStartsFresh) {
-  const std::string path = tempPath("occm_lifecycle_garbage.json");
+  const std::string path = tempPath("occm_lifecycle_garbage.bin");
   std::filesystem::remove(path + ".corrupt");
   writeBytes(path, "\x01\x02 not a checkpoint at all {{{");
 

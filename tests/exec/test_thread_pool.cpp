@@ -49,9 +49,13 @@ TEST(ThreadPool, SingleWorkerRunsEveryTaskInSubmissionOrder) {
 }
 
 TEST(ThreadPool, TaskExceptionPropagatesThroughFuture) {
+  // Declared before the pool, so it outlives the workers: the last
+  // reference to the failed task's shared state — and with it the thrown
+  // exception — drops on this thread after the pool has joined, never on
+  // a worker racing the reads of e.what() below.
+  std::shared_future<void> bad;
   ThreadPool pool(2);
-  std::future<void> bad =
-      pool.submit([] { throw std::runtime_error("task boom"); });
+  bad = pool.submit([] { throw std::runtime_error("task boom"); }).share();
   std::future<void> good = pool.submit([] {});
   try {
     bad.get();
@@ -146,16 +150,20 @@ TEST(ResolveWorkerCount, ZeroFallsBackToEnvThenHardware) {
   EXPECT_EQ(resolveWorkerCount(-1), 5);
   EXPECT_EQ(resolveWorkerCount(2), 2);  // explicit request still wins
 
-  // Garbage and out-of-range values are ignored.
-  ::setenv("OCCM_SWEEP_WORKERS", "banana", 1);
-  EXPECT_GE(resolveWorkerCount(0), 1);
-  ::setenv("OCCM_SWEEP_WORKERS", "0", 1);
-  EXPECT_GE(resolveWorkerCount(0), 1);
-  ::setenv("OCCM_SWEEP_WORKERS", "-4", 1);
-  EXPECT_GE(resolveWorkerCount(0), 1);
-
   ::unsetenv("OCCM_SWEEP_WORKERS");
-  EXPECT_GE(resolveWorkerCount(0), 1);  // hardware concurrency, min 1
+  const int hardware = resolveWorkerCount(0);
+  EXPECT_GE(hardware, 1);  // hardware concurrency, min 1
+
+  // Garbage and out-of-range values fall back to the hardware count: the
+  // whole text must be a decimal integer in 1..4096, as for every
+  // --workers flag. " +3" and " +4" cannot both equal the hardware
+  // count, so a parser that took either would fail here on any host.
+  for (const char* bad :
+       {"banana", "0", "-4", " +3", " +4", "4x", "4097"}) {
+    ::setenv("OCCM_SWEEP_WORKERS", bad, 1);
+    EXPECT_EQ(resolveWorkerCount(0), hardware) << '"' << bad << '"';
+  }
+  ::unsetenv("OCCM_SWEEP_WORKERS");
 
   if (saved != nullptr) {
     ::setenv("OCCM_SWEEP_WORKERS", savedValue.c_str(), 1);

@@ -191,7 +191,7 @@ TEST(FaultResilience, CheckpointFromAnotherConfigIsNotReused) {
   }
 }
 
-TEST(FaultResilience, CheckpointJsonRoundTrips) {
+TEST(FaultResilience, CheckpointRoundTrips) {
   perf::RunProfile one;
   one.program = "CG.S";
   one.activeCores = 1;
@@ -206,27 +206,33 @@ TEST(FaultResilience, CheckpointJsonRoundTrips) {
   ckpt.program = "CG.S";
   ckpt.machine = "testNuma4";
   ckpt.config = 0xDEADBEEFU;
-  ckpt.runs = {one, four};
-  ckpt.failures.push_back({3, 2, "synthetic \"quoted\" crash\n", true, 1,
-                           RunFailureKind::kException, 0, "", "", ""});
+  ckpt.outcomes[1].profile = one;
+  ckpt.outcomes[3].failure = RunFailure{3, 2, "synthetic \"quoted\" crash\n",
+                                        false, 1, RunFailureKind::kException,
+                                        0, "", "", ""};
+  ckpt.outcomes[4].profile = four;
 
-  const auto parsed = SweepCheckpoint::parseChecked(ckpt.toJson());
+  const std::string file = ckpt.encode();
+  const auto parsed = SweepCheckpoint::parseChecked(file);
   ASSERT_TRUE(parsed.hasValue()) << parsed.error().message();
   EXPECT_TRUE(parsed->matches(0xDEADBEEFU));
   EXPECT_FALSE(parsed->matches(0xDEADBEEEU));
   EXPECT_EQ(parsed->program, "CG.S");
-  ASSERT_EQ(parsed->runs.size(), 2u);
+  EXPECT_EQ(parsed->machine, "testNuma4");
+  ASSERT_EQ(parsed->outcomes.size(), 3u);
   ASSERT_NE(parsed->find(4), nullptr);
   EXPECT_EQ(parsed->find(4)->counters.totalCycles, 4'500'000u);
   EXPECT_EQ(wireBytes(*parsed->find(4)), wireBytes(four));
   EXPECT_EQ(parsed->find(2), nullptr);
-  ASSERT_EQ(parsed->failures.size(), 1u);
-  EXPECT_EQ(parsed->failures[0].error, "synthetic \"quoted\" crash\n");
-  EXPECT_TRUE(parsed->failures[0].recovered);
+  EXPECT_EQ(parsed->find(3), nullptr);  // a failure alone restores nothing
+  ASSERT_TRUE(parsed->outcomes.at(3).failure.has_value());
+  EXPECT_EQ(parsed->outcomes.at(3).failure->error,
+            "synthetic \"quoted\" crash\n");
+  EXPECT_EQ(parsed->outcomes.at(3).failure->attempts, 2);
+  EXPECT_EQ(parsed->encode(), file);
 
-  EXPECT_FALSE(SweepCheckpoint::parseChecked("not json").hasValue());
-  EXPECT_FALSE(
-      SweepCheckpoint::parseChecked("{\"program\": 3}").hasValue());
+  EXPECT_FALSE(SweepCheckpoint::parseChecked("not a checkpoint").hasValue());
+  EXPECT_FALSE(SweepCheckpoint::parseChecked("").hasValue());
 }
 
 }  // namespace
